@@ -15,6 +15,13 @@
 //! 3. **auto** — whichever of the two [`CountingBackend::Auto`] resolves
 //!    for the pass's profile, charged like the fixed backend it picks.
 //!
+//! On the `C₂` pass a fourth timing, `pairs_ms`, is the **fused pass 2**
+//! a from-scratch mine actually runs: one
+//! [`VerticalIndex::build_with_pairs`] scan that builds the index *and*
+//! counts every pair, plus reading `C₂`'s supports out of the matrix. It
+//! replaces `build_ms + vertical_ms` (build, then intersect every pair),
+//! and `pair_speedup` is that ratio; `--min-pair-speedup` gates it.
+//!
 //! Counts are asserted identical across backends before any number is
 //! reported. `--min-speedup` gates the *deep passes* (k ≥ 3): each must
 //! beat the hash tree by the given factor. `--max-auto-loss` gates the
@@ -37,6 +44,7 @@
 //! bench_vertical [--out PATH] [--transactions N] [--minsup-bp B1,B2,..]
 //!                [--threads T] [--reps R] [--seed S]
 //!                [--min-speedup X] [--max-auto-loss F]
+//!                [--min-pair-speedup X]
 //!                [--reuse-rounds N] [--reuse-increment D]
 //!                [--min-reuse-speedup X]
 //! ```
@@ -66,6 +74,10 @@ struct Options {
     /// fixed backend on any pass (negative disables; the acceptance
     /// target is 0.10).
     max_auto_loss: f64,
+    /// Exit non-zero unless the fused pass 2 beats build + intersections
+    /// by this factor at every support level (0.0 disables; CI asserts
+    /// 5.0).
+    min_pair_speedup: f64,
     /// Rounds of the index-reuse scenario (successive increments applied
     /// to one persistent index vs a per-round rebuild).
     reuse_rounds: usize,
@@ -87,6 +99,7 @@ fn parse_args() -> Result<Options, String> {
         seed: 1996,
         min_speedup: 0.0,
         max_auto_loss: -1.0,
+        min_pair_speedup: 0.0,
         reuse_rounds: 6,
         reuse_increment: 0,
         min_reuse_speedup: 0.0,
@@ -134,6 +147,11 @@ fn parse_args() -> Result<Options, String> {
                 opts.max_auto_loss = value("--max-auto-loss")?
                     .parse()
                     .map_err(|e| format!("--max-auto-loss: {e}"))?
+            }
+            "--min-pair-speedup" => {
+                opts.min_pair_speedup = value("--min-pair-speedup")?
+                    .parse()
+                    .map_err(|e| format!("--min-pair-speedup: {e}"))?
             }
             "--reuse-rounds" => {
                 opts.reuse_rounds = value("--reuse-rounds")?
@@ -189,10 +207,22 @@ struct PassRow {
     hash_ms: f64,
     vertical_ms: f64,
     build_ms: f64,
+    /// The fused build-and-count-pairs scan, on the pass that built the
+    /// index at k = 2 (and `|L₁|` fits the pair matrix).
+    pairs_ms: Option<f64>,
     speedup: f64,
     auto_backend: &'static str,
     auto_ms: f64,
     auto_loss: f64,
+}
+
+impl PassRow {
+    /// How much faster the fused pass 2 (`pairs_ms`) is than building
+    /// the index and then intersecting every pair.
+    fn pair_speedup(&self) -> Option<f64> {
+        self.pairs_ms
+            .map(|p| (self.build_ms + self.vertical_ms) / p.max(1e-6))
+    }
 }
 
 fn main() {
@@ -264,12 +294,33 @@ fn main() {
             });
 
             let mut build_time = Duration::ZERO;
+            let mut pairs_time = None;
             if index.is_none() {
                 let (bt, idx) = best_of(opts.reps, || VerticalIndex::build(&db, Some(&keep), &cfg));
                 build_time = bt;
                 level_build = bt;
                 index_bytes = idx.arena_bytes();
                 index = Some(idx);
+                if k == 2 {
+                    // At k = 2 `level` is still L₁, one item per row.
+                    let (pt, fused_counts) = best_of(opts.reps, || {
+                        let (_, pairs) =
+                            VerticalIndex::build_with_pairs(&db, level.flat_items(), &cfg);
+                        pairs.map(|pairs| {
+                            candidates
+                                .rows()
+                                .map(|c| pairs.support(c[0], c[1]).expect("C2 pairs items of L1"))
+                                .collect::<Vec<u64>>()
+                        })
+                    });
+                    if let Some(fused_counts) = fused_counts {
+                        assert_eq!(
+                            hash_counts, fused_counts,
+                            "fused pair counts diverged at {bp}bp"
+                        );
+                        pairs_time = Some(pt);
+                    }
+                }
             }
             let idx = index.as_ref().expect("index built above");
             let (vertical_time, vertical_counts) =
@@ -329,6 +380,13 @@ fn main() {
                 ms(vertical_time),
                 ms(build_time),
             );
+            if let Some(pt) = pairs_time {
+                eprintln!(
+                    "       fused build+pairs {:.1} ms vs build+intersect {:.1} ms",
+                    ms(pt),
+                    ms(build_time + vertical_time),
+                );
+            }
             rows.push(PassRow {
                 minsup_bp: bp,
                 k,
@@ -337,6 +395,7 @@ fn main() {
                 hash_ms: ms(hash_time),
                 vertical_ms: ms(vertical_time),
                 build_ms: ms(build_time),
+                pairs_ms: pairs_time.map(ms),
                 speedup,
                 auto_backend,
                 auto_ms: ms(auto_time),
@@ -508,18 +567,30 @@ fn main() {
             "  \"corpus\": \"T10.I4\",\n",
             "  \"transactions\": {},\n",
             "  \"threads\": {},\n",
+            "  \"cpus\": {},\n",
             "  \"reps\": {},\n",
             "  \"index_sparse_bytes\": {},\n",
             "  \"index_dense_bytes\": {},\n",
             "  \"rows\": [\n"
         ),
-        opts.transactions, opts.threads, opts.reps, index_bytes.0, index_bytes.1,
+        opts.transactions,
+        opts.threads,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        opts.reps,
+        index_bytes.0,
+        index_bytes.1,
     );
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
+        let pairs = r
+            .pairs_ms
+            .zip(r.pair_speedup())
+            .map_or(String::new(), |(p, x)| {
+                format!(" \"pairs_ms\": {p:.3}, \"pair_speedup\": {x:.3},")
+            });
         let _ = writeln!(
             json,
-            "    {{ \"minsup_bp\": {}, \"k\": {}, \"candidates\": {}, \"large\": {}, \"hash_ms\": {:.3}, \"vertical_ms\": {:.3}, \"build_ms\": {:.3}, \"speedup\": {:.3}, \"auto\": \"{}\", \"auto_ms\": {:.3}, \"auto_loss\": {:.4} }}{sep}",
+            "    {{ \"minsup_bp\": {}, \"k\": {}, \"candidates\": {}, \"large\": {}, \"hash_ms\": {:.3}, \"vertical_ms\": {:.3}, \"build_ms\": {:.3},{pairs} \"speedup\": {:.3}, \"auto\": \"{}\", \"auto_ms\": {:.3}, \"auto_loss\": {:.4} }}{sep}",
             r.minsup_bp,
             r.k,
             r.candidates,
@@ -587,6 +658,21 @@ fn main() {
         eprintln!(
             "bench_vertical: no deep passes produced candidates; cannot assert --min-speedup"
         );
+        std::process::exit(1);
+    }
+    let pair_worst = rows
+        .iter()
+        .filter_map(PassRow::pair_speedup)
+        .fold(f64::INFINITY, f64::min);
+    if pair_worst.is_finite() {
+        fup_bench::cli::require_min_speedup(
+            "bench_vertical",
+            "worst fused pass-2 speedup over build + intersections",
+            pair_worst,
+            opts.min_pair_speedup,
+        );
+    } else if opts.min_pair_speedup > 0.0 {
+        eprintln!("bench_vertical: no pass 2 ran fused; cannot assert --min-pair-speedup");
         std::process::exit(1);
     }
     if opts.max_auto_loss >= 0.0 {

@@ -56,10 +56,11 @@ use fup_mining::{
     MiningStats,
 };
 use fup_tidb::rpc::{ChannelTransport, Message, Transport};
+use fup_tidb::source::ChainSource;
 use fup_tidb::{
     Admission, ChunkScratch, DurableStorage, FaultKind, ItemId, RangeMove, ScanMetrics,
-    SegmentedDb, ShardSpec, StagingArea, Tid, Transaction, TransactionDb, TransactionSource,
-    TxChunk, UpdateBatch,
+    SegmentedDb, ShardSpec, SliceSource, StagingArea, Tid, Transaction, TransactionDb,
+    TransactionSource, TxChunk, UpdateBatch,
 };
 
 use crate::config::FupConfig;
@@ -803,12 +804,12 @@ impl Cluster {
             });
         }
         config.engine.backend = CountingBackend::Vertical;
-        let db = TransactionDb::from_transactions(history.iter().cloned());
-        let (outcome, _) = Apriori::with_config(AprioriConfig {
+        // The history moves on to the workers below; mine it where it is.
+        let outcome = Apriori::with_config(AprioriConfig {
             engine: config.engine.clone(),
             ..Default::default()
         })
-        .run_with_index(&db, minsup);
+        .run(&SliceSource::new(&history), minsup);
         let large = outcome.large;
         let rules = generate_rules(&large, minconf);
         let n = history.len() as u64;
@@ -1207,13 +1208,13 @@ impl Cluster {
                 }
             }
         }
-        rows.extend(batch.inserts.iter().cloned());
-        let db = TransactionDb::from_transactions(rows);
-        let (outcome, _) = Apriori::with_config(AprioriConfig {
+        let (kept, inserted) = (SliceSource::new(&rows), SliceSource::new(&batch.inserts));
+        let post_state = ChainSource::new(&kept, &inserted);
+        let outcome = Apriori::with_config(AprioriConfig {
             engine: self.config.engine.clone(),
             ..Default::default()
         })
-        .run_with_index(&db, self.minsup);
+        .run(&post_state, self.minsup);
         let new_tids: Vec<Tid> = (0..batch.inserts.len() as u64)
             .map(|i| Tid(self.next_tid + i))
             .collect();

@@ -97,7 +97,9 @@ impl Apriori {
         // Pass k ≥ 2: generate flat, count through the configured
         // backend, filter into the next flat level. The vertical index is
         // built lazily at the first pass the backend resolves vertical
-        // and reused (sticky) from then on.
+        // and reused (sticky) from then on. When that pass is pass 2 the
+        // build scan counts C₂ itself (every pair over L₁), so the
+        // 2-candidates are never intersected.
         let mut index: Option<VerticalIndex> = None;
         let mut k = 2;
         while !level.is_empty() && self.config.max_k.is_none_or(|m| k <= m) {
@@ -112,10 +114,28 @@ impl Apriori {
                         residue,
                     }) == ResolvedBackend::Vertical);
             let counts: Vec<u64> = if use_vertical {
+                // At k = 2 `level` is still L₁, one item per row.
+                let pairs = if index.is_none() && k == 2 {
+                    let (idx, pairs) = VerticalIndex::build_with_pairs(
+                        source,
+                        level.flat_items(),
+                        &self.config.engine,
+                    );
+                    index = Some(idx);
+                    pairs
+                } else {
+                    None
+                };
                 let idx = index.get_or_insert_with(|| {
                     VerticalIndex::build(source, Some(&keep), &self.config.engine)
                 });
-                idx.count_rows(&candidates, &self.config.engine)
+                match pairs {
+                    Some(pairs) => candidates
+                        .rows()
+                        .map(|c| pairs.support(c[0], c[1]).expect("C₂ pairs items of L₁"))
+                        .collect(),
+                    None => idx.count_rows(&candidates, &self.config.engine),
+                }
             } else {
                 engine::count_table_with(source, &candidates, &self.config.engine)
             };
@@ -274,6 +294,60 @@ mod tests {
                     out.diff(&reference)
                 );
             }
+        }
+    }
+
+    /// A scaled-down Quest corpus big enough for `Auto` to engage the
+    /// vertical index at pass 2 and for the search to reach k ≥ 3.
+    fn quest_db() -> TransactionDb {
+        use fup_datagen::{corpus, QuestGenerator};
+        let params = corpus::scaled(corpus::t10_i4_d100_d1(), 20).with_seed(0x1996);
+        assert_eq!(params.num_transactions, 5_000);
+        QuestGenerator::new(params).generate_db(5_000)
+    }
+
+    #[test]
+    fn pair_matrix_fallback_mines_identically() {
+        // With the matrix bound lowered below |L₁| pass 2 falls back to
+        // tid-list intersections; itemsets, per-pass accounting, scan
+        // volume and the returned index must not notice.
+        use crate::vertical::{with_pair_matrix_limit, CountingBackend};
+        let minsup = MinSupport::percent(1);
+        let run = |backend| {
+            let d = quest_db();
+            let (out, index) = Apriori::with_config(AprioriConfig {
+                engine: EngineConfig::with_threads(1).with_backend(backend),
+                ..AprioriConfig::default()
+            })
+            .run_with_index(&d, minsup);
+            let mut bytes = Vec::new();
+            if let Some(idx) = &index {
+                idx.encode(&mut bytes);
+            }
+            (out, index.is_some(), bytes, d.metrics().snapshot())
+        };
+        let (reference, none, _, _) = run(CountingBackend::HashTree);
+        assert!(!none);
+        assert!(
+            reference.large.len_at(1) > 8,
+            "L₁ must exceed the lowered bound"
+        );
+        assert!(reference.large.max_size() >= 3);
+        for backend in [CountingBackend::Vertical, CountingBackend::Auto] {
+            let (fused, fused_some, fused_index, fused_scans) = run(backend);
+            let (fallback, fallback_some, fallback_index, fallback_scans) =
+                with_pair_matrix_limit(8, || run(backend));
+            assert!(fused_some && fallback_some, "{backend:?}");
+            for out in [&fused, &fallback] {
+                assert!(
+                    out.large.same_itemsets(&reference.large),
+                    "{backend:?}: {:?}",
+                    out.large.diff(&reference.large)
+                );
+                assert_eq!(out.stats.passes, reference.stats.passes, "{backend:?}");
+            }
+            assert_eq!(fused_index, fallback_index, "{backend:?}");
+            assert_eq!(fused_scans, fallback_scans, "{backend:?}");
         }
     }
 

@@ -42,6 +42,16 @@
 //! cursor; batch outputs concatenate in batch order, so counts are
 //! identical at every thread count.
 //!
+//! ## Fused pass 2
+//!
+//! `C₂` is every pair over `L₁`, so its supports need no intersections:
+//! [`VerticalIndex::build_with_pairs`] bumps a triangular pair matrix
+//! over the ranks of the kept items inside the build scan itself
+//! (`Σ_T C(|T ∩ L₁|, 2)` increments) and hands the supports back as
+//! [`PairSupports`]. Apriori's from-scratch mine reads its pass 2 out of
+//! that matrix; every deeper pass, and every maintenance round, counts
+//! through the index as described above.
+//!
 //! ## Backend selection
 //!
 //! [`CountingBackend`] picks the counting strategy per pass:
@@ -80,6 +90,14 @@ pub const AUTO_MIN_CANDIDATES: usize = 256;
 /// on average (the transaction residue): below it, hash-tree passes
 /// barely descend and the index has nothing to amortise against.
 pub const AUTO_MIN_RESIDUE: f64 = 2.0;
+
+/// Largest item set [`VerticalIndex::build_with_pairs`] counts pairs
+/// for. Each scan worker owns one triangular `u32` matrix of
+/// `m·(m−1)/2` cells, so the cap bounds it at 4096·4095/2 × 4 B ≈ 32 MiB
+/// per worker — the size of the `C₂` table the same pass has to hold
+/// anyway. Above it the build returns no pair supports and the caller
+/// intersects tid-lists instead.
+pub const PAIR_MATRIX_MAX_ITEMS: usize = 4096;
 
 /// Rows per counting batch claimed by one worker. Oversized runs are
 /// split into segments (each re-intersects the shared prefix once), so a
@@ -213,12 +231,111 @@ pub struct VerticalIndex {
 }
 
 /// Per-worker accumulator of the build scan: per-item tid lists plus the
-/// cursor state recovering global tids from chunk offsets.
+/// cursor state recovering global tids from chunk offsets, and — on the
+/// fused pass — this worker's pair matrix.
 struct GatherAcc {
     cur_chunk: u64,
     base: u64,
     pos: u64,
     lists: Vec<Vec<u32>>,
+    /// Triangular pair matrix (empty unless pairs are being counted).
+    cells: Vec<u32>,
+    /// Ranks of the current transaction's kept items, ascending.
+    row_ranks: Vec<u32>,
+}
+
+/// Rank-table entry of an item no pair is counted for.
+const NO_RANK: u32 = u32::MAX;
+
+/// First cell of rank `hi`'s row in the triangular pair matrix: the pair
+/// of ranks `lo < hi` lives at `tri_base(hi) + lo`, rows packed back to
+/// back (`hi·(hi−1)/2` cells precede row `hi`).
+#[inline]
+fn tri_base(hi: u32) -> usize {
+    let hi = hi as usize;
+    hi * hi.saturating_sub(1) / 2
+}
+
+#[cfg(test)]
+thread_local! {
+    static PAIR_MATRIX_LIMIT: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(PAIR_MATRIX_MAX_ITEMS) };
+}
+
+/// Test seam: runs `f` with [`PAIR_MATRIX_MAX_ITEMS`] lowered to `limit`
+/// on this thread, so the intersection fallback can be driven on a small
+/// corpus.
+#[cfg(test)]
+pub(crate) fn with_pair_matrix_limit<R>(limit: usize, f: impl FnOnce() -> R) -> R {
+    let old = PAIR_MATRIX_LIMIT.replace(limit);
+    let out = f();
+    PAIR_MATRIX_LIMIT.set(old);
+    out
+}
+
+fn pair_matrix_limit() -> usize {
+    #[cfg(test)]
+    return PAIR_MATRIX_LIMIT.get();
+    #[cfg(not(test))]
+    PAIR_MATRIX_MAX_ITEMS
+}
+
+/// The support of every 2-subset of an item set, counted by
+/// [`VerticalIndex::build_with_pairs`] in the scan that built the index.
+#[derive(Debug)]
+pub struct PairSupports {
+    /// Rank of each item id among the counted items ([`NO_RANK`] for the
+    /// rest).
+    ranks: Vec<u32>,
+    /// Triangular matrix of pair supports; see [`tri_base`].
+    cells: Vec<u32>,
+}
+
+impl PairSupports {
+    /// An all-zero matrix over `items` (strictly ascending) for a source
+    /// of `num_transactions` rows, or `None` when `items` exceeds the
+    /// [`PAIR_MATRIX_MAX_ITEMS`] bound.
+    fn zeroed(items: &[ItemId], num_transactions: u64) -> Option<Self> {
+        if items.len() > pair_matrix_limit() {
+            return None;
+        }
+        // A cell counts transactions, so `u32` holds it exactly while the
+        // tid space does.
+        assert!(
+            num_transactions < u32::MAX as u64,
+            "pair counters are u32: transaction count exceeds them"
+        );
+        let num_cells = items
+            .len()
+            .checked_mul(items.len().saturating_sub(1))
+            .expect("pair matrix size overflows usize")
+            / 2;
+        let mut ranks = vec![NO_RANK; items.last().map_or(0, |i| i.index() + 1)];
+        for (rank, item) in items.iter().enumerate() {
+            ranks[item.index()] = rank as u32;
+        }
+        Some(PairSupports {
+            ranks,
+            cells: vec![0u32; num_cells],
+        })
+    }
+
+    /// The support of `{a, b}`, or `None` unless both are distinct items
+    /// of the set the pairs were counted over.
+    pub fn support(&self, a: ItemId, b: ItemId) -> Option<u64> {
+        let rank = |item: ItemId| {
+            self.ranks
+                .get(item.index())
+                .copied()
+                .filter(|&r| r != NO_RANK)
+        };
+        let (ra, rb) = (rank(a)?, rank(b)?);
+        if ra == rb {
+            return None;
+        }
+        let (lo, hi) = (ra.min(rb), ra.max(rb));
+        Some(u64::from(self.cells[tri_base(hi) + lo as usize]))
+    }
 }
 
 impl VerticalIndex {
@@ -259,6 +376,43 @@ impl VerticalIndex {
         assert!(n < u32::MAX as u64, "tid space exceeds u32");
         let lists = gather_tid_lists(source, keep, 0, config);
         Self::from_lists(n, lists, keep.map(<[u64]>::to_vec), dense_factor)
+    }
+
+    /// [`VerticalIndex::build`] filtered to `items`, which additionally
+    /// counts the support of every pair over `items` inside the same
+    /// scan — Apriori's whole pass 2, for the price of the index build.
+    /// The index is identical to `build(source, Some(&item_bitmap(items)),
+    /// config)` and the source is charged that one scan.
+    ///
+    /// The pair supports are `None` when `items` holds more than
+    /// [`PAIR_MATRIX_MAX_ITEMS`] items (the matrix would outgrow its
+    /// per-worker bound); the caller then counts `C₂` through
+    /// [`count_rows`](VerticalIndex::count_rows) as for any other pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is not strictly ascending, or if the source
+    /// holds `u32::MAX` transactions or more (tids and pair counters are
+    /// `u32`).
+    pub fn build_with_pairs<S>(
+        source: &S,
+        items: &[ItemId],
+        config: &EngineConfig,
+    ) -> (Self, Option<PairSupports>)
+    where
+        S: TransactionSource + ?Sized,
+    {
+        assert!(
+            items.windows(2).all(|w| w[0] < w[1]),
+            "pair items must be strictly ascending"
+        );
+        let n = source.num_transactions();
+        assert!(n < u32::MAX as u64, "tid space exceeds u32");
+        let keep = item_bitmap(items.iter().copied());
+        let mut pairs = PairSupports::zeroed(items, n);
+        let lists = gather_lists_and_pairs(source, Some(&keep), 0, config, pairs.as_mut());
+        let index = Self::from_lists(n, lists, Some(keep), DENSE_FACTOR);
+        (index, pairs)
     }
 
     /// Appends one full pass of `source` at tid offset
@@ -884,7 +1038,26 @@ fn gather_tid_lists<S>(
 where
     S: TransactionSource + ?Sized,
 {
+    gather_lists_and_pairs(source, keep, offset, config, None)
+}
+
+/// [`gather_tid_lists`], which with `pairs` (zeroed, ranking exactly the
+/// items `keep` admits) also counts every pair of kept items per
+/// transaction in the same pass — one matrix per worker, summed into
+/// `pairs` like any `scan_fold` accumulator.
+fn gather_lists_and_pairs<S>(
+    source: &S,
+    keep: Option<&[u64]>,
+    offset: u64,
+    config: &EngineConfig,
+    mut pairs: Option<&mut PairSupports>,
+) -> Vec<Vec<u32>>
+where
+    S: TransactionSource + ?Sized,
+{
     let chunk_size = config.chunk_size.max(1);
+    let pair_ranks = pairs.as_deref().map(|p| p.ranks.as_slice());
+    let num_cells = pairs.as_deref().map_or(0, |p| p.cells.len());
     let folds = engine::scan_fold(
         source,
         config,
@@ -893,6 +1066,8 @@ where
             base: 0,
             pos: 0,
             lists: Vec::new(),
+            cells: vec![0u32; num_cells],
+            row_ranks: Vec::new(),
         },
         |acc, chunk, t| {
             if chunk != acc.cur_chunk {
@@ -902,6 +1077,7 @@ where
             }
             let tid = (offset + acc.base + acc.pos) as u32;
             acc.pos += 1;
+            acc.row_ranks.clear();
             for &item in t {
                 if keep.is_some_and(|bits| !bitmap_test(bits, item)) {
                     continue;
@@ -911,17 +1087,42 @@ where
                     acc.lists.resize_with(i + 1, Vec::new);
                 }
                 acc.lists[i].push(tid);
+                if let Some(ranks) = pair_ranks {
+                    acc.row_ranks.push(ranks[i]);
+                }
+            }
+            // Items ascend within a transaction and ranks ascend with
+            // items, so every earlier rank is the `lo` of the pair.
+            for (j, &hi) in acc.row_ranks.iter().enumerate().skip(1) {
+                let row = &mut acc.cells[tri_base(hi)..][..hi as usize];
+                for &lo in &acc.row_ranks[..j] {
+                    row[lo as usize] += 1;
+                }
             }
         },
     );
     // Per-worker lists are individually sorted (chunks are claimed in
     // increasing order); across workers they interleave, so concatenate
-    // and sort — tids are distinct, making the result canonical.
+    // and sort — tids are distinct, making the result canonical. Pair
+    // cells are plain counts and merge by summation.
     let mut folds = folds.into_iter();
-    let mut lists = folds.next().map(|a| a.lists).unwrap_or_default();
+    let mut lists = Vec::new();
+    if let Some(first) = folds.next() {
+        lists = first.lists;
+        if let Some(pairs) = pairs.as_deref_mut() {
+            // Zero plus the first worker's counts is the first worker's
+            // matrix: adopt it instead of adding it.
+            pairs.cells = first.cells;
+        }
+    }
     let mut merged_any = false;
     for fold in folds {
         merged_any = true;
+        if let Some(pairs) = pairs.as_deref_mut() {
+            for (total, cell) in pairs.cells.iter_mut().zip(fold.cells) {
+                *total += cell;
+            }
+        }
         if fold.lists.len() > lists.len() {
             lists.resize_with(fold.lists.len(), Vec::new);
         }
@@ -1226,6 +1427,102 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every 2-subset of `items`: the `C₂` `apriori-gen` makes of them.
+    fn all_pairs(items: &[ItemId]) -> ItemsetTable {
+        let level = ItemsetTable::from_flat_rows(1, items.to_vec());
+        crate::gen::apriori_gen_flat(&level, &crate::gen::GenConfig::serial())
+    }
+
+    #[test]
+    fn fused_pairs_match_intersections_and_build_the_same_index() {
+        let d = mixed_db(600);
+        // Dense (0..3), ~2% (10, 11) and ~1% (100, 150) items, plus one
+        // that never occurs.
+        let items: Vec<ItemId> = [0, 1, 2, 3, 10, 11, 100, 150, 900]
+            .into_iter()
+            .map(ItemId)
+            .collect();
+        let c2 = all_pairs(&items);
+        let keep = item_bitmap(items.iter().copied());
+        let plain = VerticalIndex::build(&d, Some(&keep), &EngineConfig::serial());
+        let expect = plain.count_rows(&c2, &EngineConfig::serial());
+        assert!(expect.iter().any(|&c| c > 0));
+        for threads in [1usize, 2, 8] {
+            for chunk_size in [1usize, 7, 1024] {
+                let cfg = EngineConfig {
+                    threads,
+                    chunk_size,
+                    ..EngineConfig::default()
+                };
+                let (idx, pairs) = VerticalIndex::build_with_pairs(&d, &items, &cfg);
+                let pairs = pairs.expect("9 items fit the matrix");
+                let got: Vec<u64> = c2
+                    .rows()
+                    .map(|r| pairs.support(r[0], r[1]).unwrap())
+                    .collect();
+                assert_eq!(got, expect, "threads {threads} chunk {chunk_size}");
+                assert_eq!(idx.entries, plain.entries);
+                assert_eq!(idx.sparse, plain.sparse);
+                assert_eq!(idx.dense, plain.dense);
+                assert_eq!(idx.keep, plain.keep);
+            }
+        }
+        // One scan, like the plain build.
+        let fresh = mixed_db(600);
+        let _ = VerticalIndex::build_with_pairs(&fresh, &items, &EngineConfig::serial());
+        assert_eq!(fresh.metrics().full_scans(), 1);
+    }
+
+    #[test]
+    fn pair_supports_answer_only_counted_pairs() {
+        let d = db(&[&[1, 2, 3], &[1, 2], &[2, 3], &[5]]);
+        let items = [ItemId(1), ItemId(2), ItemId(5)];
+        let (_, pairs) = VerticalIndex::build_with_pairs(&d, &items, &EngineConfig::serial());
+        let pairs = pairs.unwrap();
+        assert_eq!(pairs.support(ItemId(1), ItemId(2)), Some(2));
+        assert_eq!(pairs.support(ItemId(2), ItemId(1)), Some(2)); // either order
+        assert_eq!(pairs.support(ItemId(1), ItemId(5)), Some(0));
+        assert_eq!(pairs.support(ItemId(2), ItemId(3)), None); // 3 not counted
+        assert_eq!(pairs.support(ItemId(2), ItemId(2)), None); // not a pair
+        assert_eq!(pairs.support(ItemId(2), ItemId(999)), None);
+        // Degenerate item sets have no pairs but still build the index.
+        for (items, support_of_2) in [(&[][..], 0), (&[ItemId(2)][..], 3)] {
+            let (idx, pairs) = VerticalIndex::build_with_pairs(&d, items, &EngineConfig::serial());
+            assert!(pairs.unwrap().cells.is_empty());
+            assert_eq!(idx.support(ItemId(2)), support_of_2);
+        }
+    }
+
+    #[test]
+    fn pair_matrix_bound_falls_back_to_no_pairs() {
+        let d = mixed_db(200);
+        let items: Vec<ItemId> = (0..4).map(ItemId).collect();
+        let cfg = EngineConfig::serial();
+        let plain = VerticalIndex::build(&d, Some(&item_bitmap(items.iter().copied())), &cfg);
+        // At the bound the matrix is counted; one item over, it is not —
+        // and the index comes out the same either way.
+        for (limit, counted) in [(4usize, true), (3, false)] {
+            let (idx, pairs) =
+                with_pair_matrix_limit(limit, || VerticalIndex::build_with_pairs(&d, &items, &cfg));
+            assert_eq!(pairs.is_some(), counted, "limit {limit}");
+            assert_eq!(idx.entries, plain.entries);
+            assert_eq!(idx.dense, plain.dense);
+        }
+        // The shipped bound is what the doc comment's bytes-per-worker
+        // figure is computed from.
+        let cells = PAIR_MATRIX_MAX_ITEMS * (PAIR_MATRIX_MAX_ITEMS - 1) / 2;
+        assert_eq!(cells * std::mem::size_of::<u32>(), 33_546_240);
+        assert_eq!(tri_base(PAIR_MATRIX_MAX_ITEMS as u32), cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn build_with_pairs_rejects_unsorted_items() {
+        let d = db(&[&[1, 2]]);
+        let _ =
+            VerticalIndex::build_with_pairs(&d, &[ItemId(2), ItemId(1)], &EngineConfig::serial());
     }
 
     #[test]

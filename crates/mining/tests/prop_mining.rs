@@ -1,12 +1,15 @@
 //! Property tests for the mining foundation: every fast path agrees with
 //! its obviously-correct reference implementation on random inputs.
 
-use fup_mining::apriori::mine_naive;
+use fup_datagen::{corpus, QuestGenerator};
+use fup_mining::apriori::{mine_naive, AprioriConfig};
+use fup_mining::engine::EngineConfig;
 use fup_mining::gen::{
     apriori_gen, apriori_gen_naive, apriori_gen_reference, apriori_gen_with, clustered_l2,
     GenConfig,
 };
 use fup_mining::rules::{generate_rules, generate_rules_naive, MinConfidence};
+use fup_mining::vertical::{item_bitmap, CountingBackend, VerticalIndex};
 use fup_mining::{Apriori, Dhp, HashTree, Itemset, MinSupport};
 use fup_tidb::transaction::contains_sorted;
 use fup_tidb::{ItemId, Transaction, TransactionDb};
@@ -185,6 +188,66 @@ fn apriori_gen_ten_thousand_sets_identical_across_threads() {
     for threads in [1usize, 2, 8] {
         let fast = apriori_gen_with(&l2, &GenConfig::with_threads(threads));
         assert_eq!(fast, reference, "threads {threads}");
+    }
+}
+
+/// On Quest corpora either side of `Auto`'s thresholds, Apriori yields the
+/// same itemsets *and* the same per-pass accounting under every backend
+/// and thread count, hands back an index exactly when a pass counted
+/// through one, and that index is the plain `L₁`-filtered build — however
+/// pass 2 got its counts.
+#[test]
+fn apriori_backends_agree_on_quest_corpora() {
+    // D = 2 000 sits below AUTO_MIN_TRANSACTIONS (Auto stays on the hash
+    // tree), D = 5 000 above it (Auto engages the index at pass 2).
+    for (scale, auto_indexes) in [(50u64, false), (20, true)] {
+        let params = corpus::scaled(corpus::t10_i4_d100_d1(), scale).with_seed(0x2026);
+        let n = params.num_transactions;
+        let db = QuestGenerator::new(params).generate_db(n);
+        let minsup = MinSupport::percent(1);
+        let mine = |backend, threads| {
+            Apriori::with_config(AprioriConfig {
+                engine: EngineConfig::with_threads(threads).with_backend(backend),
+                ..AprioriConfig::default()
+            })
+            .run_with_index(&db, minsup)
+        };
+        let (reference, no_index) = mine(CountingBackend::HashTree, 1);
+        assert!(no_index.is_none());
+        assert!(
+            reference.large.max_size() >= 3,
+            "D = {n}: corpus too sparse"
+        );
+        let l1 = item_bitmap(reference.large.level(1).map(|(x, _)| x.items()[0]));
+        for (backend, indexes) in [
+            (CountingBackend::HashTree, false),
+            (CountingBackend::Vertical, true),
+            (CountingBackend::Auto, auto_indexes),
+        ] {
+            for threads in [1usize, 2, 8] {
+                let (out, index) = mine(backend, threads);
+                assert!(
+                    out.large.same_itemsets(&reference.large),
+                    "D = {n} {backend:?} threads {threads}: {:?}",
+                    out.large.diff(&reference.large)
+                );
+                assert_eq!(
+                    out.stats.passes, reference.stats.passes,
+                    "D = {n} {backend:?} threads {threads}"
+                );
+                assert_eq!(index.is_some(), indexes, "D = {n} {backend:?}");
+                if let Some(index) = index {
+                    let engine = EngineConfig::with_threads(threads);
+                    let (mut got, mut plain) = (Vec::new(), Vec::new());
+                    index.encode(&mut got);
+                    VerticalIndex::build(&db, Some(&l1), &engine).encode(&mut plain);
+                    assert!(
+                        got == plain,
+                        "D = {n} {backend:?} threads {threads}: index differs"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -95,11 +95,7 @@ impl TransactionSource for TransactionDb {
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&[ItemId])) {
-        self.metrics.record_full_scan();
-        for t in &self.transactions {
-            self.metrics.record_transaction(t.len());
-            f(t.items());
-        }
+        crate::source::slice_for_each(&self.transactions, &self.metrics, f);
     }
 
     fn metrics(&self) -> &ScanMetrics {
@@ -113,11 +109,7 @@ impl TransactionSource for TransactionDb {
         index: u64,
         _scratch: &'s mut crate::chunk::ChunkScratch,
     ) -> crate::chunk::TxChunk<'s> {
-        let (start, end) = crate::source::chunk_bounds(self.num_transactions(), chunk_size, index);
-        let chunk = crate::chunk::TxChunk::from_transactions(&self.transactions[start..end]);
-        self.metrics
-            .record_transactions(chunk.len() as u64, chunk.total_items());
-        chunk
+        crate::source::slice_chunk(&self.transactions, &self.metrics, chunk_size, index)
     }
 }
 

@@ -82,7 +82,7 @@ pub use rpc::{ChannelTransport, Message, Transport, UdsTransport};
 pub use scan::ScanMetrics;
 pub use segment::{SegmentId, SegmentedDb, StagedUpdate, Tid, UpdateBatch};
 pub use shard::{RangeMove, ShardSpec, ShardedDb, ShardedStaged, SpecError, TidRange};
-pub use source::TransactionSource;
+pub use source::{SliceSource, TransactionSource};
 pub use staging::{Admission, LiveTidView, StagingArea};
 pub use storage::{DiskStorage, DurableStorage, FlakyStorage, MemStorage, OpClass};
 pub use transaction::Transaction;

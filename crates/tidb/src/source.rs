@@ -3,6 +3,7 @@
 use crate::chunk::{ChunkScratch, TxChunk};
 use crate::item::ItemId;
 use crate::scan::ScanMetrics;
+use crate::transaction::Transaction;
 
 /// Anything a mining algorithm can perform a full pass over.
 ///
@@ -133,6 +134,76 @@ pub(crate) fn chunk_bounds(num_transactions: u64, chunk_size: usize, index: u64)
     (start as usize, end as usize)
 }
 
+/// One full charged pass over a slice of stored transactions — the
+/// `for_each` of every source that keeps its rows as a slice.
+pub(crate) fn slice_for_each(
+    transactions: &[Transaction],
+    metrics: &ScanMetrics,
+    f: &mut dyn FnMut(&[ItemId]),
+) {
+    metrics.record_full_scan();
+    for t in transactions {
+        metrics.record_transaction(t.len());
+        f(t.items());
+    }
+}
+
+/// Chunk `index` of the default plan over a slice of stored
+/// transactions, as a charged zero-copy view.
+pub(crate) fn slice_chunk<'s>(
+    transactions: &'s [Transaction],
+    metrics: &ScanMetrics,
+    chunk_size: usize,
+    index: u64,
+) -> TxChunk<'s> {
+    let (start, end) = chunk_bounds(transactions.len() as u64, chunk_size, index);
+    let chunk = TxChunk::from_transactions(&transactions[start..end]);
+    metrics.record_transactions(chunk.len() as u64, chunk.total_items());
+    chunk
+}
+
+/// A borrowed slice of transactions as a scannable source — a
+/// [`TransactionDb`](crate::TransactionDb) that does not own its rows,
+/// for callers that hold the rows already and only need one mine over
+/// them. Scans are charged to the adapter's own metrics.
+pub struct SliceSource<'a> {
+    transactions: &'a [Transaction],
+    metrics: ScanMetrics,
+}
+
+impl<'a> SliceSource<'a> {
+    /// Presents `transactions` as a source, in slice order.
+    pub fn new(transactions: &'a [Transaction]) -> Self {
+        SliceSource {
+            transactions,
+            metrics: ScanMetrics::new(),
+        }
+    }
+}
+
+impl TransactionSource for SliceSource<'_> {
+    fn num_transactions(&self) -> u64 {
+        self.transactions.len() as u64
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&[ItemId])) {
+        slice_for_each(self.transactions, &self.metrics, f);
+    }
+
+    fn metrics(&self) -> &ScanMetrics {
+        &self.metrics
+    }
+
+    fn chunk<'s>(
+        &'s self,
+        chunk_size: usize,
+        index: u64,
+        _scratch: &'s mut ChunkScratch,
+    ) -> TxChunk<'s> {
+        slice_chunk(self.transactions, &self.metrics, chunk_size, index)
+    }
+}
+
 /// A source adapter that chains two sources, presenting `DB ∪ db` as one
 /// database. Used by the harness to re-run Apriori/DHP on the updated
 /// database, which is exactly the baseline the paper compares FUP against.
@@ -222,7 +293,6 @@ where
 mod tests {
     use super::*;
     use crate::database::TransactionDb;
-    use crate::transaction::Transaction;
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
         let mut d = TransactionDb::new();
@@ -254,6 +324,26 @@ mod tests {
         assert!(a.is_empty());
         let chain = ChainSource::new(&a, &b);
         assert!(chain.is_empty());
+    }
+
+    #[test]
+    fn slice_source_scans_like_the_owning_db() {
+        let owned = db(&[&[1, 2], &[3], &[4, 5], &[6], &[7]]);
+        let borrowed = SliceSource::new(owned.raw());
+        assert_eq!(borrowed.num_transactions(), 5);
+        let mut rows = Vec::new();
+        borrowed.for_each(&mut |t| rows.push(t.to_vec()));
+        let expect: Vec<Vec<ItemId>> = owned.raw().iter().map(|t| t.items().to_vec()).collect();
+        assert_eq!(rows, expect);
+        for chunk_size in [1, 2, 3, 7] {
+            assert_tid_offsets_consistent(&borrowed, chunk_size);
+        }
+        // Five for_each passes and four chunked walks of 5 rows / 7
+        // items, all charged to the adapter and none to the owner.
+        assert_eq!(borrowed.metrics().full_scans(), 5);
+        assert_eq!(borrowed.metrics().transactions_read(), 45);
+        assert_eq!(borrowed.metrics().items_read(), 63);
+        assert_eq!(owned.metrics().transactions_read(), 0);
     }
 
     /// Walks every chunk of `source`, asserting that `chunk_tid_offset`
