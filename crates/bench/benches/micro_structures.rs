@@ -1,6 +1,8 @@
 //! Micro-benchmarks for the shared data structures: the candidate hash
 //! tree (vs naive containment), `apriori-gen`, and the transaction codec.
-//! These justify the substrate choices DESIGN.md makes.
+//! These justify the substrate choices: the codec is the one encoding
+//! the WAL, checkpoints and RPC frames share (DESIGN_DURABILITY.md,
+//! DESIGN_CLUSTER.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fup_datagen::rng::Pcg32;

@@ -1,8 +1,9 @@
 //! Ablation study (not in the paper): how much each of FUP's design
-//! choices contributes. DESIGN.md calls out three separable mechanisms —
+//! choices contributes. The round loop has three separable mechanisms —
 //! Lemma-2/5 candidate pruning (inherent, cannot be disabled), the
 //! `Reduce-db`/`Reduce-DB` trimming, and the DHP pair-hash filter for
-//! `C₂` — so the ablation toggles the latter two.
+//! `C₂` — and [`FupConfig`] switches the latter two, so the ablation
+//! toggles those.
 
 use crate::harness::{mine_baseline, timed, workload};
 use crate::table::{fmt_duration, Table};

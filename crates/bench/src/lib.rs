@@ -1,7 +1,7 @@
 //! # fup-bench — the paper's evaluation, reproduced
 //!
-//! One runner per table/figure of §4 (see DESIGN.md's per-experiment
-//! index). Each runner generates the paper's workload (optionally scaled
+//! One runner per table/figure of §4 (the table below is the
+//! per-experiment index). Each runner generates the paper's workload (optionally scaled
 //! down by a factor), runs FUP against re-running Apriori and DHP on the
 //! updated database, and returns structured rows that the `experiments`
 //! binary renders next to the paper's reported shapes.
@@ -15,7 +15,7 @@
 //! | `fig4`    | Fig. 4 speed-up vs increment (15K–350K) | [`fig4::run`] |
 //! | `sec4_5`  | §4.5 overhead of FUP | [`sec4_5::run`] |
 //! | `sec4_6`  | §4.6 scale-up (1M transactions) | [`sec4_6::run`] |
-//! | `ablation`| DESIGN.md ablations (not in the paper) | [`ablation::run`] |
+//! | `ablation`| `FupConfig` ablations (not in the paper) | [`ablation::run`] |
 //! | `scanvol` | scan-volume accounting (extension) | [`scanvol::run`] |
 //! | `fup2perf`| FUP2 vs re-mining across deletion churn (extension) | [`fup2perf::run`] |
 

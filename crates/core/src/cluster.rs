@@ -66,11 +66,10 @@ use fup_tidb::{
 use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
 use crate::error::{Error, Result};
-use crate::fup::Fup;
-use crate::fup2::Fup2;
+use crate::fup::update_round;
 use crate::policy::UpdatePolicy;
 use crate::service::ShardHealth;
-use crate::session::{MaintenanceReport, RuleSnapshot, SnapshotState, Updater};
+use crate::session::{MaintenanceReport, RuleSnapshot, SnapshotState};
 use crate::vindex::{IndexSlot, VerticalProvider};
 
 /// Per-shard WAL file name inside the worker's storage namespace.
@@ -722,7 +721,6 @@ pub struct Cluster {
     minconf: MinConfidence,
     config: FupConfig,
     policy: UpdatePolicy,
-    updater: Updater,
     workers: Vec<WorkerHandle>,
     threads: Vec<Option<JoinHandle<()>>>,
     storages: Vec<Arc<dyn DurableStorage>>,
@@ -829,7 +827,6 @@ impl Cluster {
             minconf,
             config,
             policy: UpdatePolicy::default(),
-            updater: Updater::default(),
             workers,
             threads,
             storages,
@@ -866,12 +863,6 @@ impl Cluster {
     /// Replaces the re-mine routing policy.
     pub fn set_policy(&mut self, policy: UpdatePolicy) {
         self.policy = policy;
-    }
-
-    /// Forces the updater choice ([`Updater::Auto`] picks FUP for
-    /// pure-insert rounds, FUP2 otherwise).
-    pub fn set_updater(&mut self, updater: Updater) {
-        self.updater = updater;
     }
 
     /// Bounds the staged-but-uncommitted backlog (the backpressure
@@ -1102,37 +1093,18 @@ impl Cluster {
                 .clone()
         }));
         let inserted_db = TransactionDb::from_transactions(batch.inserts.iter().cloned());
-        let pure_insert = d_minus == 0;
-        let use_fup = match self.updater {
-            Updater::Auto => pure_insert,
-            Updater::Fup => true,
-            Updater::Fup2 => false,
-        };
-        if use_fup {
-            debug_assert!(pure_insert, "FUP cannot process deletions");
-        }
         let state = Arc::clone(&self.state);
         let mut provider = ClusterProvider::new(&self.workers);
-        let outcome = if use_fup {
-            let base = PhantomSource::new(self.total_live);
-            Fup::with_config(self.config.clone()).update_with_provider(
-                &base,
-                state.large(),
-                &inserted_db,
-                self.minsup,
-                &mut provider,
-            )
-        } else {
-            let remainder = PhantomSource::new(self.total_live - d_minus);
-            Fup2::with_config(self.config.clone()).update_with_provider(
-                &remainder,
-                state.large(),
-                &deleted_db,
-                &inserted_db,
-                self.minsup,
-                &mut provider,
-            )
-        };
+        let remainder = PhantomSource::new(self.total_live - d_minus);
+        let outcome = update_round(
+            &self.config,
+            &remainder,
+            state.large(),
+            &deleted_db,
+            &inserted_db,
+            self.minsup,
+            &mut provider,
+        );
         let failure = provider.take_failure();
         drop(provider);
         if let Some((shard, reason)) = failure {
@@ -1170,7 +1142,7 @@ impl Cluster {
         self.staging.live_insert(new_tids.iter().copied());
         self.next_tid += batch.inserts.len() as u64;
         self.total_live = self.total_live + batch.inserts.len() as u64 - d_minus;
-        let algorithm = if use_fup { "fup" } else { "fup2" };
+        let algorithm = outcome.stats.algorithm;
         Ok(self.publish(outcome.large, algorithm, outcome.stats, new_tids))
     }
 

@@ -157,24 +157,6 @@ fn remine_policy_round_identical() {
 }
 
 #[test]
-fn forced_fup2_on_pure_inserts_identical() {
-    let mut c = cluster(ShardSpec::striped_with(2, 1));
-    let mut m = Maintainer::builder()
-        .min_support(MinSupport::percent(25))
-        .min_confidence(MinConfidence::percent(60))
-        .updater(Updater::Fup2)
-        .build(history())
-        .unwrap();
-    c.set_updater(Updater::Fup2);
-    let batch = UpdateBatch::insert_only(vec![tx(&[1, 2]), tx(&[2, 3, 4])]);
-    let cr = c.apply(batch.clone()).unwrap();
-    m.apply(batch).unwrap();
-    assert_eq!(cr.algorithm, "fup2");
-    assert_identical(&c, &m);
-    c.shutdown();
-}
-
-#[test]
 fn killed_worker_fails_fast_and_survivors_keep_serving() {
     let mut c = cluster(ShardSpec::striped_with(2, 1));
     let v0 = c.snapshot();

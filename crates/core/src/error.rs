@@ -31,11 +31,6 @@ pub enum BuildError {
     /// maintained state would silently gain levels the incremental rounds
     /// never track.
     RemineIgnoresMaxK,
-    /// The updater was pinned to plain FUP (insertions only) while the
-    /// session accepts deletions. Pin [`Updater::Fup2`](crate::Updater)
-    /// (or leave [`Updater::Auto`](crate::Updater)), or declare the
-    /// workload insert-only with `deletions(false)`.
-    DeletionsWithoutFup2,
     /// A [`DurabilityPolicy`](crate::DurabilityPolicy) asked for a
     /// checkpoint every zero rounds, which would checkpoint before any
     /// round could run.
@@ -81,11 +76,6 @@ impl fmt::Display for BuildError {
                 f,
                 "a re-mining policy cannot be combined with a max_k cap: the full re-mine \
                  ignores the cap and the maintained state would diverge"
-            ),
-            BuildError::DeletionsWithoutFup2 => write!(
-                f,
-                "updater pinned to FUP (insertions only) but the session accepts deletions; \
-                 use Updater::Auto/Fup2 or declare deletions(false)"
             ),
             BuildError::ZeroCheckpointInterval => {
                 write!(f, "a checkpoint interval of zero rounds is not runnable")
@@ -299,9 +289,6 @@ mod tests {
 
     #[test]
     fn build_error_messages_name_the_fix() {
-        assert!(BuildError::DeletionsWithoutFup2
-            .to_string()
-            .contains("Updater::Auto"));
         assert!(BuildError::InvalidRemineRatio(-1.0)
             .to_string()
             .contains("-1"));

@@ -1,32 +1,59 @@
-//! The FUP algorithm (§3 of the paper).
+//! The maintenance round: FUP2 (§5 of the paper), with FUP (§3) as its
+//! `db⁻ = ∅` case.
 //!
-//! Each iteration `k` does (at most) two scans — one over the small
-//! increment `db`, one over the original database `DB`:
+//! One update turns `DB` into `DB' = (DB − db⁻) ∪ db⁺` (a modification is
+//! a delete plus an insert); `DB⁻ = DB − db⁻` is the *remainder*. Each
+//! iteration `k` of `update_round` — the only round loop in the crate,
+//! behind both [`Fup`] and [`Fup2`](crate::Fup2) and every session commit
+//! — scans the small parts for everything and `DB⁻` for as little as
+//! possible:
 //!
 //! 1. **Filter the old large itemsets.** `W = L_k` minus the Lemma-3
-//!    losers (supersets of (k−1)-losers need no scan at all). One scan of
-//!    `db` updates `X.support_UD = X.support_D + X.support_d` for every
-//!    `X ∈ W`; Lemma 1/4 decides winners and losers exactly.
-//! 2. **Find the new large itemsets.** Candidates
-//!    `C_k = apriori-gen(L'_{k−1}) − L_k` are counted *in the same `db`
-//!    scan*; Lemma 2/5 prunes every candidate whose increment support is
-//!    below `s × d`. Only the survivors are counted against `DB`.
+//!    losers (supersets of (k−1)-losers need no scan at all). For
+//!    `X ∈ W` the new support is exact arithmetic over the small parts:
+//!    `X.support' = X.support_D − X.support_{db⁻} + X.support_{db⁺}` — no
+//!    scan of `DB⁻` — and Lemma 1/4 decides winners and losers exactly.
+//! 2. **Find the new large itemsets.** A candidate
+//!    `X ∈ C_k = apriori-gen(L'_{k−1}) − L_k` was small in `DB`, so only
+//!    the bound `X.support_D ≤ ⌈s×D⌉ − 1` is known, and `X` can be large
+//!    in `DB'` only if
+//!    `(⌈s×D⌉ − 1) − X.support_{db⁻} + X.support_{db⁺} ≥ ⌈s×(D−d⁻+d⁺)⌉`
+//!    (the FUP2 bound). Candidates failing it are pruned; only the
+//!    survivors are counted against `DB⁻`.
 //!
-//! The `Reduce-db`/`Reduce-DB` trimming and the P-set optimisation of §3.4
-//! shrink the scanned data each iteration, and DHP-style pair hashing over
-//! the increment (also §3.4) thins `C₂` before it is ever counted.
+//! **FUP is the `db⁻ = ∅` specialisation.** Without deletions the bound
+//! tightens to Lemma 2/5 — `X.support_{db⁺} ≥ s×d⁺`, a new itemset must
+//! be large inside the increment — which is applied in its place; only
+//! items that occur in `db⁺` can be new 1-candidates, so iteration 1
+//! counts `db⁺` first and scans `DB` for the Lemma-2 survivors alone (not
+//! at all when there are none), where a round with deletions needs the
+//! full item histogram of `DB⁻` because a deletion can promote an item
+//! that `db⁺` never mentions; and DHP-style pair hashing over the
+//! increment (§3.4) thins `C₂` before it is ever counted — a bucket total
+//! bounds `support_{db⁺}`, which says nothing once `db⁻` also moves the
+//! bound. Those are the only differences; the input decides them, and the
+//! run is labelled `"fup"` without deletions and `"fup2"` with.
+//!
+//! **Trimming.** The `Reduce-db`/`Reduce-DB` rules of §3.4 shrink `db⁺`
+//! and `DB⁻` each iteration. The delete side is **never** trimmed —
+//! undercounting `support_{db⁻}` would inflate `support'` and could
+//! fabricate winners — so `db⁻` is always scanned whole (it is small by
+//! assumption).
 
 use crate::config::FupConfig;
 use crate::error::{Error, Result};
 use crate::reduce;
-use crate::vindex::{IndexSlot, SlotProvider, VerticalProvider};
-use fup_mining::engine::{self, pair_bucket, ChunkedCollector};
+use crate::vindex::{sorted_w_table, IndexSlot, SlotProvider, VerticalProvider};
+use fup_mining::engine::{
+    self, count_items_and_pairs, pair_bucket, ChunkedCollector, EngineConfig,
+};
 use fup_mining::gen::apriori_gen_with;
 use fup_mining::vertical::{PassProfile, ResolvedBackend};
 use fup_mining::{
-    HashTree, Itemset, ItemsetTable, LargeItemsets, MinSupport, MiningStats, PassStats,
+    CountScratch, HashTree, Itemset, ItemsetTable, LargeItemsets, MinSupport, MiningStats,
+    PassStats,
 };
-use fup_tidb::{ItemId, TransactionDb, TransactionSource};
+use fup_tidb::{ItemId, Transaction, TransactionDb, TransactionSource};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -41,25 +68,27 @@ pub struct FupPassDetail {
     pub old_large: u64,
     /// Old itemsets discarded by Lemma 3 without scanning anything.
     pub lemma3_losers: u64,
-    /// Old itemsets confirmed large in `DB ∪ db` (scan of `db` only).
+    /// Old itemsets confirmed large in the updated database (scans of
+    /// the small parts only).
     pub winners_from_old: u64,
     /// `|apriori-gen(L'_{k−1}) − L_k|` (or, for k = 1, distinct new items
-    /// seen in the increment).
+    /// seen in the increment — with deletions, anywhere).
     pub candidates_generated: u64,
     /// Candidates surviving the DHP pair-hash filter (k = 2 only;
     /// equals `candidates_generated` elsewhere).
     pub candidates_after_hash: u64,
-    /// Candidates surviving the Lemma-2/5 increment-support pruning —
-    /// the pool actually counted against `DB` (the Figure 3 quantity).
+    /// Candidates surviving the Lemma-2/5 (FUP2-bound) pruning — the
+    /// pool actually counted against `DB` (the Figure 3 quantity).
     pub candidates_checked: u64,
     /// New large itemsets found among the candidates.
     pub winners_from_new: u64,
 }
 
-/// The result of one FUP run.
+/// The result of one FUP / FUP2 run.
 #[derive(Debug, Clone)]
 pub struct FupOutcome {
-    /// `L'`: all large itemsets of `DB ∪ db` with exact support counts.
+    /// `L'`: all large itemsets of the updated database with exact
+    /// support counts.
     pub large: LargeItemsets,
     /// Common per-pass statistics (comparable with Apriori/DHP).
     pub stats: MiningStats,
@@ -67,7 +96,8 @@ pub struct FupOutcome {
     pub detail: Vec<FupPassDetail>,
 }
 
-/// The FUP incremental updater.
+/// The FUP incremental updater: [`Fup2`](crate::Fup2) with nothing to
+/// delete.
 #[derive(Debug, Clone, Default)]
 pub struct Fup {
     config: FupConfig,
@@ -110,7 +140,7 @@ impl Fup {
     /// `db`, and the round's index is stashed back on success so the next
     /// round can extend it again. See the [`crate::vindex`] module docs
     /// for the reuse contract; [`Fup::update`] passes a throwaway slot and
-    /// reproduces the historical build-per-round behaviour exactly.
+    /// builds per round.
     pub fn update_with_index(
         &self,
         db: &dyn TransactionSource,
@@ -119,478 +149,487 @@ impl Fup {
         minsup: MinSupport,
         slot: &mut IndexSlot,
     ) -> Result<FupOutcome> {
-        let boundary = db.num_transactions();
-        let mut provider = SlotProvider::new(slot, db, increment, boundary);
-        self.update_with_provider(db, old, increment, minsup, &mut provider)
+        let mut provider = SlotProvider::new(slot, db, increment, db.num_transactions());
+        let nothing = TransactionDb::new();
+        update_round(
+            &self.config,
+            db,
+            old,
+            &nothing,
+            increment,
+            minsup,
+            &mut provider,
+        )
     }
+}
 
-    /// [`update_with_index`](Self::update_with_index) generalised over the
-    /// source of vertical splits: the flat session passes a
-    /// [`SlotProvider`] (one index over `DB`), the sharded session a
-    /// [`ShardProvider`](crate::shard::ShardProvider) (one index per tid
-    /// shard, splits merged by summation). Every threshold decision is
-    /// made on the summed supports, so the result is provider-independent.
-    pub(crate) fn update_with_provider(
-        &self,
-        db: &dyn TransactionSource,
-        old: &LargeItemsets,
-        increment: &dyn TransactionSource,
-        minsup: MinSupport,
-        provider: &mut dyn VerticalProvider,
-    ) -> Result<FupOutcome> {
-        let start = Instant::now();
-        let d_orig = db.num_transactions();
-        if old.num_transactions() != d_orig {
-            return Err(Error::StaleBaseline {
-                baseline: old.num_transactions(),
-                database: d_orig,
-            });
-        }
-        let d_inc = increment.num_transactions();
-        let n = d_orig + d_inc;
-
-        // Empty increment: DB ∪ db = DB, so the baseline is the answer.
-        if d_inc == 0 {
-            let mut stats = MiningStats::new("fup");
-            stats.elapsed = start.elapsed();
-            return Ok(FupOutcome {
-                large: old.clone(),
-                stats,
-                detail: Vec::new(),
-            });
-        }
-
-        let mut result = LargeItemsets::new(n);
-        let mut stats = MiningStats::new("fup");
-        let mut detail = Vec::new();
-
-        // ------------------------- Iteration 1 -------------------------
-        // One scan of the increment: per-item counts, plus (optionally)
-        // DHP pair-bucket counts for the iteration-2 filter. Bucket count
-        // adapts to the increment: ~one bucket per expected pair
-        // occurrence gives strong filtering without allocating a huge
-        // table for a small `db`. `config.hash_buckets` caps it.
-        let nbuckets = if self.config.dhp_hash {
-            let estimated_pairs = (d_inc.saturating_mul(64)).next_power_of_two();
-            estimated_pairs.clamp(1024, self.config.hash_buckets.max(1024) as u64) as usize
-        } else {
-            0
-        };
-        let (inc_item_counts, pair_buckets) =
-            engine::count_items_and_pairs(increment, nbuckets, &self.config.engine);
-        let inc_count =
-            |item: ItemId| -> u64 { inc_item_counts.get(item.index()).copied().unwrap_or(0) };
-
-        // Winners and losers among the old L₁ (Lemma 1).
-        let mut losers_prev: HashSet<Itemset> = HashSet::new();
-        let mut winners_from_old = 0u64;
-        for (x, sup_d_orig) in old.level(1) {
-            let item = x.items()[0];
-            let sup_ud = sup_d_orig + inc_count(item);
-            if minsup.is_large(sup_ud, n) {
-                result.insert(x.clone(), sup_ud);
-                winners_from_old += 1;
-            } else {
-                losers_prev.insert(x.clone());
-            }
-        }
-
-        // New candidates from the increment (Lemma 2) and the P set.
-        let mut c1: Vec<(ItemId, u64)> = Vec::new();
-        let mut p_pruned = 0u64; // |P|: items Lemma 2 proved hopeless
-        let mut generated1 = 0u64;
-        for (i, &count) in inc_item_counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let item = ItemId(i as u32);
-            if old.contains(&Itemset::single(item)) {
-                continue;
-            }
-            generated1 += 1;
-            if minsup.is_large(count, d_inc) {
-                c1.push((item, count));
-            } else {
-                p_pruned += 1;
-            }
-        }
-
-        // Scan DB for the C₁ supports (skipped entirely when Lemma 2
-        // pruned every candidate — FUP's headline saving).
-        //
-        // Deviation from the paper's letter, kept to its spirit: the paper
-        // rewrites DB without the P items *during* this scan, because on
-        // disk the rewrite rides along for free. In memory a copy is pure
-        // overhead, and the `Reduce-DB` keep-set applied at iteration 2
-        // (items of `L₂ ∪ C₂` only) strictly subsumes P-removal, so the
-        // first trimmed copy is built there instead.
-        let mut db_working: Option<TransactionDb> = None;
-        let mut winners_from_new1 = 0u64;
-        if !c1.is_empty() {
-            let c1_items: Vec<ItemId> = c1.iter().map(|(item, _)| *item).collect();
-            let c1_db_counts =
-                if let Some(counts) = provider.count_base_items(&c1_items, &self.config.engine) {
-                    // A remote provider counted DB where its rows live; the
-                    // summed per-shard counts are the same sums this scan
-                    // would have produced.
-                    counts
-                } else {
-                    // Items are dense, so the candidate index is a flat array
-                    // (u32::MAX = not a candidate) — no hashing in the hot loop.
-                    let max_item = c1.iter().map(|(i, _)| i.index()).max().unwrap_or(0);
-                    let mut index_of: Vec<u32> = vec![u32::MAX; max_item + 1];
-                    for (idx, (item, _)) in c1.iter().enumerate() {
-                        index_of[item.index()] = idx as u32;
-                    }
-                    let tables = engine::scan_fold(
-                        db,
-                        &self.config.engine,
-                        || vec![0u64; c1.len()],
-                        |counts: &mut Vec<u64>, _chunk, t| {
-                            for &item in t {
-                                if let Some(&idx) = index_of.get(item.index()) {
-                                    if idx != u32::MAX {
-                                        counts[idx as usize] += 1;
-                                    }
-                                }
-                            }
-                        },
-                    );
-                    engine::merge_dense(tables)
-                };
-            for ((item, sup_d), sup_db) in c1.iter().zip(&c1_db_counts) {
-                let sup_ud = sup_db + sup_d;
-                if minsup.is_large(sup_ud, n) {
-                    result.insert(Itemset::single(*item), sup_ud);
-                    winners_from_new1 += 1;
-                }
-            }
-        }
-        debug_assert_eq!(generated1, c1.len() as u64 + p_pruned);
-
-        stats.passes.push(PassStats {
-            k: 1,
-            candidates_generated: generated1,
-            candidates_checked: c1.len() as u64,
-            large_found: winners_from_old + winners_from_new1,
+/// One maintenance round: `L'`, the large itemsets of
+/// `DB' = remainder ∪ inserted`, from `old` — the large itemsets of
+/// `DB = remainder ∪ deleted` with their support counts (see the
+/// [module docs](self) for the algorithm).
+///
+/// `provider` is the source of vertical splits once that backend
+/// engages: the flat session and the one-shot fronts pass a
+/// [`SlotProvider`] (one index over `remainder`), the sharded session a
+/// [`ShardProvider`](crate::shard::ShardProvider) (one index per tid
+/// shard), the cluster a provider whose rows live in its workers. Splits
+/// merge by summation and every threshold decision is made on the sums,
+/// so the result is provider-independent. The delete side is never
+/// indexed — it is counted whole either way.
+pub(crate) fn update_round(
+    config: &FupConfig,
+    remainder: &dyn TransactionSource,
+    old: &LargeItemsets,
+    deleted: &dyn TransactionSource,
+    inserted: &dyn TransactionSource,
+    minsup: MinSupport,
+    provider: &mut dyn VerticalProvider,
+) -> Result<FupOutcome> {
+    let start = Instant::now();
+    let engine = &config.engine;
+    let d_rem = remainder.num_transactions();
+    let d_minus = deleted.num_transactions();
+    let d_plus = inserted.num_transactions();
+    let d_orig = d_rem + d_minus;
+    if old.num_transactions() != d_orig {
+        return Err(Error::StaleBaseline {
+            baseline: old.num_transactions(),
+            database: d_orig,
         });
-        detail.push(FupPassDetail {
-            k: 1,
-            old_large: old.len_at(1) as u64,
-            lemma3_losers: 0,
-            winners_from_old,
-            candidates_generated: generated1,
-            candidates_after_hash: generated1,
-            candidates_checked: c1.len() as u64,
-            winners_from_new: winners_from_new1,
-        });
+    }
+    let n = d_rem + d_plus;
+    let insert_only = d_minus == 0;
 
-        // --------------------- Iterations k ≥ 2 ------------------------
-        // Backend selection input: the increment's raw average transaction
-        // length stands in for the frequent-item residue the miners feed
-        // `Auto` (the frequent set of DB ∪ db is not known here without
-        // extra work) — an overestimate on filler-heavy data, so `Auto`
-        // may engage slightly earlier than the calibrated thresholds
-        // intend; the index itself *is* filtered to old L₁ ∪ new L₁ (see
-        // `vindex::build_update_index`).
-        let residue = inc_item_counts.iter().sum::<u64>() as f64 / d_inc as f64;
-        // The vertical index (or per-shard indexes) covering DB ∪ db is
-        // built lazily by the provider: the old-DB tid-lists are
-        // materialised once and the increment's delta scan only *extends*
-        // them, after which one intersection per itemset yields
-        // (support in DB, support in db) split at tid |DB|.
-        let mut inc_working: Option<TransactionDb> = None;
-        let mut k = 2;
-        while (old.len_at(k) > 0 || result.len_at(k - 1) > 0)
-            && self.config.max_k.is_none_or(|m| k <= m)
-        {
-            // Lemma 3: drop old itemsets with a losing (k−1)-subset.
-            let mut w: Vec<(Itemset, u64)> = Vec::with_capacity(old.len_at(k));
-            let mut lemma3 = 0u64;
-            let mut losers_k: HashSet<Itemset> = HashSet::new();
-            for (x, sup) in old.level(k) {
-                let lost = !losers_prev.is_empty()
-                    && x.proper_subsets().any(|sub| losers_prev.contains(&sub));
-                if lost {
-                    lemma3 += 1;
-                    losers_k.insert(x.clone());
-                } else {
-                    w.push((x.clone(), sup));
-                }
-            }
-
-            // C_k = apriori-gen(L'_{k−1}) − L_k.
-            let prev_new: Vec<Itemset> = result.level(k - 1).map(|(x, _)| x.clone()).collect();
-            let mut candidates: Vec<Itemset> = apriori_gen_with(&prev_new, &self.config.engine.gen)
-                .into_iter()
-                .filter(|x| !old.contains(x))
-                .collect();
-            let generated = candidates.len() as u64;
-
-            // DHP hash filter for the size-2 candidates (§3.4): a pair's
-            // bucket total bounds its increment support, so a light bucket
-            // proves Lemma 5's condition fails.
-            if k == 2 && nbuckets > 0 {
-                candidates.retain(|c| {
-                    let b = pair_bucket(c.items()[0], c.items()[1], nbuckets);
-                    minsup.is_large(pair_buckets[b], d_inc)
-                });
-            }
-            let after_hash = candidates.len() as u64;
-
-            if w.is_empty() && candidates.is_empty() {
-                stats.passes.push(PassStats {
-                    k,
-                    candidates_generated: generated,
-                    candidates_checked: 0,
-                    large_found: 0,
-                });
-                detail.push(FupPassDetail {
-                    k,
-                    old_large: old.len_at(k) as u64,
-                    lemma3_losers: lemma3,
-                    winners_from_old: 0,
-                    candidates_generated: generated,
-                    candidates_after_hash: after_hash,
-                    candidates_checked: 0,
-                    winners_from_new: 0,
-                });
-                // Every remaining old itemset at this level is a loser.
-                losers_prev = losers_k;
-                k += 1;
-                continue;
-            }
-
-            // Vertical path (sticky once engaged): every W and C support
-            // comes from tid-list intersections split at |DB| — no scan
-            // of either source beyond the one-time index build. Decisions
-            // mirror the hash-tree path exactly (Lemma 4 on W, Lemma 5
-            // gating candidates), so the result is bit-identical.
-            // Only `C` can force scans of the big original database (W is
-            // counted over the small increment either way), so backend
-            // selection weighs the candidate pool alone: FUP's own
-            // pruning usually keeps it tiny, and then the classic path is
-            // already near-optimal.
-            let use_vertical = provider.engaged()
-                || self.config.engine.backend.resolve(&PassProfile {
-                    k,
-                    candidates: candidates.len(),
-                    transactions: n,
-                    residue,
-                }) == ResolvedBackend::Vertical;
-            if use_vertical {
-                provider.engage(old, &result, &self.config.engine);
-                // Trimmed working copies are never consulted again.
-                inc_working = None;
-                db_working = None;
-                let w_table = crate::vindex::sorted_w_table(&mut w, k);
-                let w_splits = provider.count_split(&w_table, &self.config.engine);
-                let mut winners_old_k = 0u64;
-                for ((x, sup_d_orig), (_, sup_d)) in w.iter().zip(&w_splits) {
-                    let sup_ud = sup_d_orig + sup_d;
-                    if minsup.is_large(sup_ud, n) {
-                        result.insert(x.clone(), sup_ud);
-                        winners_old_k += 1;
-                    } else {
-                        losers_k.insert(x.clone());
-                    }
-                }
-                let c_table = ItemsetTable::from_sorted_itemsets(&candidates);
-                let c_splits = provider.count_split(&c_table, &self.config.engine);
-                let mut checked = 0u64;
-                let mut winners_new_k = 0u64;
-                for (x, (sup_db, sup_d)) in candidates.into_iter().zip(c_splits) {
-                    // Lemma 5: candidates light in the increment cannot
-                    // win; keeping the gate keeps the `checked` statistic
-                    // (and the result) identical to the scanning path.
-                    if !minsup.is_large(sup_d, d_inc) {
-                        continue;
-                    }
-                    checked += 1;
-                    let sup_ud = sup_db + sup_d;
-                    if minsup.is_large(sup_ud, n) {
-                        result.insert(x, sup_ud);
-                        winners_new_k += 1;
-                    }
-                }
-                stats.passes.push(PassStats {
-                    k,
-                    candidates_generated: generated,
-                    candidates_checked: checked,
-                    large_found: winners_old_k + winners_new_k,
-                });
-                detail.push(FupPassDetail {
-                    k,
-                    old_large: old.len_at(k) as u64,
-                    lemma3_losers: lemma3,
-                    winners_from_old: winners_old_k,
-                    candidates_generated: generated,
-                    candidates_after_hash: after_hash,
-                    candidates_checked: checked,
-                    winners_from_new: winners_new_k,
-                });
-                losers_prev = losers_k;
-                k += 1;
-                continue;
-            }
-
-            // One scan of the increment counts W and C together.
-            let w_len = w.len();
-            let mut combined: Vec<Itemset> = Vec::with_capacity(w_len + candidates.len());
-            combined.extend(w.iter().map(|(x, _)| x.clone()));
-            combined.extend(candidates.iter().cloned());
-            let mut tree = HashTree::build(combined);
-
-            // One engine pass over the increment: every worker counts into
-            // its own scratch; `Reduce-db` keeps trimmed transactions per
-            // chunk so the working copy is deterministic.
-            let reduce_inc = self.config.reduce_db;
-            {
-                let src: &dyn TransactionSource = match &inc_working {
-                    Some(wdb) => wdb,
-                    None => increment,
-                };
-                let view = tree.view();
-                let folds = engine::scan_fold(
-                    src,
-                    &self.config.engine,
-                    || (tree.new_scratch(), ChunkedCollector::new()),
-                    |(scratch, kept), chunk, t| {
-                        if reduce_inc {
-                            let mut matched: Vec<usize> = Vec::new();
-                            view.count_with(t, scratch, &mut |i| matched.push(i));
-                            if let Some(reduced) = reduce::reduce_db_transaction(
-                                t,
-                                matched.iter().map(|&i| view.candidate(i)),
-                                k,
-                            ) {
-                                kept.push(chunk, reduced);
-                            }
-                        } else {
-                            view.count(t, scratch);
-                        }
-                    },
-                );
-                let mut collectors = Vec::with_capacity(folds.len());
-                for (scratch, kept) in folds {
-                    tree.absorb(scratch);
-                    collectors.push(kept);
-                }
-                if reduce_inc {
-                    inc_working = Some(TransactionDb::from_transactions(ChunkedCollector::merge(
-                        collectors,
-                    )));
-                }
-            }
-            let inc_counts = tree.counts().to_vec();
-
-            // Winners/losers among W (Lemma 4).
-            let mut winners_old_k = 0u64;
-            for (idx, (x, sup_d_orig)) in w.iter().enumerate() {
-                let sup_ud = sup_d_orig + inc_counts[idx];
-                if minsup.is_large(sup_ud, n) {
-                    result.insert(x.clone(), sup_ud);
-                    winners_old_k += 1;
-                } else {
-                    losers_k.insert(x.clone());
-                }
-            }
-
-            // Lemma 5: prune candidates light in the increment.
-            let mut pruned: Vec<(Itemset, u64)> = Vec::new();
-            for (idx, x) in candidates.into_iter().enumerate() {
-                let sup_d = inc_counts[w_len + idx];
-                if minsup.is_large(sup_d, d_inc) {
-                    pruned.push((x, sup_d));
-                }
-            }
-            let checked = pruned.len() as u64;
-
-            // Scan DB for the surviving candidates; apply Reduce-DB.
-            let mut winners_new_k = 0u64;
-            if !pruned.is_empty() {
-                let keep_items = if self.config.reduce_db {
-                    Some(reduce::item_universe(
-                        old.level(k)
-                            .map(|(x, _)| x)
-                            .chain(pruned.iter().map(|(x, _)| x)),
-                    ))
-                } else {
-                    None
-                };
-                let cand_sets: Vec<Itemset> = pruned.iter().map(|(x, _)| x.clone()).collect();
-                let mut ctree = HashTree::build(cand_sets);
-                {
-                    let src: &dyn TransactionSource = match &db_working {
-                        Some(wdb) => wdb,
-                        None => db,
-                    };
-                    let view = ctree.view();
-                    let keep_ref = keep_items.as_ref();
-                    let folds = engine::scan_fold(
-                        src,
-                        &self.config.engine,
-                        || (ctree.new_scratch(), ChunkedCollector::new()),
-                        |(scratch, kept), chunk, t| {
-                            view.count(t, scratch);
-                            if let Some(keep) = keep_ref {
-                                if let Some(reduced) = reduce::reduce_full_transaction(t, keep, k) {
-                                    kept.push(chunk, reduced);
-                                }
-                            }
-                        },
-                    );
-                    let mut collectors = Vec::with_capacity(folds.len());
-                    for (scratch, kept) in folds {
-                        ctree.absorb(scratch);
-                        collectors.push(kept);
-                    }
-                    if keep_items.is_some() {
-                        db_working = Some(TransactionDb::from_transactions(
-                            ChunkedCollector::merge(collectors),
-                        ));
-                    }
-                }
-                for ((x, sup_d), sup_db) in pruned.into_iter().zip(ctree.counts()) {
-                    let sup_ud = sup_db + sup_d;
-                    if minsup.is_large(sup_ud, n) {
-                        result.insert(x, sup_ud);
-                        winners_new_k += 1;
-                    }
-                }
-            }
-
-            stats.passes.push(PassStats {
-                k,
-                candidates_generated: generated,
-                candidates_checked: checked,
-                large_found: winners_old_k + winners_new_k,
-            });
-            detail.push(FupPassDetail {
-                k,
-                old_large: old.len_at(k) as u64,
-                lemma3_losers: lemma3,
-                winners_from_old: winners_old_k,
-                candidates_generated: generated,
-                candidates_after_hash: after_hash,
-                candidates_checked: checked,
-                winners_from_new: winners_new_k,
-            });
-
-            losers_prev = losers_k;
-            k += 1;
-        }
-
-        // The provider's index(es) now cover DB ∪ db — exactly the
-        // database after this update commits; the next round can extend.
-        provider.finish();
+    let mut stats = MiningStats::new(if insert_only { "fup" } else { "fup2" });
+    let mut detail = Vec::new();
+    // Nothing changed: the baseline is the answer. Everything was
+    // deleted: no itemset has support.
+    let unchanged = insert_only && d_plus == 0;
+    if unchanged || n == 0 {
         stats.elapsed = start.elapsed();
-        Ok(FupOutcome {
-            large: result,
+        let large = if unchanged {
+            old.clone()
+        } else {
+            LargeItemsets::new(0)
+        };
+        return Ok(FupOutcome {
+            large,
             stats,
             detail,
-        })
+        });
     }
+    let mut result = LargeItemsets::new(n);
+
+    // Can `X ∉ L_k` with these delta supports be large in DB'? Lemma 2/5
+    // without deletions; otherwise the FUP2 bound from
+    // support_D(X) ≤ old_cap = ⌈s×D⌉ − 1 (in i128 to dodge underflow).
+    let old_cap = minsup.required_count(d_orig).saturating_sub(1);
+    let may_emerge = |sup_minus: u64, sup_plus: u64| -> bool {
+        if insert_only {
+            minsup.is_large(sup_plus, d_plus)
+        } else {
+            let bound = i128::from(old_cap) - i128::from(sup_minus) + i128::from(sup_plus);
+            bound >= i128::from(minsup.required_count(n))
+        }
+    };
+
+    // ------------------------- Iteration 1 -------------------------
+    // One scan of each small part: per-item counts, plus — insert-only —
+    // DHP pair-bucket counts over db⁺ for the iteration-2 filter. Bucket
+    // count adapts to the increment: ~one bucket per expected pair
+    // occurrence gives strong filtering without allocating a huge table
+    // for a small `db⁺`. `config.hash_buckets` caps it.
+    let nbuckets = if config.dhp_hash && insert_only {
+        let estimated_pairs = (d_plus.saturating_mul(64)).next_power_of_two();
+        estimated_pairs.clamp(1024, config.hash_buckets.max(1024) as u64) as usize
+    } else {
+        0
+    };
+    let (plus_counts, pair_buckets) = count_items_and_pairs(inserted, nbuckets, engine);
+    let (minus_counts, _) = count_items_and_pairs(deleted, 0, engine);
+    let at = |v: &[u64], item: ItemId| v.get(item.index()).copied().unwrap_or(0);
+
+    // Winners and losers among the old L₁ (Lemma 1).
+    let mut pass = FupPassDetail {
+        k: 1,
+        old_large: old.len_at(1) as u64,
+        ..Default::default()
+    };
+    let mut losers_prev: HashSet<Itemset> = HashSet::new();
+    for (x, sup_d) in old.level(1) {
+        let item = x.items()[0];
+        let sup_new = sup_d + at(&plus_counts, item) - at(&minus_counts, item);
+        if minsup.is_large(sup_new, n) {
+            result.insert(x.clone(), sup_new);
+            pass.winners_from_old += 1;
+        } else {
+            losers_prev.insert(x.clone());
+        }
+    }
+
+    // C₁. Deletions can promote items that never occur in db⁺, so with
+    // them every item of DB⁻ is a candidate and one dense pass over DB⁻
+    // (histogrammed where the rows live, if the provider is remote)
+    // counts them all; without, only db⁺'s items are.
+    let rem_counts: Option<Vec<u64>> = (!insert_only).then(|| {
+        provider
+            .count_base_dense(engine)
+            .unwrap_or_else(|| count_items_and_pairs(remainder, 0, engine).0)
+    });
+    let universe = rem_counts
+        .as_ref()
+        .map_or(0, Vec::len)
+        .max(plus_counts.len())
+        .max(minus_counts.len());
+    let mut c1: Vec<(ItemId, u64)> = Vec::new();
+    for item in (0..universe as u32).map(ItemId) {
+        let (plus, minus) = (at(&plus_counts, item), at(&minus_counts, item));
+        let rem = rem_counts.as_ref().map_or(0, |c| at(c, item));
+        if (plus == 0 && minus == 0 && rem == 0) || old.contains(&Itemset::single(item)) {
+            continue;
+        }
+        pass.candidates_generated += 1;
+        if may_emerge(minus, plus) {
+            c1.push((item, plus));
+        }
+    }
+    pass.candidates_after_hash = pass.candidates_generated;
+    pass.candidates_checked = c1.len() as u64;
+
+    // Supports of C₁ in DB⁻. Insert-only, DB is scanned for the Lemma-2
+    // survivors alone — and not at all when there are none, FUP's
+    // headline saving.
+    //
+    // Deviation from the paper's letter, kept to its spirit: the paper
+    // rewrites DB without the pruned items *during* this scan, because on
+    // disk the rewrite rides along for free. In memory a copy is pure
+    // overhead, and the `Reduce-DB` keep-set applied at iteration 2
+    // (items of `L₂ ∪ C₂` only) strictly subsumes that removal, so the
+    // first trimmed copy is built there instead.
+    let c1_rem: Vec<u64> = match &rem_counts {
+        Some(counts) => c1.iter().map(|&(item, _)| at(counts, item)).collect(),
+        None if c1.is_empty() => Vec::new(),
+        None => {
+            let items: Vec<ItemId> = c1.iter().map(|&(item, _)| item).collect();
+            provider
+                .count_base_items(&items, engine)
+                .unwrap_or_else(|| count_listed_items(remainder, &items, engine))
+        }
+    };
+    for (&(item, plus), rem) in c1.iter().zip(c1_rem) {
+        let sup_new = rem + plus;
+        if minsup.is_large(sup_new, n) {
+            result.insert(Itemset::single(item), sup_new);
+            pass.winners_from_new += 1;
+        }
+    }
+    record_pass(&mut stats, &mut detail, pass);
+
+    // --------------------- Iterations k ≥ 2 ------------------------
+    // Backend selection input: the raw average transaction length of
+    // whichever delta side has data stands in for the frequent-item
+    // residue the miners feed `Auto` (the frequent set of DB' is not
+    // known here without extra work) — an overestimate on filler-heavy
+    // data, so `Auto` may engage slightly earlier than the calibrated
+    // thresholds intend; the index itself *is* filtered to
+    // old L₁ ∪ new L₁ (see `IndexSlot::acquire`).
+    let residue = if d_plus > 0 {
+        plus_counts.iter().sum::<u64>() as f64 / d_plus as f64
+    } else {
+        minus_counts.iter().sum::<u64>() as f64 / d_minus as f64
+    };
+    // Trimmed working copies of db⁺ and DB⁻ (hash-tree arm only).
+    let mut plus_working: Option<TransactionDb> = None;
+    let mut rem_working: Option<TransactionDb> = None;
+    let mut k = 2;
+    while (old.len_at(k) > 0 || result.len_at(k - 1) > 0) && config.max_k.is_none_or(|m| k <= m) {
+        let mut pass = FupPassDetail {
+            k,
+            old_large: old.len_at(k) as u64,
+            ..Default::default()
+        };
+        // Lemma 3: drop old itemsets with a losing (k−1)-subset.
+        let mut w: Vec<(Itemset, u64)> = Vec::with_capacity(old.len_at(k));
+        let mut losers_k: HashSet<Itemset> = HashSet::new();
+        for (x, sup) in old.level(k) {
+            let lost =
+                !losers_prev.is_empty() && x.proper_subsets().any(|sub| losers_prev.contains(&sub));
+            if lost {
+                pass.lemma3_losers += 1;
+                losers_k.insert(x.clone());
+            } else {
+                w.push((x.clone(), sup));
+            }
+        }
+
+        // C_k = apriori-gen(L'_{k−1}) − L_k.
+        let prev_new: Vec<Itemset> = result.level(k - 1).map(|(x, _)| x.clone()).collect();
+        let mut candidates: Vec<Itemset> = apriori_gen_with(&prev_new, &engine.gen)
+            .into_iter()
+            .filter(|x| !old.contains(x))
+            .collect();
+        pass.candidates_generated = candidates.len() as u64;
+
+        // DHP hash filter for the size-2 candidates (§3.4; insert-only,
+        // see `nbuckets`): a pair's bucket total bounds its db⁺ support,
+        // so a light bucket proves Lemma 5's condition fails.
+        if k == 2 && nbuckets > 0 {
+            candidates.retain(|c| {
+                let b = pair_bucket(c.items()[0], c.items()[1], nbuckets);
+                minsup.is_large(pair_buckets[b], d_plus)
+            });
+        }
+        pass.candidates_after_hash = candidates.len() as u64;
+
+        if w.is_empty() && candidates.is_empty() {
+            // Every remaining old itemset at this level is a loser.
+            record_pass(&mut stats, &mut detail, pass);
+            losers_prev = losers_k;
+            k += 1;
+            continue;
+        }
+
+        // Vertical arm (sticky once engaged): the provider's index (or
+        // per-shard indexes) over DB⁻ ∪ db⁺ is built lazily — DB⁻'s
+        // tid-lists materialised once, or reused from the last round, and
+        // only *extended* by db⁺'s delta scan — after which one
+        // intersection per itemset yields (support in DB⁻, support in
+        // db⁺) split at tid |DB⁻|, with no scan of either source. Only
+        // `C` can force scans of the big remainder (W is counted over the
+        // small parts either way), so backend selection weighs the
+        // candidate pool alone: the pruning usually keeps it tiny, and
+        // then the hash-tree arm is already near-optimal.
+        let use_vertical = provider.engaged()
+            || engine.backend.resolve(&PassProfile {
+                k,
+                candidates: candidates.len(),
+                transactions: n,
+                residue,
+            }) == ResolvedBackend::Vertical;
+        let w_table = use_vertical.then(|| {
+            provider.engage(old, &result, engine);
+            // Trimmed working copies are never consulted again.
+            plus_working = None;
+            rem_working = None;
+            sorted_w_table(&mut w, k)
+        });
+        let w_len = w.len();
+
+        // The hash tree over W ∪ C (W first). Either arm counts the delete
+        // side through it — whole, see the module docs — and the
+        // hash-tree arm the insert side on top; only a vertical
+        // insert-only pass needs none.
+        let mut tree = (!insert_only || !use_vertical).then(|| {
+            let w_sets = w.iter().map(|(x, _)| x.clone());
+            HashTree::build(w_sets.chain(candidates.iter().cloned()).collect())
+        });
+        let minus_k: Vec<u64> = match &mut tree {
+            Some(tree) if !insert_only => {
+                engine::count_source_into(tree, deleted, engine);
+                tree.counts().to_vec()
+            }
+            _ => vec![0; w_len + candidates.len()],
+        };
+
+        // db⁺ supports of W ∪ C — and, on the vertical arm, the DB⁻
+        // supports of all of C from the same intersections.
+        let (plus_k, c_rem): (Vec<u64>, Option<Vec<u64>>) = if let Some(w_table) = &w_table {
+            let w_splits = provider.count_split(w_table, engine);
+            let c_table = ItemsetTable::from_sorted_itemsets(&candidates);
+            let c_splits = provider.count_split(&c_table, engine);
+            let plus = w_splits.iter().chain(&c_splits).map(|s| s.1).collect();
+            (plus, Some(c_splits.iter().map(|s| s.0).collect()))
+        } else {
+            let tree = tree.as_mut().expect("the hash-tree arm builds W ∪ C");
+            let src = plus_working.as_ref().map_or(inserted, |t| t);
+            if let Some(trimmed) = count_delta_and_trim(tree, src, k, config) {
+                plus_working = Some(trimmed);
+            }
+            let totals = tree.counts().iter().zip(&minus_k);
+            (totals.map(|(total, minus)| total - minus).collect(), None)
+        };
+
+        // Winners/losers among W, by exact delta arithmetic (Lemma 4).
+        for (i, (x, sup_d)) in w.iter().enumerate() {
+            let sup_new = sup_d + plus_k[i] - minus_k[i];
+            if minsup.is_large(sup_new, n) {
+                result.insert(x.clone(), sup_new);
+                pass.winners_from_old += 1;
+            } else {
+                losers_k.insert(x.clone());
+            }
+        }
+
+        // Lemma 5 / the FUP2 bound: prune candidates that cannot emerge.
+        // The vertical arm already holds their DB⁻ supports, but gating
+        // them all the same keeps `candidates_checked` — and the result —
+        // identical across arms.
+        let survivors: Vec<(usize, Itemset)> = candidates
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| may_emerge(minus_k[w_len + i], plus_k[w_len + i]))
+            .collect();
+        pass.candidates_checked = survivors.len() as u64;
+
+        // DB⁻ supports of the survivors: read off the splits, or one scan
+        // of DB⁻ (skipped when nothing survived) that also applies
+        // `Reduce-DB` — no item outside `L_k ∪ C` can be in a large
+        // (k+1)-itemset.
+        let survivors_rem: Vec<u64> = match c_rem {
+            Some(all) => survivors.iter().map(|&(i, _)| all[i]).collect(),
+            None if survivors.is_empty() => Vec::new(),
+            None => {
+                let sets = || survivors.iter().map(|(_, x)| x);
+                let keep = config
+                    .reduce_db
+                    .then(|| reduce::item_universe(old.level(k).map(|(x, _)| x).chain(sets())));
+                let mut ctree = HashTree::build(sets().cloned().collect());
+                let src = rem_working.as_ref().map_or(remainder, |t| t);
+                if let Some(trimmed) =
+                    count_base_and_trim(&mut ctree, src, keep.as_ref(), k, engine)
+                {
+                    rem_working = Some(trimmed);
+                }
+                ctree.into_counts()
+            }
+        };
+        for ((i, x), sup_rem) in survivors.into_iter().zip(survivors_rem) {
+            let sup_new = sup_rem + plus_k[w_len + i];
+            if minsup.is_large(sup_new, n) {
+                result.insert(x, sup_new);
+                pass.winners_from_new += 1;
+            }
+        }
+
+        record_pass(&mut stats, &mut detail, pass);
+        losers_prev = losers_k;
+        k += 1;
+    }
+
+    // The provider's index(es) now cover DB⁻ ∪ db⁺ — exactly the
+    // database after this update commits; the next round can extend.
+    provider.finish();
+    stats.elapsed = start.elapsed();
+    Ok(FupOutcome {
+        large: result,
+        stats,
+        detail,
+    })
+}
+
+/// Closes a pass: its [`FupPassDetail`] and the [`PassStats`] row derived
+/// from it.
+fn record_pass(stats: &mut MiningStats, detail: &mut Vec<FupPassDetail>, pass: FupPassDetail) {
+    stats.passes.push(PassStats {
+        k: pass.k,
+        candidates_generated: pass.candidates_generated,
+        candidates_checked: pass.candidates_checked,
+        large_found: pass.winners_from_old + pass.winners_from_new,
+    });
+    detail.push(pass);
+}
+
+/// Supports of `items` over one scan of `db`, in `items` order.
+fn count_listed_items(
+    db: &dyn TransactionSource,
+    items: &[ItemId],
+    engine: &EngineConfig,
+) -> Vec<u64> {
+    // Items are dense, so the candidate index is a flat array
+    // (u32::MAX = not a candidate) — no hashing in the hot loop.
+    let max_item = items.iter().map(|i| i.index()).max().unwrap_or(0);
+    let mut index_of: Vec<u32> = vec![u32::MAX; max_item + 1];
+    for (idx, item) in items.iter().enumerate() {
+        index_of[item.index()] = idx as u32;
+    }
+    engine::merge_dense(engine::scan_fold(
+        db,
+        engine,
+        || vec![0u64; items.len()],
+        |counts: &mut Vec<u64>, _chunk, t| {
+            for &item in t {
+                if let Some(&idx) = index_of.get(item.index()) {
+                    if idx != u32::MAX {
+                        counts[idx as usize] += 1;
+                    }
+                }
+            }
+        },
+    ))
+}
+
+/// One engine pass of `tree` (`W ∪ C`) over the insert side, adding into
+/// the tree's counts. Under `Reduce-db` it also returns the trimmed
+/// working copy the next iteration scans instead — kept per chunk, so
+/// the copy is deterministic at any thread count.
+fn count_delta_and_trim(
+    tree: &mut HashTree,
+    src: &dyn TransactionSource,
+    k: usize,
+    config: &FupConfig,
+) -> Option<TransactionDb> {
+    let reduce = config.reduce_db;
+    let view = tree.view();
+    let folds = engine::scan_fold(
+        src,
+        &config.engine,
+        || (tree.new_scratch(), ChunkedCollector::new()),
+        |(scratch, kept), chunk, t| {
+            if reduce {
+                let mut matched: Vec<usize> = Vec::new();
+                view.count_with(t, scratch, &mut |i| matched.push(i));
+                let matched = matched.iter().map(|&i| view.candidate(i));
+                if let Some(reduced) = reduce::reduce_db_transaction(t, matched, k) {
+                    kept.push(chunk, reduced);
+                }
+            } else {
+                view.count(t, scratch);
+            }
+        },
+    );
+    absorb_and_collect(tree, folds, reduce)
+}
+
+/// One engine pass of `tree` (the surviving candidates) over `DB⁻`.
+/// With a `Reduce-DB` keep-set it also returns the trimmed working copy
+/// the next iteration scans instead.
+fn count_base_and_trim(
+    tree: &mut HashTree,
+    src: &dyn TransactionSource,
+    keep: Option<&HashSet<ItemId>>,
+    k: usize,
+    engine: &EngineConfig,
+) -> Option<TransactionDb> {
+    let view = tree.view();
+    let folds = engine::scan_fold(
+        src,
+        engine,
+        || (tree.new_scratch(), ChunkedCollector::new()),
+        |(scratch, kept), chunk, t| {
+            view.count(t, scratch);
+            if let Some(reduced) = keep.and_then(|keep| reduce::reduce_full_transaction(t, keep, k))
+            {
+                kept.push(chunk, reduced);
+            }
+        },
+    );
+    absorb_and_collect(tree, folds, keep.is_some())
+}
+
+/// Folds the per-worker scratches of one pass into `tree`; when the pass
+/// trimmed, merges the kept transactions (chunk-ordered) into the next
+/// iteration's working copy.
+fn absorb_and_collect(
+    tree: &mut HashTree,
+    folds: Vec<(CountScratch, ChunkedCollector<Transaction>)>,
+    trimmed: bool,
+) -> Option<TransactionDb> {
+    let mut collectors = Vec::with_capacity(folds.len());
+    for (scratch, kept) in folds {
+        tree.absorb(scratch);
+        collectors.push(kept);
+    }
+    trimmed.then(|| TransactionDb::from_transactions(ChunkedCollector::merge(collectors)))
 }
 
 /// Convenience: mines the baseline with Apriori, then maintains it with

@@ -21,6 +21,10 @@
 //! * DHP-style pair hashing over the increment further thins the size-2
 //!   candidates (§3.4, last paragraph).
 //!
+//! [`fup2::Fup2`] takes a delete side as well
+//! (`DB' = (DB − db⁻) ∪ db⁺`). Both are fronts of **one** round loop,
+//! stated once in the [`fup`] module docs: FUP is its `db⁻ = ∅` case.
+//!
 //! The high-level entry point is the session-oriented
 //! [`session::Maintainer`]: built once through a validating
 //! [`builder`](session::Maintainer::builder), it accumulates update
@@ -88,6 +92,6 @@ pub use service::{
 };
 pub use session::{
     IndexStats, Maintainer, MaintainerBuilder, MaintenanceReport, RuleSnapshot, SessionStore,
-    StageHandle, Updater,
+    StageHandle,
 };
 pub use vindex::IndexSlot;

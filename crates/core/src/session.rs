@@ -61,12 +61,11 @@ use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
 use crate::durable::{self, DurabilityPolicy, DurableLog, RecoveryReport};
 use crate::error::{BuildError, Error, Result};
-use crate::fup::Fup;
-use crate::fup2::Fup2;
+use crate::fup::update_round;
 use crate::policy::UpdatePolicy;
 use crate::service::ShardHealth;
 use crate::shard::ShardProvider;
-use crate::vindex::IndexSlot;
+use crate::vindex::{IndexSlot, SlotProvider};
 use fup_mining::apriori::AprioriConfig;
 use fup_mining::rules::generate_rules;
 use fup_mining::{
@@ -81,22 +80,6 @@ use fup_tidb::{
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Which incremental updater a session runs at commit time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Updater {
-    /// Pick per batch: the paper's FUP for pure insertions, FUP2 once a
-    /// batch carries deletions.
-    #[default]
-    Auto,
-    /// Always the paper's base FUP — insertions only. Building a session
-    /// with this pin requires declaring the workload insert-only
-    /// ([`MaintainerBuilder::deletions`]`(false)`), otherwise the builder
-    /// rejects the combination as [`BuildError::DeletionsWithoutFup2`].
-    Fup,
-    /// Always FUP2 (it subsumes the insert-only case).
-    Fup2,
-}
 
 /// What one maintenance round changed.
 #[derive(Debug, Clone)]
@@ -447,7 +430,6 @@ pub struct MaintainerBuilder {
     chunk_size: Option<usize>,
     backend: Option<CountingBackend>,
     policy: UpdatePolicy,
-    updater: Updater,
     deletions: bool,
     durability: DurabilityPolicy,
     shards: Option<ShardSpec>,
@@ -562,16 +544,9 @@ impl MaintainerBuilder {
         self
     }
 
-    /// Pins the incremental updater (default: [`Updater::Auto`]).
-    pub fn updater(mut self, updater: Updater) -> Self {
-        self.updater = updater;
-        self
-    }
-
     /// Declares whether the workload contains deletions (default `true`).
     /// With `false`, staging a batch that deletes anything fails with
-    /// [`Error::DeletionsDisabled`] — and pinning [`Updater::Fup`]
-    /// becomes legal.
+    /// [`Error::DeletionsDisabled`].
     pub fn deletions(mut self, deletions: bool) -> Self {
         self.deletions = deletions;
         self
@@ -646,9 +621,6 @@ impl MaintainerBuilder {
             return Err(BuildError::ZeroMaxK);
         }
         validate_policy(self.policy, &config)?;
-        if self.updater == Updater::Fup && self.deletions {
-            return Err(BuildError::DeletionsWithoutFup2);
-        }
         if let Some(spec) = &self.shards {
             spec.validate().map_err(BuildError::InvalidShardSpec)?;
         }
@@ -664,7 +636,6 @@ impl MaintainerBuilder {
         let mut m =
             Maintainer::bootstrap_unchecked(history, minsup, minconf, config, self.shards.clone());
         m.policy = self.policy;
-        m.updater = self.updater;
         m.deletions = self.deletions;
         Ok(m)
     }
@@ -713,8 +684,8 @@ impl MaintainerBuilder {
     /// state is identical to the pre-crash session at its last
     /// durably-acknowledged commit.
     ///
-    /// The builder supplies the *configuration* (engine, policy, updater —
-    /// none of that is checkpointed), but its thresholds must match the
+    /// The builder supplies the *configuration* (engine, policy — neither
+    /// is checkpointed), but its thresholds must match the
     /// checkpointed session's: maintained support counts are only valid
     /// under the thresholds they were mined with.
     pub fn recover(self, storage: Arc<dyn DurableStorage>) -> Result<(Maintainer, RecoveryReport)> {
@@ -799,7 +770,6 @@ impl MaintainerBuilder {
             minconf,
             config,
             policy: self.policy,
-            updater: self.updater,
             deletions: self.deletions,
             slots,
             shard_ops,
@@ -892,7 +862,7 @@ impl MaintainerBuilder {
     }
 }
 
-/// Checks that the configured updater can actually honor `policy` —
+/// Checks that the session can actually honor `policy` —
 /// shared by the builder and [`Maintainer::set_policy`].
 fn validate_policy(
     policy: UpdatePolicy,
@@ -1149,15 +1119,6 @@ pub(crate) enum StagedAny {
     Sharded(ShardedStaged),
 }
 
-impl StagedAny {
-    fn num_deleted(&self) -> u64 {
-        match self {
-            StagedAny::Flat(s) => s.num_deleted(),
-            StagedAny::Sharded(s) => s.num_deleted(),
-        }
-    }
-}
-
 /// A rule-maintenance session: owns the transaction store, the current
 /// mined state, and a persistent vertical index, and keeps discovered
 /// association rules current across staged insert/delete batches.
@@ -1177,7 +1138,6 @@ pub struct Maintainer {
     minconf: MinConfidence,
     config: FupConfig,
     policy: UpdatePolicy,
-    updater: Updater,
     deletions: bool,
     /// One persistent vertical-index slot per shard (a single slot for a
     /// flat store).
@@ -1272,7 +1232,6 @@ impl Maintainer {
             minconf,
             config,
             policy: UpdatePolicy::default(),
-            updater: Updater::default(),
             deletions: true,
             slots,
             shard_ops,
@@ -1454,61 +1413,22 @@ impl Maintainer {
             return self.commit_by_remine(batch);
         }
         let staged = self.stage_drained(batch)?;
-        let pure_insert = staged.num_deleted() == 0;
-        let use_fup = match self.updater {
-            Updater::Auto => pure_insert,
-            Updater::Fup => true,
-            Updater::Fup2 => false,
-        };
-        if use_fup {
-            debug_assert!(pure_insert, "deletions are rejected at stage time");
-        }
+        let (config, old, minsup) = (&self.config, &self.state.large, self.minsup);
         let outcome = match (&self.store, &staged) {
             (SessionStore::Flat(db), StagedAny::Flat(fs)) => {
-                let slot = &mut self.slots[0];
-                if use_fup {
-                    Fup::with_config(self.config.clone()).update_with_index(
-                        db,
-                        &self.state.large,
-                        fs.inserted(),
-                        self.minsup,
-                        slot,
-                    )
-                } else {
-                    Fup2::with_config(self.config.clone()).update_with_index(
-                        db,
-                        &self.state.large,
-                        fs.deleted(),
-                        fs.inserted(),
-                        self.minsup,
-                        slot,
-                    )
-                }
+                let (deleted, inserted) = (fs.deleted(), fs.inserted());
+                let mut provider =
+                    SlotProvider::new(&mut self.slots[0], db, inserted, db.num_transactions());
+                update_round(config, db, old, deleted, inserted, minsup, &mut provider)
             }
             (SessionStore::Sharded(db), StagedAny::Sharded(ss)) => {
                 // Shard-parallel counting: one persistent index slot per
                 // shard, per-shard supports merged by summation inside the
                 // provider — bit-identical to the flat path because every
                 // threshold decision gates on the same global sums.
+                let (deleted, inserted) = (ss.deleted(), ss.inserted());
                 let mut provider = ShardProvider::new(db, ss, &mut self.slots);
-                if use_fup {
-                    Fup::with_config(self.config.clone()).update_with_provider(
-                        db,
-                        &self.state.large,
-                        ss.inserted(),
-                        self.minsup,
-                        &mut provider,
-                    )
-                } else {
-                    Fup2::with_config(self.config.clone()).update_with_provider(
-                        db,
-                        &self.state.large,
-                        ss.deleted(),
-                        ss.inserted(),
-                        self.minsup,
-                        &mut provider,
-                    )
-                }
+                update_round(config, db, old, deleted, inserted, minsup, &mut provider)
             }
             _ => unreachable!("staged update does not match the store kind"),
         };
@@ -1537,7 +1457,7 @@ impl Maintainer {
                 return Err(e);
             }
         };
-        let algorithm = if use_fup { "fup" } else { "fup2" };
+        let algorithm = outcome.stats.algorithm;
         Ok(self.finish_commit(staged, outcome.large, algorithm, outcome.stats))
     }
 
@@ -1772,11 +1692,6 @@ impl Maintainer {
         &self.config
     }
 
-    /// The configured incremental updater.
-    pub fn updater(&self) -> Updater {
-        self.updater
-    }
-
     /// The active update policy.
     pub fn policy(&self) -> UpdatePolicy {
         self.policy
@@ -1904,7 +1819,6 @@ impl Maintainer {
                 chunk_size: None,
                 backend: None,
                 policy: self.policy,
-                updater: self.updater,
                 deletions: self.deletions,
                 durability: *log.policy(),
                 shards: self.store.shard_spec().cloned(),
@@ -2065,17 +1979,6 @@ mod tests {
                 .unwrap_err(),
             BuildError::RemineIgnoresMaxK
         );
-        assert_eq!(
-            base().updater(Updater::Fup).build(history()).unwrap_err(),
-            BuildError::DeletionsWithoutFup2
-        );
-        // The same pin is fine once the workload is declared insert-only.
-        let m = base()
-            .updater(Updater::Fup)
-            .deletions(false)
-            .build(history())
-            .unwrap();
-        assert_eq!(m.updater(), Updater::Fup);
     }
 
     #[test]
@@ -2307,21 +2210,6 @@ mod tests {
             capped.set_policy(UpdatePolicy::AlwaysRemine).unwrap_err(),
             BuildError::RemineIgnoresMaxK
         );
-    }
-
-    #[test]
-    fn pinned_fup2_handles_insert_only_batches() {
-        let mut m = Maintainer::builder()
-            .min_support(MinSupport::percent(40))
-            .min_confidence(MinConfidence::percent(60))
-            .updater(Updater::Fup2)
-            .build(history())
-            .unwrap();
-        let r = m
-            .apply(UpdateBatch::insert_only(vec![tx(&[1, 2])]))
-            .unwrap();
-        assert_eq!(r.algorithm, "fup2");
-        m.verify_consistency().unwrap();
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //!
 //! * `FUP(DB, L, db)` equals Apriori and DHP re-run on `DB ∪ db`,
 //! * `FUP2(DB⁻, L, db⁻, db⁺)` equals a re-mine of `(DB − db⁻) ∪ db⁺`,
+//! * `FUP(DB, L, db)` is `FUP2(DB, L, ∅, db)`, statistics included,
 //! * every optimisation configuration produces identical results.
 
 use fup_core::{Fup, Fup2, FupConfig};
@@ -111,6 +112,43 @@ proptest! {
             "FUP2 vs re-mine: {:?}",
             out.large.diff(&remined)
         );
+    }
+
+    #[test]
+    fn fup_is_fup2_without_deletions(
+        original in arb_db(40),
+        increment in arb_db(20),
+        minsup in arb_minsup(),
+        reduce_db in any::<bool>(),
+        dhp_hash in any::<bool>(),
+    ) {
+        // §5: FUP is FUP2 with db⁻ = ∅ — the same itemsets and the same
+        // Figure 3 accounting pass by pass, under every backend and thread
+        // count (small chunks, so the threads really split the scans).
+        let db = TransactionDb::from_transactions(original);
+        let inc = TransactionDb::from_transactions(increment);
+        let nothing = TransactionDb::new();
+        let baseline = Apriori::new().run(&db, minsup).large;
+        for backend in [CountingBackend::HashTree, CountingBackend::Vertical, CountingBackend::Auto] {
+            for threads in [1, 2, 8] {
+                let mut config = FupConfig { reduce_db, dhp_hash, ..FupConfig::default() }
+                    .with_threads(threads);
+                config.engine.backend = backend;
+                config.engine.chunk_size = 8;
+                let fup = Fup::with_config(config.clone())
+                    .update(&db, &baseline, &inc, minsup)
+                    .unwrap();
+                let fup2 = Fup2::with_config(config)
+                    .update(&db, &baseline, &nothing, &inc, minsup)
+                    .unwrap();
+                prop_assert!(
+                    fup.large.same_itemsets(&fup2.large),
+                    "{:?} x{}: {:?}", backend, threads, fup.large.diff(&fup2.large)
+                );
+                prop_assert_eq!(&fup.stats.passes, &fup2.stats.passes, "{:?} x{}", backend, threads);
+                prop_assert_eq!(&fup.detail, &fup2.detail, "{:?} x{}", backend, threads);
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   bytes) used by the experiment harness.
 //!
 //! The paper ran against on-disk data; we substitute an in-memory paged
-//! store with explicit scan accounting (see DESIGN.md §2 "Substitutions").
+//! store with explicit scan accounting ([`page`]); the real-disk side —
+//! WAL, checkpoints, recovery — is DESIGN_DURABILITY.md's.
 //!
 //! ## Quick example
 //!
@@ -78,7 +79,7 @@ pub use database::TransactionDb;
 pub use dictionary::ItemDictionary;
 pub use error::{Error, FaultKind, Result};
 pub use item::ItemId;
-pub use rpc::{ChannelTransport, Message, Transport, UdsTransport};
+pub use rpc::{ChannelTransport, Message, Transport};
 pub use scan::ScanMetrics;
 pub use segment::{SegmentId, SegmentedDb, StagedUpdate, Tid, UpdateBatch};
 pub use shard::{RangeMove, ShardSpec, ShardedDb, ShardedStaged, SpecError, TidRange};

@@ -5,7 +5,9 @@
 //! transactions into fixed-size pages (default 4 KiB) and charges
 //! pages/bytes to its [`ScanMetrics`] on every pass, so experiments can
 //! report I/O volume alongside wall-clock time. This is the documented
-//! substitution for real disk I/O (DESIGN.md §2).
+//! substitution for real disk I/O; durable checkpoints store the live
+//! transactions in this same page layout (DESIGN_DURABILITY.md,
+//! "Checkpoint format").
 
 use crate::codec;
 use crate::error::{Error, Result};

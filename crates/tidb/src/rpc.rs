@@ -20,14 +20,10 @@
 //!
 //! Transports are deliberately dumb byte pipes: [`ChannelTransport`]
 //! pairs two in-process mpsc channels (tests, single-machine
-//! simulation), [`UdsTransport`] wraps a Unix-domain socket stream.
-//! Both carry whole frames; CRC is verified on every receive, so a
-//! corrupted or truncated frame surfaces as a typed
-//! [`Error::Corrupt`] rather than a garbled
-//! message.
+//! simulation). It carries whole frames; CRC is verified on every
+//! receive, so a corrupted or truncated frame surfaces as a typed
+//! [`Error::Corrupt`] rather than a garbled message.
 
-use std::io::{Read, Write};
-use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 
 use crate::codec;
@@ -521,61 +517,6 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// Unix-domain-socket transport: frames written/read directly on the
-/// stream. One frame per [`send`](Transport::send); `recv` reads the
-/// 8-byte header then exactly the payload.
-pub struct UdsTransport {
-    stream: UnixStream,
-}
-
-impl UdsTransport {
-    /// Wraps a connected stream.
-    pub fn new(stream: UnixStream) -> Self {
-        UdsTransport { stream }
-    }
-
-    /// Builds a connected socketpair — the in-machine equivalent of a
-    /// listener handshake, convenient for spawning a worker thread or
-    /// forked process with one end each.
-    pub fn pair() -> std::io::Result<(UdsTransport, UdsTransport)> {
-        let (a, b) = UnixStream::pair()?;
-        Ok((UdsTransport::new(a), UdsTransport::new(b)))
-    }
-}
-
-fn io_err(op: &'static str, e: &std::io::Error) -> Error {
-    Error::Io {
-        op,
-        file: "rpc".into(),
-        kind: FaultKind::Permanent,
-        reason: e.to_string(),
-    }
-}
-
-impl Transport for UdsTransport {
-    fn send(&mut self, msg: &Message) -> Result<()> {
-        let frame = msg.to_frame();
-        self.stream
-            .write_all(&frame)
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| io_err("send", &e))
-    }
-
-    fn recv(&mut self) -> Result<Message> {
-        let mut header = [0u8; FRAME_HEADER];
-        self.stream
-            .read_exact(&mut header)
-            .map_err(|e| io_err("recv", &e))?;
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let mut frame = vec![0u8; FRAME_HEADER + len];
-        frame[..FRAME_HEADER].copy_from_slice(&header);
-        self.stream
-            .read_exact(&mut frame[FRAME_HEADER..])
-            .map_err(|e| io_err("recv", &e))?;
-        Message::from_frame(&frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,32 +656,5 @@ mod tests {
         drop(worker);
         assert!(coord.recv().is_err());
         assert!(coord.send(&Message::Shutdown).is_err());
-    }
-
-    #[test]
-    fn uds_transport_carries_messages() {
-        let (mut coord, mut worker) = UdsTransport::pair().unwrap();
-        let handle = std::thread::spawn(move || {
-            loop {
-                match worker.recv() {
-                    Ok(Message::Shutdown) => {
-                        worker.send(&Message::Ok).unwrap();
-                        return;
-                    }
-                    Ok(msg) => worker.send(&msg).unwrap(), // echo
-                    Err(_) => return,
-                }
-            }
-        });
-        for msg in sample_messages() {
-            if msg == Message::Shutdown {
-                continue;
-            }
-            coord.send(&msg).unwrap();
-            assert_eq!(coord.recv().unwrap(), msg);
-        }
-        coord.send(&Message::Shutdown).unwrap();
-        assert_eq!(coord.recv().unwrap(), Message::Ok);
-        handle.join().unwrap();
     }
 }

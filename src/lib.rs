@@ -417,7 +417,7 @@ pub use fup_core::{
     HealthReport, HealthState, IndexStats, ItemsetDiff, LogState, Maintainer, MaintainerBuilder,
     MaintainerService, MaintenanceReport, RecoveryReport, RetryPolicy, RuleDiff, RuleSnapshot,
     ServiceError, ServiceHealth, ServiceMetrics, SessionStore, ShardHealth, ShardWorker,
-    StageHandle, UpdatePolicy, Updater, WorkerProbe,
+    StageHandle, UpdatePolicy, WorkerProbe,
 };
 pub use fup_datagen::{GenParams, QuestGenerator};
 pub use fup_mining::{
