@@ -2,12 +2,11 @@
 //! emitting a machine-readable `BENCH_cluster.json` for the perf
 //! trajectory (CI runs this briefly on every push).
 //!
-//! Replays the same churn workload `bench_shard` uses — a `T10.I4` base
-//! corpus followed by N update rounds of fresh inserts plus a
-//! contiguous window of deletes — through three sessions per shard
-//! count: the flat [`Maintainer`] reference, the in-process tid-range
-//! sharded session (the `bench_shard` baseline this row is compared
-//! against), and the [`Cluster`] runtime, where each shard is a worker
+//! Replays a churn workload — a `T10.I4` base corpus followed by N
+//! update rounds of fresh inserts plus a contiguous window of deletes —
+//! through three sessions per shard count: the unsharded [`Maintainer`]
+//! reference, the in-process tid-range sharded session (the baseline
+//! this row is compared against), and the [`Cluster`] runtime, where each shard is a worker
 //! thread with its own WAL + checkpoint namespace, candidate counts
 //! travel as CRC-framed RPC messages, and every round commits
 //! two-phase. After **every** cluster round the published state is

@@ -98,8 +98,8 @@ pub fn run(scale: u64, seed: u64) -> Vec<Row> {
             let whole = ChainSource::new(&store, staged.inserted());
             let (dhp_out, t_dhp) = timed(|| Dhp::new().run(&whole, minsup));
             let (apriori_out, t_apriori) = timed(|| Apriori::new().run(&whole, minsup));
-            debug_assert!(out.large.same_itemsets(&dhp_out.large));
-            debug_assert!(out.large.same_itemsets(&apriori_out.large));
+            assert!(out.large.same_itemsets(&dhp_out.large));
+            assert!(out.large.same_itemsets(&apriori_out.large));
 
             Row {
                 churn,

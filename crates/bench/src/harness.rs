@@ -86,7 +86,7 @@ pub fn compare(
     let (dhp_out, t_dhp): (MiningOutcome, _) = timed(|| Dhp::new().run(&whole, minsup));
     let (apriori_out, t_apriori): (MiningOutcome, _) = timed(|| Apriori::new().run(&whole, minsup));
 
-    debug_assert!(
+    assert!(
         fup_out.large.same_itemsets(&dhp_out.large)
             && fup_out.large.same_itemsets(&apriori_out.large),
         "algorithms disagree: {:?}",

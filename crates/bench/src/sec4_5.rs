@@ -62,7 +62,7 @@ pub fn run(scale: u64, seed: u64) -> Vec<Row> {
             });
             let whole = ChainSource::new(&data.db, &data.increment);
             let (whole_out, t_mine_whole) = timed(|| Dhp::new().run(&whole, minsup));
-            debug_assert!(fup_out.large.same_itemsets(&whole_out.large));
+            assert!(fup_out.large.same_itemsets(&whole_out.large));
             Row {
                 increment: data.d_increment(),
                 t_mine_original,

@@ -2,7 +2,7 @@
 //! coordinator, and single-shard crash recovery.
 //!
 //! This module lifts the tid-range sharding of the in-process
-//! `ShardProvider` out of one address space: each shard
+//! session's store out of one address space: each shard
 //! becomes a **worker** owning its own [`SegmentedDb`] slice, its own
 //! WAL + checkpoint namespace (a per-shard [`DurableStorage`] root), and
 //! its own persistent [`IndexSlot`]. A **coordinator** routes staged

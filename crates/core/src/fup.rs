@@ -149,7 +149,7 @@ impl Fup {
         minsup: MinSupport,
         slot: &mut IndexSlot,
     ) -> Result<FupOutcome> {
-        let mut provider = SlotProvider::new(slot, db, increment, db.num_transactions());
+        let mut provider = SlotProvider::new([(slot, db, increment)]);
         let nothing = TransactionDb::new();
         update_round(
             &self.config,
@@ -169,13 +169,12 @@ impl Fup {
 /// [module docs](self) for the algorithm).
 ///
 /// `provider` is the source of vertical splits once that backend
-/// engages: the flat session and the one-shot fronts pass a
-/// [`SlotProvider`] (one index over `remainder`), the sharded session a
-/// [`ShardProvider`](crate::shard::ShardProvider) (one index per tid
-/// shard), the cluster a provider whose rows live in its workers. Splits
-/// merge by summation and every threshold decision is made on the sums,
-/// so the result is provider-independent. The delete side is never
-/// indexed — it is counted whole either way.
+/// engages: the session and the one-shot fronts pass a [`SlotProvider`]
+/// (one index per tid-range part — per shard for a session, one over
+/// `remainder` for the fronts), the cluster a provider whose rows live
+/// in its workers. Splits merge by summation and every threshold
+/// decision is made on the sums, so the result is provider-independent.
+/// The delete side is never indexed — it is counted whole either way.
 pub(crate) fn update_round(
     config: &FupConfig,
     remainder: &dyn TransactionSource,

@@ -74,8 +74,7 @@ impl Fup2 {
         minsup: MinSupport,
         slot: &mut IndexSlot,
     ) -> Result<FupOutcome> {
-        let boundary = remainder.num_transactions();
-        let mut provider = SlotProvider::new(slot, remainder, inserted, boundary);
+        let mut provider = SlotProvider::new([(slot, remainder, inserted)]);
         update_round(
             &self.config,
             remainder,

@@ -75,7 +75,6 @@ pub mod policy;
 pub mod reduce;
 pub mod service;
 pub mod session;
-pub(crate) mod shard;
 pub mod vindex;
 
 pub use cluster::{Cluster, ShardWorker, WorkerProbe};
@@ -91,7 +90,6 @@ pub use service::{
     ServiceMetrics, ShardHealth,
 };
 pub use session::{
-    IndexStats, Maintainer, MaintainerBuilder, MaintenanceReport, RuleSnapshot, SessionStore,
-    StageHandle,
+    IndexStats, Maintainer, MaintainerBuilder, MaintenanceReport, RuleSnapshot, StageHandle,
 };
 pub use vindex::IndexSlot;

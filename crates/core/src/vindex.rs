@@ -5,6 +5,13 @@
 //! *across* maintenance rounds instead of rebuilding it on first use every
 //! round.
 //!
+//! One provider serves every in-process round: a `SlotProvider` over one
+//! slot per tid-range part. A session passes one part per shard (an
+//! unsharded session is the one-shard case); the one-shot
+//! [`Fup`](crate::Fup) / [`Fup2`](crate::Fup2) fronts pass one part over
+//! their own sources. Supports are additive over disjoint parts, so the
+//! summed splits are the whole-store splits.
+//!
 //! ## The persistent-index contract
 //!
 //! A [`VerticalIndex`] identifies transactions positionally (tid = scan
@@ -21,7 +28,7 @@
 
 use fup_mining::vertical::item_bitmap;
 use fup_mining::{EngineConfig, Itemset, ItemsetTable, LargeItemsets, VerticalIndex};
-use fup_tidb::TransactionSource;
+use fup_tidb::{ShardedDb, ShardedStaged, TransactionSource};
 
 /// Holds a [`VerticalIndex`] between FUP/FUP2 rounds so insert-only
 /// updates extend it (one delta scan) instead of rebuilding it (a full
@@ -196,12 +203,12 @@ impl IndexSlot {
 
 /// The vertical-counting seam of the FUP/FUP2 round loops: where the
 /// per-pass `(support in base, support in delta)` splits come from once
-/// the vertical backend engages. The flat session hands the loops a
-/// [`SlotProvider`] (one index over the whole store — the historical
-/// behaviour, bit for bit); the sharded session hands them a
-/// [`ShardProvider`](crate::shard::ShardProvider) that keeps one index
-/// per tid-range shard and merges local splits by summation (count
-/// distribution). The loops cannot tell the difference: supports are
+/// the vertical backend engages. In-process callers hand the loops a
+/// [`SlotProvider`] — one persistent index per tid-range part (one part
+/// per session shard, or one part over the one-shot fronts' own
+/// sources) — that merges local splits by summation (count
+/// distribution); the cluster hands them a provider whose parts live in
+/// its workers. The loops cannot tell the difference: supports are
 /// additive over disjoint tid ranges, so the summed splits equal the
 /// whole-store splits exactly.
 pub(crate) trait VerticalProvider {
@@ -257,61 +264,112 @@ pub(crate) trait VerticalProvider {
     fn finish(&mut self);
 }
 
-/// The flat (single-store) [`VerticalProvider`]: one [`IndexSlot`], one
-/// base source, one delta source, one boundary. Engaging acquires from
-/// the slot; finishing stashes back — exactly the pre-provider code
-/// path of `Fup::update_with_index`/`Fup2::update_with_index`.
-pub(crate) struct SlotProvider<'a> {
+/// One part of a [`SlotProvider`]: a persistent slot, the base rows its
+/// index covers (`DB` for FUP, `DB⁻` for FUP2 — after staging, a shard
+/// *is* its remainder), the delta rows extending it, and the boundary
+/// splitting the two.
+struct Part<'a> {
     slot: &'a mut IndexSlot,
     base: &'a dyn TransactionSource,
     delta: &'a dyn TransactionSource,
-    /// Tid splitting the base's supports from the delta's
-    /// (`|DB|` for FUP, `|DB⁻|` for FUP2).
+    /// Tid splitting the base's supports from the delta's (`|base|`).
     boundary: u64,
     index: Option<VerticalIndex>,
 }
 
+/// The in-process [`VerticalProvider`]: one [`IndexSlot`] per disjoint
+/// tid-range part, local splits merged by summation. Engaging acquires
+/// every part's index from its slot; finishing stashes them back.
+///
+/// Each part's slot is acquired independently, and the acquire step's
+/// size check (base row count vs. index coverage) rebuilds exactly the
+/// parts whose live set changed — a session shard no deletion touched
+/// reuses its index and scans only its delta slice.
+pub(crate) struct SlotProvider<'a> {
+    parts: Vec<Part<'a>>,
+}
+
 impl<'a> SlotProvider<'a> {
+    /// A provider over `(slot, base, delta)` parts, in scan order.
     pub(crate) fn new(
-        slot: &'a mut IndexSlot,
-        base: &'a dyn TransactionSource,
-        delta: &'a dyn TransactionSource,
-        boundary: u64,
+        parts: impl IntoIterator<
+            Item = (
+                &'a mut IndexSlot,
+                &'a dyn TransactionSource,
+                &'a dyn TransactionSource,
+            ),
+        >,
     ) -> Self {
-        SlotProvider {
-            slot,
-            base,
-            delta,
-            boundary,
-            index: None,
-        }
+        let parts = parts
+            .into_iter()
+            .map(|(slot, base, delta)| Part {
+                slot,
+                base,
+                delta,
+                boundary: base.num_transactions(),
+                index: None,
+            })
+            .collect();
+        SlotProvider { parts }
+    }
+
+    /// One part per shard of a staged `store`: shard `s`'s remainder and
+    /// its routed inserts, against `slots[s]`.
+    pub(crate) fn per_shard(
+        store: &'a ShardedDb,
+        staged: &'a ShardedStaged,
+        slots: &'a mut [IndexSlot],
+    ) -> Self {
+        Self::new(slots.iter_mut().enumerate().map(|(s, slot)| {
+            (
+                slot,
+                store.shard(s) as &dyn TransactionSource,
+                staged.shard_inserted(s) as &dyn TransactionSource,
+            )
+        }))
     }
 }
 
 impl VerticalProvider for SlotProvider<'_> {
     fn engaged(&self) -> bool {
-        self.index.is_some()
+        // Parts engage together (one loop in `engage`), so the first
+        // part speaks for all of them.
+        self.parts.first().is_some_and(|p| p.index.is_some())
     }
 
     fn engage(&mut self, old: &LargeItemsets, result: &LargeItemsets, engine: &EngineConfig) {
-        if self.index.is_none() {
-            self.index = Some(
-                self.slot
-                    .acquire(old, result, self.base, self.delta, engine),
-            );
+        for part in &mut self.parts {
+            if part.index.is_none() {
+                part.index = Some(
+                    part.slot
+                        .acquire(old, result, part.base, part.delta, engine),
+                );
+            }
         }
     }
 
     fn count_split(&self, table: &ItemsetTable, engine: &EngineConfig) -> Vec<(u64, u64)> {
-        self.index
-            .as_ref()
-            .expect("engage() before count_split()")
-            .count_rows_split(table, self.boundary, engine)
+        let mut splits = self.parts.iter().map(|part| {
+            part.index
+                .as_ref()
+                .expect("engage() before count_split()")
+                .count_rows_split(table, part.boundary, engine)
+        });
+        let mut totals = splits.next().unwrap_or_else(|| vec![(0, 0); table.len()]);
+        for local in splits {
+            for (acc, (b, d)) in totals.iter_mut().zip(local) {
+                acc.0 += b;
+                acc.1 += d;
+            }
+        }
+        totals
     }
 
     fn finish(&mut self) {
-        if let Some(idx) = self.index.take() {
-            self.slot.stash(idx);
+        for part in &mut self.parts {
+            if let Some(idx) = part.index.take() {
+                part.slot.stash(idx);
+            }
         }
     }
 }
@@ -332,8 +390,123 @@ pub(crate) fn sorted_w_table(w: &mut [(Itemset, u64)], k: usize) -> ItemsetTable
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fup_mining::MinSupport;
-    use fup_tidb::{Transaction, TransactionDb};
+    use fup_mining::{Apriori, MinSupport};
+    use fup_tidb::{SegmentedDb, ShardSpec, Tid, Transaction, TransactionDb, UpdateBatch};
+
+    fn rows(n: u64) -> Vec<Transaction> {
+        (0..n)
+            .map(|i| {
+                let mut items = vec![(i % 5) as u32, 10 + (i % 3) as u32];
+                if i % 2 == 0 {
+                    items.push(20);
+                }
+                Transaction::from_items(items)
+            })
+            .collect()
+    }
+
+    /// Per-shard splits summed must equal the one-part splits over the
+    /// unsharded store for the same logical update — the
+    /// count-distribution identity the sharded session rests on.
+    #[test]
+    fn summed_shard_splits_equal_flat_splits() {
+        let initial = rows(40);
+        let batch = UpdateBatch {
+            inserts: rows(10),
+            deletes: vec![],
+        };
+        let minsup = MinSupport::percent(10);
+        let engine = EngineConfig::serial();
+
+        // One part over an unsharded store.
+        let mut flat = SegmentedDb::from_transactions(initial.clone());
+        let old = Apriori::new().run(&flat, minsup).large;
+        let fs = flat.stage(batch.clone()).unwrap();
+        let mut flat_slot = IndexSlot::new();
+        let mut flat_provider = SlotProvider::new([(
+            &mut flat_slot,
+            &flat as &dyn TransactionSource,
+            fs.inserted() as &dyn TransactionSource,
+        )]);
+
+        // One part per shard, several shard counts.
+        for shards in [1u32, 2, 3, 8] {
+            let mut sharded =
+                ShardedDb::from_transactions(ShardSpec::striped_with(shards, 4), initial.clone())
+                    .unwrap();
+            let ss = sharded.stage(batch.clone()).unwrap();
+            let mut slots: Vec<IndexSlot> = (0..shards).map(|_| IndexSlot::new()).collect();
+            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots);
+
+            let result = LargeItemsets::new(50);
+            assert!(!provider.engaged());
+            flat_provider.engage(&old, &result, &engine);
+            provider.engage(&old, &result, &engine);
+            assert!(provider.engaged());
+
+            let sets: Vec<Itemset> = vec![
+                Itemset::from_items([0u32, 10]),
+                Itemset::from_items([0u32, 20]),
+                Itemset::from_items([10u32, 20]),
+            ];
+            let table = ItemsetTable::from_sorted_itemsets(&sets);
+            assert_eq!(
+                provider.count_split(&table, &engine),
+                flat_provider.count_split(&table, &engine),
+                "{shards} shard(s)"
+            );
+            // Empty tables stay empty through the summation.
+            assert!(provider
+                .count_split(&ItemsetTable::empty(), &engine)
+                .is_empty());
+
+            provider.finish();
+            for slot in &slots {
+                assert!(slot.has_index(), "finish must stash every part's index");
+            }
+        }
+    }
+
+    /// Deletions rebuild only the shards they touch; untouched shards
+    /// extend their held index.
+    #[test]
+    fn deletes_invalidate_only_their_shard() {
+        // Stripe 4 over 2 shards: tids 0..4,8..12,16..20 → shard 0.
+        let mut sharded =
+            ShardedDb::from_transactions(ShardSpec::striped_with(2, 4), rows(24)).unwrap();
+        let minsup = MinSupport::percent(10);
+        let old = Apriori::new().run(&sharded, minsup).large;
+        let engine = EngineConfig::serial();
+        let mut slots: Vec<IndexSlot> = vec![IndexSlot::new(), IndexSlot::new()];
+
+        // Round 1: insert-only — both shards build.
+        let ss = sharded.stage(UpdateBatch::insert_only(rows(6))).unwrap();
+        {
+            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots);
+            provider.engage(&old, &LargeItemsets::new(30), &engine);
+            provider.finish();
+        }
+        sharded.commit(ss);
+        assert_eq!((slots[0].builds(), slots[1].builds()), (1, 1));
+
+        // Round 2: delete one tid owned by shard 0. Shard 0 must rebuild
+        // (its base shrank), shard 1 must extend.
+        let old2 = Apriori::new().run(&sharded, minsup).large;
+        let ss = sharded
+            .stage(UpdateBatch {
+                inserts: rows(4),
+                deletes: vec![Tid(1)],
+            })
+            .unwrap();
+        {
+            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots);
+            provider.engage(&old2, &LargeItemsets::new(33), &engine);
+            provider.finish();
+        }
+        sharded.commit(ss);
+        assert_eq!((slots[0].builds(), slots[0].extends()), (2, 0));
+        assert_eq!((slots[1].builds(), slots[1].extends()), (1, 1));
+    }
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
         TransactionDb::from_transactions(

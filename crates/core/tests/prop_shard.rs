@@ -6,7 +6,9 @@
 //! counts (count distribution).
 //!
 //! * **Across shard counts:** the same workload replayed under 1, 2, 3,
-//!   and 8 shards matches the flat reference after every round.
+//!   and 8 shards matches the flat reference after every round. The
+//!   default session *is* the one-shard case, so at one shard the
+//!   persistent index's builds and extends match too.
 //! * **Across engines:** backends {HashTree, Vertical, Auto} × worker
 //!   threads {1, 8}.
 //! * **Cross-shard deletes:** deletes routinely land on different shards
@@ -95,6 +97,18 @@ fn assert_bit_identical(flat: &Maintainer, sharded: &Maintainer, label: &str) {
     assert_eq!(live(sharded), live(flat), "{label}: live view diverges");
 }
 
+/// A one-shard session is the default session: the same store shape,
+/// so the same index builds and extends (the `SHARD_COUNTS[0] == 1`
+/// entry of `sharded`).
+fn assert_one_shard_index_matches(flat: &Maintainer, sharded: &[Maintainer], label: &str) {
+    assert_eq!(SHARD_COUNTS[0], 1);
+    assert_eq!(
+        sharded[0].index_stats(),
+        flat.index_stats(),
+        "{label}: a one-shard session's index diverges from the default session's"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -129,6 +143,7 @@ proptest! {
         for m in &sharded {
             assert_bit_identical(&flat, m, "bootstrap");
         }
+        assert_one_shard_index_matches(&flat, &sharded, "bootstrap");
 
         for (round, (inserts, delete_seed)) in rounds.into_iter().enumerate() {
             let tids: Vec<Tid> = live(&flat).into_iter().map(|(t, _)| t).collect();
@@ -149,6 +164,7 @@ proptest! {
                 );
                 assert_bit_identical(&flat, m, &label);
             }
+            assert_one_shard_index_matches(&flat, &sharded, &format!("round {round}"));
         }
         for m in &sharded {
             m.verify_consistency().unwrap();
@@ -210,4 +226,41 @@ fn deletes_on_other_shards_than_inserts_stay_bit_identical() {
             );
         }
     }
+}
+
+/// Past the `Auto` thresholds the bootstrap mine builds an index over the
+/// whole store. A one-shard session adopts it exactly as the default
+/// session does, so neither rebuilds on its first vertical round.
+#[test]
+fn one_shard_auto_session_adopts_the_bootstrap_index() {
+    // 4 500 rows of 4 items over a 40-item alphabet: every item is
+    // large, C₂ holds 780 pairs and the residue is about 4 — Auto
+    // engages — while no pair reaches 2 %, so the mine stops at k = 2.
+    let rows = |n: u64, salt: u64| -> Vec<Transaction> {
+        (0..n)
+            .map(|i| {
+                let i = i + salt;
+                Transaction::from_items((0..4u64).map(|j| ((i * 7 + j * 11 + i * j) % 40) as u32))
+            })
+            .collect()
+    };
+    let minsup = MinSupport::percent(2);
+    let mut flat = builder(minsup, CountingBackend::Auto, 1)
+        .build(rows(4_500, 0))
+        .unwrap();
+    let mut one = builder(minsup, CountingBackend::Auto, 1)
+        .shards(1)
+        .build(rows(4_500, 0))
+        .unwrap();
+    let stats = flat.index_stats();
+    assert_eq!((stats.builds, stats.resident), (1, true));
+    assert_eq!(one.index_stats(), stats, "bootstrap");
+    for round in 0..2u64 {
+        let batch = UpdateBatch::insert_only(rows(500, 10_000 * (round + 1)));
+        flat.apply(batch.clone()).unwrap();
+        one.apply(batch).unwrap();
+        assert_bit_identical(&flat, &one, "one shard");
+        assert_eq!(one.index_stats(), flat.index_stats(), "round {round}");
+    }
+    assert_eq!(flat.index_stats().builds, 1, "insert rounds extend");
 }

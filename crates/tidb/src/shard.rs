@@ -150,6 +150,13 @@ pub enum ShardSpec {
     Ranges(Vec<TidRange>),
 }
 
+/// One shard: the unsharded store.
+impl Default for ShardSpec {
+    fn default() -> Self {
+        ShardSpec::striped(1)
+    }
+}
+
 impl ShardSpec {
     /// A striped spec over `shards` shards with the
     /// [`DEFAULT_STRIPE`] width.
@@ -399,11 +406,10 @@ impl ShardedStaged {
 /// A tid-range-partitioned transaction store: N [`SegmentedDb`] shards
 /// behind one tid space, one staging area, and one scan order.
 ///
-/// The public surface mirrors [`SegmentedDb`] (same two-phase
-/// stage/commit/abort, same staging handles, same live-tid view) so the
-/// maintenance session can drive either store through one code path;
-/// only [`stage`](Self::stage) returns the richer [`ShardedStaged`] that
-/// the shard-parallel mining rounds consume.
+/// This is the maintenance session's store; an unsharded session is the
+/// one-shard case. The two-phase stage/commit/abort mirrors
+/// [`SegmentedDb`]'s, but [`stage`](Self::stage) returns the richer
+/// [`ShardedStaged`] that the shard-parallel mining rounds consume.
 #[derive(Debug)]
 pub struct ShardedDb {
     spec: ShardSpec,
@@ -414,7 +420,8 @@ pub struct ShardedDb {
     staging: Arc<StagingArea>,
     next_tid: u64,
     next_segment: u32,
-    metrics: ScanMetrics,
+    /// Shared with every shard: scanning one shard charges the store.
+    metrics: Arc<ScanMetrics>,
 }
 
 impl ShardedDb {
@@ -423,14 +430,17 @@ impl ShardedDb {
     /// gaps, starts past 0, or ends bounded).
     pub fn new(spec: ShardSpec) -> std::result::Result<Self, SpecError> {
         spec.validate()?;
-        let shards = (0..spec.num_shards()).map(|_| SegmentedDb::new()).collect();
+        let metrics = Arc::new(ScanMetrics::new());
+        let shards = (0..spec.num_shards())
+            .map(|_| SegmentedDb::with_metrics(Arc::clone(&metrics)))
+            .collect();
         Ok(ShardedDb {
             spec,
             shards,
             staging: Arc::default(),
             next_tid: 0,
             next_segment: 0,
-            metrics: ScanMetrics::new(),
+            metrics,
         })
     }
 
@@ -544,8 +554,12 @@ impl ShardedDb {
         self.shards.iter().flat_map(|s| s.iter())
     }
 
-    /// Queues a batch into the (global) staging area without touching any
-    /// live set — see [`SegmentedDb::enqueue`].
+    /// Queues a batch into the (global) staging area **without touching
+    /// any live set**: scans keep seeing exactly the current
+    /// transactions until a `stage`+`commit` round applies it. Deletes
+    /// are validated at arrival — every tid must be live and not already
+    /// claimed by an earlier pending delete — and on
+    /// [`Error::UnknownTransaction`] nothing is queued.
     pub fn enqueue(&self, batch: UpdateBatch) -> Result<()> {
         self.staging.stage(batch)?;
         Ok(())
@@ -566,17 +580,15 @@ impl ShardedDb {
         self.staging.has_pending()
     }
 
-    /// Drains the staging area — see [`SegmentedDb::take_pending`].
-    pub fn take_pending(&mut self) -> UpdateBatch {
-        self.staging.drain()
-    }
-
-    /// Drains keeping per-batch `(ticket, batch)` boundaries.
+    /// Drains keeping per-batch `(ticket, batch)` boundaries; delete
+    /// claims are held until the round commits or aborts.
     pub fn take_pending_entries(&mut self) -> Vec<(u64, UpdateBatch)> {
         self.staging.drain_entries()
     }
 
-    /// Bounded drain — see [`SegmentedDb::take_pending_entries_up_to`].
+    /// [`take_pending_entries`](Self::take_pending_entries) bounded to at
+    /// most `max_ops` operations (see
+    /// [`StagingArea::drain_entries_up_to`]). `None` drains everything.
     pub fn take_pending_entries_up_to(&mut self, max_ops: Option<u64>) -> Vec<(u64, UpdateBatch)> {
         self.staging.drain_entries_up_to(max_ops)
     }
@@ -597,7 +609,7 @@ impl ShardedDb {
     }
 
     /// The global live-tid view shared with delete validation and the
-    /// durable format — identical to the unsharded store's view.
+    /// durable format.
     pub fn live_view(&self) -> LiveTidView {
         self.staging.live_view()
     }
@@ -707,6 +719,12 @@ impl ShardedDb {
         }
     }
 
+    /// The scan accounting for every scan of the store or of one of its
+    /// shards.
+    pub fn metrics(&self) -> &ScanMetrics {
+        &self.metrics
+    }
+
     /// Number of live transactions in shards before `s` — the positional
     /// offset of shard `s`'s rows in the global scan order.
     fn shard_row_offset(&self, s: usize) -> u64 {
@@ -763,10 +781,8 @@ impl TransactionSource for ShardedDb {
         for shard in &self.shards {
             let chunks = shard.plan_chunks(chunk_size);
             if index < chunks {
-                let chunk = shard.chunk(chunk_size, index, scratch);
-                self.metrics
-                    .record_transactions(chunk.len() as u64, chunk.total_items());
-                return chunk;
+                // The shard charges the shared metrics.
+                return shard.chunk(chunk_size, index, scratch);
             }
             index -= chunks;
         }

@@ -1,5 +1,5 @@
-//! Sharded, thread-safe staging for [`SegmentedDb`](crate::SegmentedDb):
-//! the pending area behind `enqueue`/`take_pending`, restructured so many
+//! Sharded, thread-safe staging for [`ShardedDb`](crate::ShardedDb):
+//! the pending area behind `enqueue`/`take_pending_entries`, built so many
 //! producer threads can stage update batches **concurrently** — through
 //! `&self` — while scans of the live set and snapshot reads proceed
 //! untouched.
@@ -17,7 +17,7 @@
 //!   staged, exactly like the single-threaded pending area: the tid must
 //!   be live and not already claimed by an earlier pending delete. The
 //!   area keeps its own *live-tid view* (maintained by the owning
-//!   [`SegmentedDb`](crate::SegmentedDb) on every mutation) so validation
+//!   [`ShardedDb`](crate::ShardedDb) on every mutation) so validation
 //!   never touches the store — producers can validate while a commit
 //!   round is scanning.
 //! * **Claims survive the round.** A drained delete stays claimed until
@@ -27,7 +27,7 @@
 //!   in flight.
 //!
 //! The area is shared by `Arc`: the store holds one handle and hands out
-//! clones ([`SegmentedDb::staging`](crate::SegmentedDb::staging)) to
+//! clones ([`ShardedDb::staging`](crate::ShardedDb::staging)) to
 //! producer threads, which is what lets a maintenance service accept
 //! `stage(&self, …)` calls while its committer thread owns the store
 //! mutably.

@@ -271,17 +271,18 @@
 //!
 //! ## Sharded serving
 //!
-//! A session can partition its live set into N tid-range shards
-//! ([`MaintainerBuilder::shards`], or [`ShardSpec`] for explicit
-//! routing). Support counts are additive over disjoint tid ranges, so
-//! each shard counts its own slice and the merged result is
-//! **bit-identical** to the flat session — same itemsets and supports,
-//! same rules, same reports — while each shard keeps its own persistent
-//! vertical index (a delete rebuilds only the shard it lands on) and
-//! scans in parallel as its own chunk partition. The routing spec is
-//! pure configuration: it is validated at build time and never changes
-//! a result, only where rows live. See `DESIGN_SHARDING.md` for the
-//! invariants.
+//! A session's store is a [`ShardedDb`]: its live set is partitioned
+//! into tid-range shards, one by default (`shards(1)`, the unsharded
+//! store). [`MaintainerBuilder::shards`] asks for more, or [`ShardSpec`]
+//! gives explicit routing. Support counts are additive over disjoint
+//! tid ranges, so each shard counts its own slice and the merged result
+//! is **bit-identical** at every shard count — same itemsets and
+//! supports, same rules, same reports — while each shard keeps its own
+//! persistent vertical index (a delete rebuilds only the shard it lands
+//! on) and scans in parallel as its own chunk partition. The routing
+//! spec is pure configuration: it is validated at build time and never
+//! changes a result, only where rows live. See `DESIGN_SHARDING.md` for
+//! the invariants.
 //!
 //! ```
 //! use fup::{Maintainer, MinConfidence, MinSupport, ShardSpec, Tid};
@@ -296,6 +297,7 @@
 //!         .min_confidence(MinConfidence::percent(60))
 //! };
 //! let mut flat = builder().build(history.clone()).unwrap();
+//! assert_eq!(flat.store().num_shards(), 1);
 //! let mut sharded = builder()
 //!     .shard_spec(ShardSpec::striped_with(4, 1)) // tid t -> shard t % 4
 //!     .build(history)
@@ -312,7 +314,7 @@
 //! sharded.apply(batch).unwrap();
 //!
 //! // Count distribution: per-shard supports merge by summation, so the
-//! // sharded session is bit-identical to the flat one.
+//! // four-shard session is bit-identical to the one-shard one.
 //! assert!(sharded.large_itemsets().same_itemsets(flat.large_itemsets()));
 //! assert_eq!(sharded.rules(), flat.rules());
 //!
@@ -416,8 +418,8 @@ pub use fup_core::{
     BuildError, Cluster, CommitPolicy, DurabilityPolicy, Fup, Fup2, FupConfig, FupOutcome,
     HealthReport, HealthState, IndexStats, ItemsetDiff, LogState, Maintainer, MaintainerBuilder,
     MaintainerService, MaintenanceReport, RecoveryReport, RetryPolicy, RuleDiff, RuleSnapshot,
-    ServiceError, ServiceHealth, ServiceMetrics, SessionStore, ShardHealth, ShardWorker,
-    StageHandle, UpdatePolicy, WorkerProbe,
+    ServiceError, ServiceHealth, ServiceMetrics, ShardHealth, ShardWorker, StageHandle,
+    UpdatePolicy, WorkerProbe,
 };
 pub use fup_datagen::{GenParams, QuestGenerator};
 pub use fup_mining::{
