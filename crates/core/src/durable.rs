@@ -7,13 +7,15 @@
 //! A durable session keeps two kinds of files in its storage directory,
 //! both named by a shared **sequence number**:
 //!
-//! * `ckpt-<seq>` — a full image of the session (written atomically):
-//!   live transactions in tid order as [`PagedStore`] pages, the
-//!   watermark + tombstone live-tid view, the maintained large itemsets,
-//!   the staged-but-uncommitted backlog, and — when the store is still
-//!   tid-ordered — the resident [`VerticalIndex`]. Rules are *not*
-//!   stored: they are a pure function of the itemsets and the confidence
-//!   threshold, re-derived on recovery.
+//! * `ckpt-<seq>` — a checkpoint (written atomically), in one of two
+//!   shapes. A **full image** holds the live transactions in tid order
+//!   as [`PagedStore`] pages, the watermark + tombstone live-tid view,
+//!   the maintained large itemsets and the staged-but-uncommitted
+//!   backlog. A **delta** names its parent checkpoint and holds only the
+//!   rows inserted and the tids tombstoned since it, plus the itemsets,
+//!   watermark and backlog whole. Neither stores rules (a pure function
+//!   of the itemsets and the confidence threshold) or the vertical index
+//!   (rebuilt by the first round that counts vertically).
 //! * `wal-<seq>` — the append-only log of everything since `ckpt-<seq>`:
 //!   one CRC32-framed [`WalRecord`] per staged batch (written *before*
 //!   the batch becomes visible to a commit round) plus a `Commit` /
@@ -21,22 +23,28 @@
 //!
 //! Checkpoints and WAL segments rotate together: writing `ckpt-<s>`
 //! starts a fresh, empty `wal-<s>` (the backlog is embedded in the
-//! checkpoint), and older pairs are garbage-collected down to
-//! [`DurabilityPolicy::retain_checkpoints`].
+//! checkpoint). Most checkpoints are deltas; a full image is cut once
+//! the deltas since the last one add up to its size, on every heal, and
+//! at the recovery seal. Retention keeps the
+//! [`DurabilityPolicy::retain_checkpoints`] newest full images and every
+//! file from the oldest of them on, so each retained checkpoint's chain
+//! is complete.
 //!
 //! ## Recovery invariant
 //!
-//! Recovery loads the newest checkpoint that validates (magic + CRC),
-//! replays the WAL tail, and reproduces **exactly the state of every
-//! durably-acknowledged commit**: a round whose `Commit` boundary
-//! reached storage is replayed bit-for-bit (FUP rounds are deterministic
-//! given the arrival order, which the tickets pin); a round that crashed
-//! mid-flight is rolled back, with its staged batches re-queued. A torn
-//! or corrupt WAL tail is dropped (reported, never a panic) — safe
-//! because a `Commit` record always follows its `Stage` records in file
-//! order, so dropping a suffix can only un-stage batches, never lose an
-//! acknowledged commit. A corrupt checkpoint falls back to the previous
-//! one at the cost of a longer replay.
+//! Recovery assembles the newest checkpoint whose chain — the delta, its
+//! parents, down to a full image — validates (magic + CRC + structure on
+//! every file), replays the WAL tail, and reproduces **exactly the state
+//! of every durably-acknowledged commit**: a round whose `Commit`
+//! boundary reached storage is replayed bit-for-bit (FUP rounds are
+//! deterministic given the arrival order, which the tickets pin); a round
+//! that crashed mid-flight is rolled back, with its staged batches
+//! re-queued. A torn or corrupt WAL tail is dropped (reported, never a
+//! panic) — safe because a `Commit` record always follows its `Stage`
+//! records in file order, so dropping a suffix can only un-stage batches,
+//! never lose an acknowledged commit. A corrupt checkpoint file — full or
+//! delta — falls back to an older checkpoint whose chain avoids it, at
+//! the cost of a longer replay.
 //!
 //! ## Fault handling
 //!
@@ -61,17 +69,18 @@
 //!   acknowledge more work.
 
 use crate::error::{BuildError, Error, Result};
-use fup_mining::{Itemset, LargeItemsets, VerticalIndex};
+use fup_mining::{Itemset, LargeItemsets};
 use fup_tidb::codec::{read_varint, read_varint64, write_varint, write_varint64};
 use fup_tidb::page::PagedStore;
 use fup_tidb::wal::{self, WalRecord};
 use fup_tidb::{DurableStorage, StagingArea, Tid, Transaction, UpdateBatch};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Magic prefix of every checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FUPCKPT1";
+/// Magic prefix of every checkpoint file, full image or delta.
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FUPCKPT2";
 
 /// How a durable session trades write latency for recovery work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,8 +284,8 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct RecoveryReport {
     /// Sequence number of the checkpoint recovery started from.
     pub checkpoint_seq: u64,
-    /// Checkpoints that failed validation and were skipped (newest
-    /// first) — recovery fell back past them.
+    /// Checkpoints skipped because they, or a file of their delta chain,
+    /// failed validation (newest first) — recovery fell back past them.
     pub corrupt_checkpoints: Vec<u64>,
     /// Committed rounds replayed from the WAL tail.
     pub replayed_rounds: u64,
@@ -307,22 +316,50 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
 
 // ------------------------------------------------- checkpoint format --
 
-/// A decoded checkpoint: everything needed to rebuild a [`Maintainer`]
+/// The checkpoint a delta extends: its sequence number and watermark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Parent {
+    pub seq: u64,
+    pub watermark: u64,
+}
+
+/// A decoded checkpoint file. A full image (`parent: None`) holds the
+/// whole session; a delta holds what changed since its parent. Recovery
+/// only ever sees full images: [`load_latest`] folds each delta into its
+/// parent's image. Everything needed to rebuild a [`Maintainer`]
 /// (`crate::Maintainer`) except the configuration, which the recovering
 /// builder supplies.
 #[derive(Debug)]
 pub(crate) struct CheckpointImage {
     pub seq: u64,
+    pub parent: Option<Parent>,
     pub version: u64,
     pub minsup: (u64, u64),
     pub minconf: (u64, u64),
     pub watermark: u64,
     pub next_segment: u32,
+    /// Full image: every tombstoned tid. Delta: the tids tombstoned since
+    /// the parent (its deleted rows, and rows inserted and deleted since).
     pub tombstones: Vec<Tid>,
+    /// Full image: every live row. Delta: the rows inserted since the
+    /// parent and still live.
     pub live: Vec<(Tid, Transaction)>,
     pub large: LargeItemsets,
     pub backlog: Vec<(u64, UpdateBatch)>,
-    pub index: Option<VerticalIndex>,
+}
+
+/// What every checkpoint carries whole, full image or delta.
+#[derive(Debug)]
+pub(crate) struct CheckpointHead<'a> {
+    pub seq: u64,
+    pub parent: Option<Parent>,
+    pub version: u64,
+    pub minsup: (u64, u64),
+    pub minconf: (u64, u64),
+    pub watermark: u64,
+    pub next_segment: u32,
+    pub large: &'a LargeItemsets,
+    pub backlog: &'a [(u64, UpdateBatch)],
 }
 
 fn corrupt(reason: impl Into<String>, offset: usize) -> fup_tidb::Error {
@@ -364,38 +401,69 @@ fn decode_tids(buf: &[u8], pos: &mut usize) -> std::result::Result<Vec<Tid>, fup
     Ok(out)
 }
 
-/// Serialises a full checkpoint file (magic + CRC + body). `live` must
-/// be in ascending tid order. Fails only if a transaction cannot fit a
-/// storage page.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_checkpoint(
-    seq: u64,
-    version: u64,
-    minsup: (u64, u64),
-    minconf: (u64, u64),
-    watermark: u64,
-    next_segment: u32,
-    tombstones: &[Tid],
+/// Checks that `live` and the `tombstones` at or above `lo` (each list
+/// strictly ascending) split the tid range `lo..hi` exactly: every tid in
+/// it is one or the other, and neither list strays outside it.
+fn check_partition(
     live: &[(Tid, Transaction)],
-    large: &LargeItemsets,
-    backlog: &[(u64, UpdateBatch)],
-    index: Option<&VerticalIndex>,
+    tombstones: &[Tid],
+    lo: u64,
+    hi: u64,
+    at: usize,
+) -> std::result::Result<(), fup_tidb::Error> {
+    let split = || corrupt("live tids and tombstones do not split the tid range", at);
+    let tombstones = &tombstones[tombstones.partition_point(|t| t.0 < lo)..];
+    let span = hi.checked_sub(lo).ok_or_else(split)?;
+    if (live.len() + tombstones.len()) as u64 != span {
+        return Err(split());
+    }
+    let mut live = live.iter().map(|&(tid, _)| tid).peekable();
+    let mut dead = tombstones.iter().copied().peekable();
+    for expect in (lo..hi).map(Tid) {
+        if live
+            .next_if_eq(&expect)
+            .or_else(|| dead.next_if_eq(&expect))
+            .is_none()
+        {
+            return Err(split());
+        }
+    }
+    Ok(())
+}
+
+/// Serialises a checkpoint file (magic + CRC + body). For a full image
+/// (`head.parent` is `None`) `tombstones` and `live` are the whole
+/// live-tid view; for a delta they are the tids tombstoned and the rows
+/// inserted since the parent. Both in ascending tid order. Fails only if
+/// a transaction cannot fit a storage page.
+pub(crate) fn encode_checkpoint(
+    head: &CheckpointHead<'_>,
+    tombstones: &[Tid],
+    live: &[(Tid, &Transaction)],
 ) -> std::result::Result<Vec<u8>, fup_tidb::Error> {
     let mut body = Vec::new();
-    write_varint64(&mut body, seq);
-    write_varint64(&mut body, version);
-    write_varint64(&mut body, minsup.0);
-    write_varint64(&mut body, minsup.1);
-    write_varint64(&mut body, minconf.0);
-    write_varint64(&mut body, minconf.1);
-    write_varint64(&mut body, watermark);
-    write_varint(&mut body, next_segment);
+    write_varint64(&mut body, head.seq);
+    match head.parent {
+        None => body.push(0),
+        Some(parent) => {
+            body.push(1);
+            write_varint64(&mut body, parent.seq);
+            write_varint64(&mut body, parent.watermark);
+        }
+    }
+    write_varint64(&mut body, head.version);
+    write_varint64(&mut body, head.minsup.0);
+    write_varint64(&mut body, head.minsup.1);
+    write_varint64(&mut body, head.minconf.0);
+    write_varint64(&mut body, head.minconf.1);
+    write_varint64(&mut body, head.watermark);
+    write_varint(&mut body, head.next_segment);
     encode_tids(&mut body, tombstones);
 
     // Live transactions ride in the paged storage format — the same 4 KiB
     // page layout the scan-cost model charges — with a parallel tid list.
     let tids: Vec<Tid> = live.iter().map(|&(tid, _)| tid).collect();
-    let store = PagedStore::from_transactions(live.iter().map(|(_, t)| t))?;
+    let store = PagedStore::from_transactions(live.iter().map(|&(_, t)| t))?;
     encode_tids(&mut body, &tids);
     write_varint64(&mut body, store.page_size() as u64);
     write_varint64(&mut body, store.num_pages() as u64);
@@ -407,6 +475,7 @@ pub(crate) fn encode_checkpoint(
 
     // Large itemsets with exact supports, level by level in sorted order
     // so identical states encode identically.
+    let large = head.large;
     write_varint64(&mut body, large.num_transactions());
     write_varint64(&mut body, large.len() as u64);
     for k in 1..=large.max_size() {
@@ -420,18 +489,10 @@ pub(crate) fn encode_checkpoint(
     }
 
     // Staged-but-uncommitted backlog, so the fresh WAL starts empty.
-    write_varint64(&mut body, backlog.len() as u64);
-    for (ticket, batch) in backlog {
+    write_varint64(&mut body, head.backlog.len() as u64);
+    for (ticket, batch) in head.backlog {
         write_varint64(&mut body, *ticket);
         wal::encode_batch(&mut body, batch);
-    }
-
-    match index {
-        None => body.push(0),
-        Some(idx) => {
-            body.push(1);
-            idx.encode(&mut body);
-        }
     }
 
     let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 4 + body.len());
@@ -441,10 +502,11 @@ pub(crate) fn encode_checkpoint(
     Ok(out)
 }
 
-/// Decodes and fully validates a checkpoint file. Any structural damage
-/// — bad magic, CRC mismatch, truncation, out-of-range references —
-/// yields a typed [`fup_tidb::Error::Corrupt`]; this function never
-/// panics on untrusted bytes.
+/// Decodes and fully validates one checkpoint file, full image or delta.
+/// Any structural damage — bad magic, CRC mismatch, truncation,
+/// out-of-range references, a tid range the live rows and tombstones do
+/// not split exactly — yields a typed [`fup_tidb::Error::Corrupt`]; this
+/// function never panics on untrusted bytes.
 pub(crate) fn decode_checkpoint(
     bytes: &[u8],
 ) -> std::result::Result<CheckpointImage, fup_tidb::Error> {
@@ -464,6 +526,25 @@ pub(crate) fn decode_checkpoint(
 
     let mut pos = 0usize;
     let seq = read_varint64(body, &mut pos)?;
+    let parent = match body.get(pos) {
+        Some(0) => {
+            pos += 1;
+            None
+        }
+        Some(1) => {
+            pos += 1;
+            let parent = Parent {
+                seq: read_varint64(body, &mut pos)?,
+                watermark: read_varint64(body, &mut pos)?,
+            };
+            if parent.seq >= seq {
+                return Err(corrupt("delta names a parent that is not older", pos));
+            }
+            Some(parent)
+        }
+        Some(_) => return Err(corrupt("bad checkpoint kind", pos)),
+        None => return Err(corrupt("truncated before checkpoint kind", pos)),
+    };
     let version = read_varint64(body, &mut pos)?;
     let minsup = (
         read_varint64(body, &mut pos)?,
@@ -479,7 +560,7 @@ pub(crate) fn decode_checkpoint(
 
     let tids = decode_tids(body, &mut pos)?;
     let page_size = read_varint64(body, &mut pos)? as usize;
-    if page_size == 0 || page_size > (16 << 20) {
+    if !(64..=16 << 20).contains(&page_size) {
         return Err(corrupt("implausible checkpoint page size", pos));
     }
     let num_pages = read_varint64(body, &mut pos)? as usize;
@@ -506,12 +587,16 @@ pub(crate) fn decode_checkpoint(
             pos,
         ));
     }
-    for &Tid(t) in &tids {
-        if t >= watermark {
-            return Err(corrupt("live tid at or above the watermark", pos));
-        }
-    }
     let live: Vec<(Tid, Transaction)> = tids.into_iter().zip(transactions).collect();
+    // A full image splits every tid below its watermark into live rows and
+    // tombstones; a delta, the tids allocated since its parent.
+    check_partition(
+        &live,
+        &tombstones,
+        parent.map_or(0, |p| p.watermark),
+        watermark,
+        pos,
+    )?;
 
     let baseline = read_varint64(body, &mut pos)?;
     let num_large = read_varint64(body, &mut pos)? as usize;
@@ -553,29 +638,13 @@ pub(crate) fn decode_checkpoint(
         let batch = wal::decode_batch(body, &mut pos)?;
         backlog.push((ticket, batch));
     }
-
-    let index = match body.get(pos) {
-        Some(0) => {
-            pos += 1;
-            None
-        }
-        Some(1) => {
-            pos += 1;
-            let idx = VerticalIndex::decode(body, &mut pos)?;
-            if idx.num_transactions() != live.len() as u64 {
-                return Err(corrupt("checkpoint index covers a different store", pos));
-            }
-            Some(idx)
-        }
-        Some(_) => return Err(corrupt("bad index flag", pos)),
-        None => return Err(corrupt("truncated before index flag", pos)),
-    };
     if pos != body.len() {
         return Err(corrupt("trailing bytes after checkpoint", pos));
     }
 
     Ok(CheckpointImage {
         seq,
+        parent,
         version,
         minsup,
         minconf,
@@ -585,8 +654,60 @@ pub(crate) fn decode_checkpoint(
         live,
         large,
         backlog,
-        index,
     })
+}
+
+impl CheckpointImage {
+    /// Folds `delta`, a decoded delta whose parent is this full image,
+    /// into it: drops the rows it deletes, appends the rows it inserts,
+    /// and takes its header, itemsets and backlog. A delta that does not
+    /// extend this image — wrong parent, other thresholds, an earlier
+    /// version, or a deletion of a row the image does not hold — is
+    /// [`fup_tidb::Error::Corrupt`].
+    fn apply(&mut self, delta: CheckpointImage) -> std::result::Result<(), fup_tidb::Error> {
+        let parent = Parent {
+            seq: self.seq,
+            watermark: self.watermark,
+        };
+        if delta.parent != Some(parent)
+            || (delta.minsup, delta.minconf) != (self.minsup, self.minconf)
+            || delta.version < self.version
+        {
+            return Err(corrupt(
+                format!(
+                    "delta {} does not extend checkpoint {}",
+                    delta.seq, self.seq
+                ),
+                0,
+            ));
+        }
+        // The delta's tombstones below the parent's watermark are the
+        // parent rows it deletes; both lists are ascending.
+        let below = delta.tombstones.partition_point(|t| t.0 < parent.watermark);
+        let deleted = &delta.tombstones[..below];
+        let mut next = 0;
+        self.live.retain(|&(tid, _)| {
+            let gone = deleted.get(next) == Some(&tid);
+            next += usize::from(gone);
+            !gone
+        });
+        if next != deleted.len() {
+            return Err(corrupt(
+                format!("delta {} deletes a row its parent does not hold", delta.seq),
+                0,
+            ));
+        }
+        self.live.extend(delta.live);
+        self.tombstones.extend(delta.tombstones);
+        self.tombstones.sort_unstable();
+        self.seq = delta.seq;
+        self.version = delta.version;
+        self.watermark = delta.watermark;
+        self.next_segment = delta.next_segment;
+        self.large = delta.large;
+        self.backlog = delta.backlog;
+        Ok(())
+    }
 }
 
 // ----------------------------------------------------- the WAL handle --
@@ -631,6 +752,31 @@ struct LogInner {
     /// failed attempt tore bytes onto the segment, and appending after
     /// a torn frame would bury every later record at replay.
     wal_len: Option<u64>,
+    /// The newest installed checkpoint, which the next delta extends;
+    /// `None` until this log installs its first (a full image).
+    tip: Option<Tip>,
+    /// Sequence numbers of the full images retention counts, ascending.
+    fulls: Vec<u64>,
+}
+
+/// The checkpoint the next delta names as its parent, and what the
+/// full-cut rule reads.
+#[derive(Debug)]
+struct Tip {
+    parent: Parent,
+    /// Tids deleted by the rounds committed since the tip was installed.
+    deleted: Vec<Tid>,
+    /// Bytes of the newest full image, and of the deltas written since.
+    full_bytes: u64,
+    delta_bytes: u64,
+}
+
+/// What a delta checkpoint is encoded against: its parent, and the tids
+/// deleted by every round committed since it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeltaBase<'a> {
+    pub parent: Parent,
+    pub deleted: &'a [Tid],
 }
 
 /// The session's handle on its durable storage: appends WAL records (in
@@ -672,8 +818,24 @@ impl DurableLog {
                 unflushed: 0,
                 oldest_unflushed: None,
                 wal_len: None,
+                tip: None,
+                fulls: Vec::new(),
             }),
         }
+    }
+
+    /// A log resuming at `seq` after recovery, over storage that still
+    /// holds the full image `root` the recovered chain starts from:
+    /// retention counts `root` as the full image before the seal.
+    pub(crate) fn resumed(
+        storage: Arc<dyn DurableStorage>,
+        policy: DurabilityPolicy,
+        seq: u64,
+        root: u64,
+    ) -> Self {
+        let log = Self::new(storage, policy, seq);
+        log.lock_inner().fulls.push(root);
+        log
     }
 
     pub(crate) fn state(&self) -> LogState {
@@ -894,10 +1056,14 @@ impl DurableLog {
         }
     }
 
-    /// Counts one committed round against the checkpoint cadence,
-    /// returning `true` when a checkpoint is due.
-    pub(crate) fn note_round(&self) -> bool {
+    /// Counts one durably-acknowledged round, which deleted `deleted`,
+    /// against the checkpoint cadence, returning `true` when a checkpoint
+    /// is due. The deletions ride into the next delta.
+    pub(crate) fn note_round(&self, deleted: &[Tid]) -> bool {
         let mut inner = self.lock_inner();
+        if let Some(tip) = &mut inner.tip {
+            tip.deleted.extend_from_slice(deleted);
+        }
         inner.rounds_since_ckpt += 1;
         inner.rounds_since_ckpt >= self.policy.checkpoint_every_rounds
     }
@@ -908,9 +1074,10 @@ impl DurableLog {
         self.lock_inner().seq + 1
     }
 
-    /// Atomically installs checkpoint `seq` (already encoded), starts its
-    /// fresh WAL segment, and garbage-collects pairs beyond the retention
-    /// policy. Degrades or poisons on failure per the fault kind.
+    /// Atomically installs checkpoint `seq` (an encoded full image of a
+    /// store at `watermark`), starts its fresh WAL segment, and
+    /// garbage-collects files beyond the retention policy. Degrades or
+    /// poisons on failure per the fault kind.
     ///
     /// This is also the **heal** path: it is allowed while the log is
     /// degraded, because a checkpoint embeds the staged backlog and the
@@ -919,32 +1086,50 @@ impl DurableLog {
     /// nothing durably acknowledged depends on the bytes the degraded
     /// segment may or may not hold. Full success flips the log back to
     /// [`LogState::Healthy`].
-    pub(crate) fn install_checkpoint(&self, seq: u64, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn install_checkpoint(&self, seq: u64, bytes: &[u8], watermark: u64) -> Result<()> {
         if self.is_poisoned() {
             self.check_usable()?;
         }
         let mut inner = self.lock_inner();
-        self.install_locked(&mut inner, seq, bytes)
+        self.install_locked(&mut inner, seq, bytes, true, watermark)
     }
 
-    /// Encodes (via `encode`, handed the sequence number) and installs
-    /// the next checkpoint as **one critical section** on the log lock.
+    /// Encodes (via `encode`, handed the sequence number and, for a
+    /// delta, its base) and installs the next checkpoint of a store at
+    /// `watermark` as **one critical section** on the log lock.
     /// Concurrent [`log_stage`](Self::log_stage) calls append and admit
     /// under the same lock, so the encoded backlog and the superseded
     /// WAL segment can never disagree about a staged batch: every ticket
     /// a post-rotation `Commit` references is either embedded in this
     /// checkpoint or staged in the fresh segment.
+    ///
+    /// `encode` gets no base — and must write a full image — once the
+    /// deltas since the last full image add up to its size, and while
+    /// the log is degraded: a round whose boundary failed may have
+    /// committed in memory without reaching [`note_round`](Self::note_round),
+    /// so the heal writes an image that depends on no such bookkeeping.
     pub(crate) fn checkpoint_with(
         &self,
-        encode: impl FnOnce(u64) -> Result<Vec<u8>>,
+        watermark: u64,
+        encode: impl FnOnce(u64, Option<DeltaBase<'_>>) -> Result<Vec<u8>>,
     ) -> Result<u64> {
         if self.is_poisoned() {
             self.check_usable()?;
         }
         let mut inner = self.lock_inner();
         let seq = inner.seq + 1;
-        let bytes = encode(seq)?;
-        self.install_locked(&mut inner, seq, &bytes)?;
+        let healthy = self.state() == LogState::Healthy;
+        let base = inner
+            .tip
+            .as_ref()
+            .filter(|tip| healthy && tip.delta_bytes < tip.full_bytes)
+            .map(|tip| DeltaBase {
+                parent: tip.parent,
+                deleted: &tip.deleted,
+            });
+        let full = base.is_none();
+        let bytes = encode(seq, base)?;
+        self.install_locked(&mut inner, seq, &bytes, full, watermark)?;
         Ok(seq)
     }
 
@@ -953,6 +1138,8 @@ impl DurableLog {
         inner: &mut std::sync::MutexGuard<'_, LogInner>,
         seq: u64,
         bytes: &[u8],
+        full: bool,
+        watermark: u64,
     ) -> Result<()> {
         let result: fup_tidb::Result<()> = (|| {
             self.retrying(|| self.storage.write_atomic(&ckpt_name(seq), bytes))?;
@@ -975,29 +1162,20 @@ impl DurableLog {
         inner.oldest_unflushed = None;
         // The fresh segment holds exactly the empty append.
         inner.wal_len = Some(0);
-        // Retention: best-effort removal of superseded pairs. A failure
-        // here loses nothing (old files are only ever extra), but the
-        // storage is evidently unwell, so degrade/poison to stay
-        // conservative.
-        let mut ckpts: Vec<u64> = match self.retrying(|| self.storage.list()) {
-            Ok(names) => names.iter().filter_map(|n| parse_seq(n, "ckpt-")).collect(),
-            Err(e) => return Err(self.fail(e)),
+        let len = bytes.len() as u64;
+        let (full_bytes, delta_bytes) = match &inner.tip {
+            Some(tip) if !full => (tip.full_bytes, tip.delta_bytes + len),
+            _ => (len, 0),
         };
-        ckpts.sort_unstable();
-        if ckpts.len() > self.policy.retain_checkpoints {
-            let cutoff = ckpts[ckpts.len() - self.policy.retain_checkpoints];
-            let names = self
-                .retrying(|| self.storage.list())
-                .map_err(Error::Store)?;
-            for name in names {
-                let stale = parse_seq(&name, "ckpt-").is_some_and(|s| s < cutoff)
-                    || parse_seq(&name, "wal-").is_some_and(|s| s < cutoff);
-                if stale {
-                    if let Err(e) = self.retrying(|| self.storage.remove(&name)) {
-                        return Err(self.fail(e));
-                    }
-                }
-            }
+        inner.tip = Some(Tip {
+            parent: Parent { seq, watermark },
+            deleted: Vec::new(),
+            full_bytes,
+            delta_bytes,
+        });
+        if full {
+            inner.fulls.push(seq);
+            self.collect_garbage(inner)?;
         }
         // The rotation is durable and complete: a degraded log is healed.
         let _ = self.state.compare_exchange(
@@ -1008,6 +1186,38 @@ impl DurableLog {
         );
         Ok(())
     }
+
+    /// Retention, run after a full image installs: keeps the
+    /// [`DurabilityPolicy::retain_checkpoints`] newest full images and
+    /// removes every checkpoint and WAL segment older than the oldest of
+    /// them. Each retained checkpoint's chain therefore stays whole, and
+    /// so does the WAL any of them would replay. A failure here loses
+    /// nothing (old files are only ever extra), but the storage is
+    /// evidently unwell, so it degrades/poisons to stay conservative.
+    fn collect_garbage(&self, inner: &mut LogInner) -> Result<()> {
+        let Some(stale) = inner
+            .fulls
+            .len()
+            .checked_sub(self.policy.retain_checkpoints)
+        else {
+            return Ok(());
+        };
+        let cutoff = inner.fulls[stale];
+        let names = match self.retrying(|| self.storage.list()) {
+            Ok(names) => names,
+            Err(e) => return Err(self.fail(e)),
+        };
+        for name in names {
+            let seq = parse_seq(&name, "ckpt-").or_else(|| parse_seq(&name, "wal-"));
+            if seq.is_some_and(|s| s < cutoff) {
+                if let Err(e) = self.retrying(|| self.storage.remove(&name)) {
+                    return Err(self.fail(e));
+                }
+            }
+        }
+        inner.fulls.drain(..stale);
+        Ok(())
+    }
 }
 
 // ------------------------------------------------------- log loading --
@@ -1015,7 +1225,10 @@ impl DurableLog {
 /// Everything recovery reads from storage before rebuilding a session.
 #[derive(Debug)]
 pub(crate) struct RecoveredLog {
+    /// The chosen checkpoint, folded into a full image.
     pub image: CheckpointImage,
+    /// The full image the chosen checkpoint's chain starts from.
+    pub root: u64,
     pub corrupt_checkpoints: Vec<u64>,
     /// WAL records from every segment at or after the chosen checkpoint,
     /// concatenated in segment order.
@@ -1026,8 +1239,55 @@ pub(crate) struct RecoveredLog {
     pub max_seq: u64,
 }
 
-/// Scans the storage directory, picks the newest checkpoint that
-/// validates, and gathers the WAL records to replay on top of it.
+/// Checkpoint files decoded so far, by sequence number; `None` marks one
+/// that is missing or failed validation.
+type Decoded = HashMap<u64, Option<CheckpointImage>>;
+
+/// Assembles the chain ending at checkpoint `seq` — the full image at its
+/// root with every delta on the way back up folded in — or `None` if any
+/// file of the chain is missing, fails validation, or does not extend
+/// its parent. Files are read once across calls through `decoded`; a
+/// chain that fails to fold marks its files bad, so recovery only ever
+/// falls back to a chain that avoids them.
+fn assemble_chain(
+    storage: &dyn DurableStorage,
+    seq: u64,
+    decoded: &mut Decoded,
+) -> Result<Option<(CheckpointImage, u64)>> {
+    let mut chain = Vec::new();
+    let mut next = Some(seq);
+    while let Some(s) = next {
+        let file = match decoded.entry(s) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => {
+                let bytes = storage.read(&ckpt_name(s)).map_err(Error::Store)?;
+                slot.insert(bytes.and_then(|b| decode_checkpoint(&b).ok().filter(|f| f.seq == s)))
+            }
+        };
+        let Some(file) = file else {
+            return Ok(None);
+        };
+        next = file.parent.map(|p| p.seq);
+        chain.push(s);
+    }
+    let root = *chain.last().expect("the chain holds seq");
+    let mut files = chain.into_iter().rev().map(|s| {
+        decoded
+            .insert(s, None)
+            .flatten()
+            .expect("every file of the chain decoded above")
+    });
+    let mut image = files.next().expect("the chain holds its root");
+    for delta in files {
+        if image.apply(delta).is_err() {
+            return Ok(None);
+        }
+    }
+    Ok(Some((image, root)))
+}
+
+/// Scans the storage directory, assembles the newest checkpoint whose
+/// chain validates, and gathers the WAL records to replay on top of it.
 pub(crate) fn load_latest(storage: &dyn DurableStorage) -> Result<RecoveredLog> {
     let names = storage.list().map_err(Error::Store)?;
     let mut ckpt_seqs: Vec<u64> = names.iter().filter_map(|n| parse_seq(n, "ckpt-")).collect();
@@ -1048,28 +1308,21 @@ pub(crate) fn load_latest(storage: &dyn DurableStorage) -> Result<RecoveredLog> 
         .unwrap_or(0);
 
     let mut corrupt_checkpoints = Vec::new();
-    let mut image = None;
+    let mut decoded = Decoded::new();
+    let mut chosen = None;
     for &seq in &ckpt_seqs {
-        let bytes = match storage.read(&ckpt_name(seq)) {
-            Ok(Some(b)) => b,
-            Ok(None) => {
-                corrupt_checkpoints.push(seq);
-                continue;
-            }
-            Err(e) => return Err(Error::Store(e)),
-        };
-        match decode_checkpoint(&bytes) {
-            Ok(img) if img.seq == seq => {
-                image = Some(img);
+        match assemble_chain(storage, seq, &mut decoded)? {
+            Some(found) => {
+                chosen = Some(found);
                 break;
             }
-            _ => corrupt_checkpoints.push(seq),
+            None => corrupt_checkpoints.push(seq),
         }
     }
-    let Some(image) = image else {
+    let Some((image, root)) = chosen else {
         return Err(Error::Recovery {
             reason: format!(
-                "every checkpoint failed validation ({} candidate(s)); \
+                "no checkpoint chain validates ({} candidate(s)); \
                  the storage is unrecoverable",
                 corrupt_checkpoints.len()
             ),
@@ -1100,6 +1353,7 @@ pub(crate) fn load_latest(storage: &dyn DurableStorage) -> Result<RecoveredLog> 
 
     Ok(RecoveredLog {
         image,
+        root,
         corrupt_checkpoints,
         replay,
         wal_tail_dropped,
@@ -1116,6 +1370,41 @@ mod tests {
         Transaction::from_items(items.iter().copied())
     }
 
+    /// The header of a checkpoint `seq` over `large` and `backlog`, with
+    /// the sample thresholds.
+    fn head<'a>(
+        seq: u64,
+        parent: Option<Parent>,
+        version: u64,
+        watermark: u64,
+        large: &'a LargeItemsets,
+        backlog: &'a [(u64, UpdateBatch)],
+    ) -> CheckpointHead<'a> {
+        CheckpointHead {
+            seq,
+            parent,
+            version,
+            minsup: (40, 100),
+            minconf: (60, 100),
+            watermark,
+            next_segment: 2,
+            large,
+            backlog,
+        }
+    }
+
+    fn refs(rows: &[(Tid, Transaction)]) -> Vec<(Tid, &Transaction)> {
+        rows.iter().map(|(tid, t)| (*tid, t)).collect()
+    }
+
+    /// A full image of an empty store.
+    fn empty_image(seq: u64) -> Vec<u8> {
+        let large = LargeItemsets::new(0);
+        encode_checkpoint(&head(seq, None, 0, 0, &large, &[]), &[], &[]).unwrap()
+    }
+
+    /// Checkpoint 5: a full image of tids 0, 1, 3 (2 tombstoned) below
+    /// watermark 4, with itemsets and a two-batch backlog.
     fn sample_image_bytes() -> Vec<u8> {
         let mut large = LargeItemsets::new(3);
         large.insert(Itemset::from_items([1u32]), 3);
@@ -1137,19 +1426,37 @@ mod tests {
             ),
         ];
         encode_checkpoint(
-            5,
-            12,
-            (40, 100),
-            (60, 100),
-            4,
-            2,
+            &head(5, None, 12, 4, &large, &backlog),
             &[Tid(2)],
-            &live,
-            &large,
-            &backlog,
-            None,
+            &refs(&live),
         )
         .unwrap()
+    }
+
+    /// Checkpoint 6, a delta on the sample image: deletes tid 1, inserts
+    /// tids 4..7 of which 5 was deleted again, and empties the backlog.
+    fn sample_delta_bytes() -> Vec<u8> {
+        let mut large = LargeItemsets::new(4);
+        large.insert(Itemset::from_items([2u32]), 3);
+        let inserted = vec![(Tid(4), tx(&[2, 3])), (Tid(6), tx(&[1, 2]))];
+        let parent = Parent {
+            seq: 5,
+            watermark: 4,
+        };
+        encode_checkpoint(
+            &head(6, Some(parent), 13, 7, &large, &[]),
+            &[Tid(1), Tid(5)],
+            &refs(&inserted),
+        )
+        .unwrap()
+    }
+
+    /// Recomputes the CRC over `bytes`' body, so a flipped byte reaches
+    /// the structural checks behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let header = CHECKPOINT_MAGIC.len();
+        let crc = wal::crc32(&bytes[header + 4..]);
+        bytes[header..header + 4].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -1157,6 +1464,7 @@ mod tests {
         let bytes = sample_image_bytes();
         let img = decode_checkpoint(&bytes).unwrap();
         assert_eq!(img.seq, 5);
+        assert_eq!(img.parent, None);
         assert_eq!(img.version, 12);
         assert_eq!(img.minsup, (40, 100));
         assert_eq!(img.minconf, (60, 100));
@@ -1170,7 +1478,6 @@ mod tests {
         assert_eq!(img.backlog.len(), 2);
         assert_eq!(img.backlog[1].0, 7);
         assert_eq!(img.backlog[1].1.deletes, vec![Tid(1)]);
-        assert!(img.index.is_none());
     }
 
     #[test]
@@ -1193,11 +1500,75 @@ mod tests {
     }
 
     #[test]
+    fn delta_folds_into_its_parent() {
+        let delta = decode_checkpoint(&sample_delta_bytes()).unwrap();
+        assert_eq!(
+            delta.parent,
+            Some(Parent {
+                seq: 5,
+                watermark: 4
+            })
+        );
+        let mut img = decode_checkpoint(&sample_image_bytes()).unwrap();
+        img.apply(delta).unwrap();
+        let tids: Vec<Tid> = img.live.iter().map(|&(tid, _)| tid).collect();
+        assert_eq!(tids, vec![Tid(0), Tid(3), Tid(4), Tid(6)]);
+        assert_eq!(img.live[2].1, tx(&[2, 3]));
+        assert_eq!(img.tombstones, vec![Tid(1), Tid(2), Tid(5)]);
+        assert_eq!((img.seq, img.version, img.watermark), (6, 13, 7));
+        assert_eq!(img.large.len(), 1);
+        assert!(img.backlog.is_empty());
+        // A delta only folds into the image it names.
+        let mut other = decode_checkpoint(&empty_image(5)).unwrap();
+        let delta = decode_checkpoint(&sample_delta_bytes()).unwrap();
+        assert!(matches!(
+            other.apply(delta),
+            Err(fup_tidb::Error::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn delta_decoder_rejects_every_flip_and_truncation_typed() {
+        let bytes = sample_delta_bytes();
+        let is_corrupt = |r: std::result::Result<CheckpointImage, fup_tidb::Error>| {
+            matches!(r, Err(fup_tidb::Error::Corrupt { .. }))
+        };
+        for len in 0..bytes.len() {
+            assert!(
+                is_corrupt(decode_checkpoint(&bytes[..len])),
+                "truncation at {len} must be a typed Corrupt"
+            );
+        }
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01;
+            assert!(
+                is_corrupt(decode_checkpoint(&bad)),
+                "byte flip at {at} must be a typed Corrupt"
+            );
+            // Past the CRC, every structural check must hold its ground
+            // too: a resealed flip decodes to a typed error or to a delta
+            // that folds or fails typed — never a panic.
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                reseal(&mut bad);
+                match decode_checkpoint(&bad) {
+                    Ok(delta) => {
+                        let mut parent = decode_checkpoint(&sample_image_bytes()).unwrap();
+                        if let Err(e) = parent.apply(delta) {
+                            assert!(matches!(e, fup_tidb::Error::Corrupt { .. }), "{e:?}");
+                        }
+                    }
+                    Err(e) => assert!(matches!(e, fup_tidb::Error::Corrupt { .. }), "{e:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_checkpoint_roundtrips() {
-        let large = LargeItemsets::new(0);
-        let bytes =
-            encode_checkpoint(0, 0, (1, 2), (1, 2), 0, 0, &[], &[], &large, &[], None).unwrap();
-        let img = decode_checkpoint(&bytes).unwrap();
+        let img = decode_checkpoint(&empty_image(0)).unwrap();
         assert_eq!(img.live.len(), 0);
         assert_eq!(img.large.len(), 0);
         assert_eq!(img.watermark, 0);
@@ -1224,20 +1595,8 @@ mod tests {
     fn load_latest_falls_back_past_a_corrupt_checkpoint() {
         let storage = MemStorage::new();
         let large = LargeItemsets::new(1);
-        let good = encode_checkpoint(
-            0,
-            0,
-            (1, 2),
-            (1, 2),
-            1,
-            0,
-            &[],
-            &[(Tid(0), tx(&[1]))],
-            &large,
-            &[],
-            None,
-        )
-        .unwrap();
+        let row = [(Tid(0), tx(&[1]))];
+        let good = encode_checkpoint(&head(0, None, 0, 1, &large, &[]), &[], &refs(&row)).unwrap();
         storage.write_atomic(&ckpt_name(0), &good).unwrap();
         storage
             .write_atomic(&ckpt_name(1), b"FUPCKPT1garbage")
@@ -1259,12 +1618,33 @@ mod tests {
     }
 
     #[test]
+    fn load_latest_assembles_the_newest_whole_chain() {
+        let storage = MemStorage::new();
+        storage
+            .write_atomic(&ckpt_name(5), &sample_image_bytes())
+            .unwrap();
+        storage
+            .write_atomic(&ckpt_name(6), &sample_delta_bytes())
+            .unwrap();
+        let recovered = load_latest(&storage).unwrap();
+        assert_eq!((recovered.image.seq, recovered.root), (6, 5));
+        assert_eq!(recovered.image.parent, None, "folded into a full image");
+        assert_eq!(recovered.image.live.len(), 4);
+        assert!(recovered.corrupt_checkpoints.is_empty());
+        // A damaged root takes every delta on it down with it.
+        let mut bad = sample_image_bytes();
+        bad[20] ^= 0x01;
+        storage.write_atomic(&ckpt_name(5), &bad).unwrap();
+        let err = load_latest(&storage).unwrap_err();
+        assert!(matches!(err, Error::Recovery { .. }), "{err:?}");
+    }
+
+    #[test]
     fn load_latest_drops_a_torn_tail_with_a_typed_error() {
         let storage = MemStorage::new();
-        let large = LargeItemsets::new(0);
-        let ckpt =
-            encode_checkpoint(0, 0, (1, 2), (1, 2), 0, 0, &[], &[], &large, &[], None).unwrap();
-        storage.write_atomic(&ckpt_name(0), &ckpt).unwrap();
+        storage
+            .write_atomic(&ckpt_name(0), &empty_image(0))
+            .unwrap();
         let mut wal_bytes = WalRecord::Stage {
             ticket: 0,
             batch: UpdateBatch::insert_only(vec![tx(&[1])]),
@@ -1449,18 +1829,14 @@ mod tests {
             },
             0,
         );
-        let large = LargeItemsets::new(0);
-        let ckpt = |seq| {
-            encode_checkpoint(seq, 0, (1, 2), (1, 2), 0, 0, &[], &[], &large, &[], None).unwrap()
-        };
-        log.install_checkpoint(0, &ckpt(0)).unwrap();
+        log.install_checkpoint(0, &empty_image(0), 0).unwrap();
         log.log_boundary(&WalRecord::Commit {
             version: 1,
             tickets: vec![],
         })
         .unwrap();
-        log.install_checkpoint(1, &ckpt(1)).unwrap();
-        log.install_checkpoint(2, &ckpt(2)).unwrap();
+        log.install_checkpoint(1, &empty_image(1), 0).unwrap();
+        log.install_checkpoint(2, &empty_image(2), 0).unwrap();
         let mut names = storage.list().unwrap();
         names.sort();
         assert_eq!(
@@ -1594,10 +1970,7 @@ mod tests {
         assert_eq!(log.state(), LogState::Degraded);
         // The heal path: install a checkpoint (the fault script has run
         // dry, so storage answers again).
-        let large = LargeItemsets::new(0);
-        let ckpt =
-            encode_checkpoint(1, 0, (1, 2), (1, 2), 0, 0, &[], &[], &large, &[], None).unwrap();
-        log.install_checkpoint(1, &ckpt).unwrap();
+        log.install_checkpoint(1, &empty_image(1), 0).unwrap();
         assert_eq!(log.state(), LogState::Healthy);
         // Durability has resumed on the fresh segment.
         log.log_stage(
@@ -1612,13 +1985,14 @@ mod tests {
     #[test]
     fn checkpoint_blips_are_retried_and_permanent_faults_still_poison() {
         let (flaky, log) = flaky_log(4);
-        let large = LargeItemsets::new(0);
-        let ckpt =
-            encode_checkpoint(1, 0, (1, 2), (1, 2), 0, 0, &[], &[], &large, &[], None).unwrap();
+        let ckpt = empty_image(1);
         flaky.fail_next(OpClass::WriteAtomic, 2);
-        flaky.fail_next(OpClass::List, 1);
-        log.install_checkpoint(1, &ckpt).unwrap();
+        log.install_checkpoint(1, &ckpt, 0).unwrap();
         assert_eq!(log.state(), LogState::Healthy);
+        assert_eq!(log.transient_retries(), 2);
+        // Retention lists the directory once two full images are held.
+        flaky.fail_next(OpClass::List, 1);
+        log.install_checkpoint(2, &empty_image(2), 0).unwrap();
         assert_eq!(log.transient_retries(), 3);
         // A permanent fault (a MemStorage kill) poisons even mid-retry
         // budget, and a later checkpoint cannot heal a poisoned log.
@@ -1630,12 +2004,12 @@ mod tests {
             0,
         );
         mem.fail_after(0, 0);
-        let err = log.install_checkpoint(1, &ckpt).unwrap_err();
+        let err = log.install_checkpoint(1, &ckpt, 0).unwrap_err();
         assert!(matches!(err, Error::Store(e) if !e.is_transient()));
         assert!(log.is_poisoned());
         mem.revive();
         assert!(matches!(
-            log.install_checkpoint(2, &ckpt).unwrap_err(),
+            log.install_checkpoint(2, &ckpt, 0).unwrap_err(),
             Error::Recovery { .. }
         ));
     }

@@ -59,7 +59,9 @@
 
 use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
-use crate::durable::{self, DurabilityPolicy, DurableLog, RecoveryReport};
+use crate::durable::{
+    self, CheckpointHead, DeltaBase, DurabilityPolicy, DurableLog, RecoveryReport,
+};
 use crate::error::{BuildError, Error, Result};
 use crate::fup::update_round;
 use crate::policy::UpdatePolicy;
@@ -669,17 +671,17 @@ impl MaintainerBuilder {
         let durability = self.durability;
         let mut m = self.build(history).map_err(Error::Config)?;
         let log = Arc::new(DurableLog::new(storage, durability, 0));
-        let bytes = m.encode_checkpoint_image(0)?;
-        log.install_checkpoint(0, &bytes)?;
+        let bytes = m.encode_checkpoint_image(0, None)?;
+        log.install_checkpoint(0, &bytes, m.store.watermark())?;
         m.durable = Some(log);
         Ok(m)
     }
 
-    /// Rebuilds a durable session from `storage`: loads the newest
-    /// checkpoint that validates (falling back past corrupt ones),
-    /// replays the WAL tail — committed rounds are re-applied exactly,
-    /// un-committed staged batches are re-queued, a torn tail is dropped —
-    /// and writes a fresh recovery checkpoint. The recovered session's
+    /// Rebuilds a durable session from `storage`: assembles the newest
+    /// checkpoint whose delta chain validates (falling back past corrupt
+    /// files), replays the WAL tail — committed rounds are re-applied
+    /// exactly, un-committed staged batches are re-queued, a torn tail is
+    /// dropped — and writes a fresh full image. The recovered session's
     /// state is identical to the pre-crash session at its last
     /// durably-acknowledged commit.
     ///
@@ -742,15 +744,9 @@ impl MaintainerBuilder {
             image.large,
             rules,
         ));
-        let mut slots = new_slots(store.num_shards());
-        if let Some(idx) = image.index {
-            // A checkpointed index is positional over the whole store and
-            // cannot be split, so only a one-shard session can restore
-            // it; others rebuild per-shard indexes on first use.
-            if store.num_shards() == 1 {
-                slots[0].restore(idx);
-            }
-        }
+        // Checkpoints hold no index: the first round that counts
+        // vertically builds each shard's, as in a fresh session.
+        let slots = new_slots(store.num_shards());
         let shard_ops = vec![0; store.num_shards()];
         let mut m = Maintainer {
             store,
@@ -831,12 +827,17 @@ impl MaintainerBuilder {
             }
         }
 
-        // Seal recovery with a fresh checkpoint past every sequence number
+        // Seal recovery with a fresh full image past every sequence number
         // seen in storage, so damaged files can never shadow it.
-        let log = Arc::new(DurableLog::new(storage, self.durability, recovered.max_seq));
+        let log = Arc::new(DurableLog::resumed(
+            storage,
+            self.durability,
+            recovered.max_seq,
+            recovered.root,
+        ));
         let seq = recovered.max_seq + 1;
-        let bytes = m.encode_checkpoint_image(seq)?;
-        log.install_checkpoint(seq, &bytes)?;
+        let bytes = m.encode_checkpoint_image(seq, None)?;
+        log.install_checkpoint(seq, &bytes, m.store.watermark())?;
         m.durable = Some(log);
 
         let report = RecoveryReport {
@@ -1101,6 +1102,7 @@ impl Maintainer {
         let entries = self.store.take_pending_entries_up_to(max_ops);
         let tickets: Vec<u64> = entries.iter().map(|&(t, _)| t).collect();
         let merged = StagingArea::merge_entries(entries);
+        let deleted = merged.deletes.clone();
         match self.commit_batch(merged) {
             Ok(report) => {
                 if let Err(boundary_err) = log.log_boundary(&WalRecord::Commit {
@@ -1121,7 +1123,7 @@ impl Maintainer {
                     }
                     return Err(boundary_err);
                 }
-                if log.note_round() {
+                if log.note_round(&deleted) {
                     // A checkpoint failure degrades/poisons the log but
                     // the round itself is durably acknowledged — report
                     // success and let the next durable operation surface
@@ -1437,7 +1439,7 @@ impl Maintainer {
                 version: report.version,
                 tickets: Vec::new(),
             });
-            if log.note_round() {
+            if log.note_round(&[]) {
                 let _ = self.write_durable_checkpoint(&log);
             }
         }
@@ -1527,43 +1529,46 @@ impl Maintainer {
     /// backlog stays consistent with concurrent producer admissions
     /// (see [`DurableLog::checkpoint_with`]).
     fn write_durable_checkpoint(&mut self, log: &Arc<DurableLog>) -> Result<u64> {
-        log.checkpoint_with(|seq| self.encode_checkpoint_image(seq))
+        log.checkpoint_with(self.store.watermark(), |seq, base| {
+            self.encode_checkpoint_image(seq, base)
+        })
     }
 
-    /// Serialises the session's current durable image as checkpoint
-    /// `seq`: the tid-ordered live set, the live-tid view, the maintained
-    /// itemsets, the staged backlog, and — while scan order still equals
-    /// tid order — the resident vertical index.
-    fn encode_checkpoint_image(&self, seq: u64) -> Result<Vec<u8>> {
-        let mut live: Vec<(Tid, Transaction)> =
-            self.store.iter().map(|(tid, t)| (tid, t.clone())).collect();
-        live.sort_unstable_by_key(|&(tid, _)| tid);
-        let view = self.store.live_view();
-        let backlog = self.store.staging().entries_snapshot();
-        // Only a one-shard store's index is positional over the whole
-        // live set; multi-shard sessions checkpoint without one and
-        // rebuild per shard after recovery.
-        let index = if self.store.num_shards() == 1 && self.store.is_tid_ordered() {
-            self.slots[0]
-                .resident_index()
-                .filter(|idx| idx.num_transactions() == self.store.len() as u64)
-        } else {
-            None
+    /// Serialises the session's durable image as checkpoint `seq`. With a
+    /// `base`, a delta: the rows inserted since its parent (tids at or
+    /// above the parent's watermark) and the tids deleted since. Without,
+    /// a full image: the tid-ordered live set and its tombstones. Either
+    /// way the maintained itemsets and the staged backlog ride whole.
+    fn encode_checkpoint_image(&self, seq: u64, base: Option<DeltaBase<'_>>) -> Result<Vec<u8>> {
+        let (tombstones, live) = match base {
+            None => {
+                let mut live: Vec<(Tid, &Transaction)> = self.store.iter().collect();
+                live.sort_unstable_by_key(|&(tid, _)| tid);
+                (self.store.live_view().tombstones_sorted(), live)
+            }
+            Some(base) => {
+                let mut deleted = base.deleted.to_vec();
+                deleted.sort_unstable();
+                let inserted = (base.parent.watermark..self.store.watermark())
+                    .map(Tid)
+                    .filter_map(|tid| self.store.get(tid).map(|t| (tid, t)))
+                    .collect();
+                (deleted, inserted)
+            }
         };
-        durable::encode_checkpoint(
+        let backlog = self.store.staging().entries_snapshot();
+        let head = CheckpointHead {
             seq,
-            self.state.version,
-            (self.minsup.num(), self.minsup.den()),
-            (self.minconf.num(), self.minconf.den()),
-            self.store.watermark(),
-            self.store.next_segment(),
-            &view.tombstones_sorted(),
-            &live,
-            &self.state.large,
-            &backlog,
-            index,
-        )
-        .map_err(Error::Store)
+            parent: base.map(|b| b.parent),
+            version: self.state.version,
+            minsup: (self.minsup.num(), self.minsup.den()),
+            minconf: (self.minconf.num(), self.minconf.den()),
+            watermark: self.store.watermark(),
+            next_segment: self.store.next_segment(),
+            large: &self.state.large,
+            backlog: &backlog,
+        };
+        durable::encode_checkpoint(&head, &tombstones, &live).map_err(Error::Store)
     }
 
     /// Verifies that the incrementally-maintained itemsets equal a full
@@ -2130,15 +2135,35 @@ mod tests {
             })
             .build_durable(history(), Arc::clone(&storage) as Arc<dyn DurableStorage>)
             .unwrap();
-        for i in 0..4u32 {
-            m.stage(UpdateBatch::insert_only(vec![tx(&[1, 2 + i])]))
-                .unwrap();
-            m.commit().unwrap();
-        }
+        let initial = "ckpt-00000000".to_string();
+        let mut rounds = 0u32;
+        let mut two_rounds = |m: &mut Maintainer| {
+            for _ in 0..2 {
+                m.stage(UpdateBatch::insert_only(vec![tx(&[1, 2 + rounds % 5])]))
+                    .unwrap();
+                m.commit().unwrap();
+                rounds += 1;
+            }
+        };
+        two_rounds(&mut m);
+        two_rounds(&mut m);
         let names = storage.list().unwrap();
         assert!(names.contains(&"ckpt-00000002".to_string()), "{names:?}");
         assert!(
-            !names.contains(&"ckpt-00000000".to_string()),
+            names.contains(&initial),
+            "the full image the deltas extend is retained: {names:?}"
+        );
+        // Once the deltas outgrow it, full images are cut; two more put
+        // the initial pair beyond retention.
+        for _ in 0..32 {
+            if !storage.list().unwrap().contains(&initial) {
+                break;
+            }
+            two_rounds(&mut m);
+        }
+        let names = storage.list().unwrap();
+        assert!(
+            !names.contains(&initial) && !names.contains(&"wal-00000000".to_string()),
             "initial pair beyond retention must be collected: {names:?}"
         );
         // Recovery from the rotated layout still works.
@@ -2151,6 +2176,38 @@ mod tests {
         assert_eq!(r.version(), m.version());
         assert_eq!(report.replayed_rounds, 0, "checkpoint covers every round");
         r.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_degraded_commit_boundary_heals_with_a_full_image() {
+        // The round's Commit boundary outlives the retry budget, so the
+        // inline heal checkpoint acknowledges it. The log never counted
+        // that round's delete: a delta heal would resurrect the row.
+        let storage = mem();
+        let flaky = Arc::new(fup_tidb::FlakyStorage::new(
+            Arc::clone(&storage) as Arc<dyn DurableStorage>
+        ));
+        let retry = crate::durable::RetryPolicy::attempts(2)
+            .backoff(std::time::Duration::ZERO, std::time::Duration::ZERO);
+        let builder = || {
+            Maintainer::builder()
+                .min_support(MinSupport::percent(40))
+                .min_confidence(MinConfidence::percent(60))
+        };
+        let mut m = builder()
+            .durability(DurabilityPolicy::default().with_retry(retry))
+            .build_durable(history(), Arc::clone(&flaky) as Arc<dyn DurableStorage>)
+            .unwrap();
+        m.stage(UpdateBatch::delete_only(vec![Tid(0)])).unwrap();
+        flaky.fail_next(fup_tidb::OpClass::Append, 2);
+        m.commit().unwrap();
+        assert_eq!(
+            m.durability_state(),
+            Some(crate::durable::LogState::Healthy)
+        );
+        let image = Arc::new(fup_tidb::MemStorage::from_files(storage.files()));
+        let (r, _) = builder().recover(image as Arc<dyn DurableStorage>).unwrap();
+        assert_same_published_state(&m, &r);
     }
 
     #[test]
@@ -2346,9 +2403,9 @@ mod tests {
         assert_same_published_state(&m, &rf);
         assert_eq!(rf.store().num_shards(), 1);
 
-        // A default session's checkpoint embeds its index; recovered
-        // under an explicit single shard — the same store shape — the
-        // first insert-only commit extends it instead of building.
+        // Checkpoints hold no index, at any shard count: a session
+        // recovered with no rounds to replay holds none, and its first
+        // insert-only commit builds one where the writer's would extend.
         let storage = mem();
         let pinned = || {
             Maintainer::builder()
@@ -2365,14 +2422,11 @@ mod tests {
             .shards(1)
             .recover(image as Arc<dyn DurableStorage>)
             .unwrap();
-        assert!(
-            r1.index_stats().resident,
-            "the checkpointed index is restored"
-        );
+        assert!(!r1.index_stats().resident, "recovery restores no index");
         r1.apply(UpdateBatch::insert_only(vec![tx(&[1, 2])]))
             .unwrap();
         let stats = r1.index_stats();
-        assert_eq!((stats.builds, stats.extends), (0, 1), "extends, not builds");
+        assert_eq!((stats.builds, stats.extends), (1, 0), "builds once");
         r1.verify_consistency().unwrap();
     }
 

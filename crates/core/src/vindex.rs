@@ -100,19 +100,6 @@ impl IndexSlot {
         self.index = Some(idx);
     }
 
-    /// Restores an index deserialised from a durable checkpoint without
-    /// counting a build — the build was paid for (and counted) in the
-    /// session that wrote the checkpoint.
-    pub(crate) fn restore(&mut self, idx: VerticalIndex) {
-        self.index = Some(idx);
-    }
-
-    /// The held index, if any — serialised into durable checkpoints when
-    /// it covers the store in tid order.
-    pub(crate) fn resident_index(&self) -> Option<&VerticalIndex> {
-        self.index.as_ref()
-    }
-
     /// Extends the held index (if any) with `delta` at the current tid
     /// offset — the maintainer's way of keeping the slot aligned with an
     /// insert-only commit whose counting ran on the hash-tree path.

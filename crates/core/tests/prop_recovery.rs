@@ -9,13 +9,18 @@
 //!   of the WAL — and at every storage-operation budget, with torn
 //!   appends and failing fsyncs — recovers to a state bit-identical to
 //!   the uncrashed run at the last surviving commit boundary, never
-//!   panicking and never losing an acknowledged commit.
+//!   panicking and never losing an acknowledged commit. Both sweeps also
+//!   run a churn script whose checkpoints are delta chains with deletes
+//!   crossing their boundaries and a full image cut among them, written
+//!   and recovered at one shard and at four.
 //! * **Corrupt checkpoints degrade, not destroy:** a flipped byte in the
-//!   newest checkpoint falls back to the previous one; with every
-//!   checkpoint damaged, recovery fails with a typed error.
+//!   newest checkpoint, in a delta in the middle of its chain, or in the
+//!   full image the chain starts from falls back to an older checkpoint;
+//!   with every checkpoint damaged, recovery fails with a typed error.
 
 use fup_core::{CommitPolicy, DurabilityPolicy, Error, Maintainer, MaintainerService};
 use fup_mining::{LargeItemsets, MinConfidence, MinSupport};
+use fup_tidb::codec::read_varint64;
 use fup_tidb::wal::{self, WalRecord};
 use fup_tidb::{DurableStorage, MemStorage, Tid, Transaction, UpdateBatch};
 use proptest::prelude::*;
@@ -42,18 +47,75 @@ fn history() -> Vec<Transaction> {
     ]
 }
 
+/// A durable workload: the history a session bootstraps from, the rounds
+/// committed on top of it (one staged batch each), and the shard counts
+/// it is written and recovered under.
+struct Script {
+    history: Vec<Transaction>,
+    rounds: Vec<UpdateBatch>,
+    write_shards: u32,
+    recover_shards: u32,
+}
+
 /// The scripted workload every kill sweep runs: three committed rounds
 /// (insert-only, mixed insert+delete, delete-only) and a staged tail that
 /// never commits before the crash.
-fn script_rounds() -> Vec<UpdateBatch> {
-    vec![
-        UpdateBatch::insert_only(vec![tx(&[1, 2]), tx(&[2, 3, 4])]),
-        UpdateBatch {
-            inserts: vec![tx(&[1, 2, 3])],
-            deletes: vec![Tid(1)],
-        },
-        UpdateBatch::delete_only(vec![Tid(4)]),
-    ]
+fn basic_script() -> Script {
+    Script {
+        history: history(),
+        rounds: vec![
+            UpdateBatch::insert_only(vec![tx(&[1, 2]), tx(&[2, 3, 4])]),
+            UpdateBatch {
+                inserts: vec![tx(&[1, 2, 3])],
+                deletes: vec![Tid(1)],
+            },
+            UpdateBatch::delete_only(vec![Tid(4)]),
+        ],
+        write_shards: 1,
+        recover_shards: 1,
+    }
+}
+
+/// Rows of the churn script's history.
+const CHURN_HISTORY: u64 = 24;
+
+/// Thirteen churn rounds over a 24-row history: each inserts three rows
+/// and deletes the oldest history row and, from the third round on, the
+/// first row inserted two rounds before. Checkpointed every round, those
+/// deletes cross delta boundaries, the deltas outgrow their full image
+/// twice, so full images are cut among them, and the last chain holds
+/// several deltas; checkpointed every five rounds, some rows are inserted
+/// and deleted inside one delta.
+fn churn_script(write_shards: u32, recover_shards: u32) -> Script {
+    let shapes: [&[u32]; 6] = [
+        &[1, 2, 3],
+        &[1, 2],
+        &[2, 3, 4],
+        &[1, 3, 5],
+        &[2, 4],
+        &[1, 2, 4, 5],
+    ];
+    let history = (0..CHURN_HISTORY as usize)
+        .map(|i| tx(shapes[i % shapes.len()]))
+        .collect();
+    let rounds = (0..13u32)
+        .map(|r| {
+            let mut deletes = vec![Tid(u64::from(r))];
+            if r >= 2 {
+                deletes.push(Tid(CHURN_HISTORY + 3 * u64::from(r - 2)));
+            }
+            UpdateBatch {
+                inserts: vec![tx(&[1, 2, 3 + r % 5]), tx(&[2, 3]), tx(&[1, 4 + r % 3])],
+                deletes,
+            }
+        })
+        .collect();
+    Script {
+        history,
+        rounds,
+        write_shards,
+        recover_shards,
+    }
 }
 
 /// One published state of the uncrashed reference run, keyed by version.
@@ -66,8 +128,8 @@ struct Reference {
 /// Runs the script on a plain in-memory session and records the exact
 /// published state at every version — the oracle every crash point is
 /// compared against.
-fn reference_states() -> HashMap<u64, Reference> {
-    let mut m = builder().build(history()).unwrap();
+fn reference_states(script: &Script) -> HashMap<u64, Reference> {
+    let mut m = builder().build(script.history.clone()).unwrap();
     let mut states = HashMap::new();
     let mut record = |m: &Maintainer| {
         let mut live: Vec<(Tid, Transaction)> =
@@ -83,7 +145,7 @@ fn reference_states() -> HashMap<u64, Reference> {
         );
     };
     record(&m);
-    for batch in script_rounds() {
+    for batch in script.rounds.clone() {
         m.apply(batch).unwrap();
         record(&m);
     }
@@ -119,15 +181,16 @@ fn assert_matches_reference(recovered: &Maintainer, states: &HashMap<u64, Refere
 /// Drives the scripted session against `storage`, ignoring storage
 /// failures (the injected kill), and returns how many commits were
 /// durably acknowledged.
-fn drive_script(storage: Arc<MemStorage>, policy: DurabilityPolicy) -> u64 {
+fn drive_script(script: &Script, storage: Arc<MemStorage>, policy: DurabilityPolicy) -> u64 {
     let mut acked = 0u64;
     let Ok(mut m) = builder()
+        .shards(script.write_shards)
         .durability(policy)
-        .build_durable(history(), storage as Arc<dyn DurableStorage>)
+        .build_durable(script.history.clone(), storage as Arc<dyn DurableStorage>)
     else {
         return acked;
     };
-    for batch in script_rounds() {
+    for batch in script.rounds.clone() {
         if m.stage(batch).is_err() {
             return acked;
         }
@@ -141,36 +204,71 @@ fn drive_script(storage: Arc<MemStorage>, policy: DurabilityPolicy) -> u64 {
     acked
 }
 
+/// Recovers a session from a copy of `files` under the script's recovery
+/// shard count.
+fn recover(
+    script: &Script,
+    files: HashMap<String, Vec<u8>>,
+) -> Result<(Maintainer, fup_core::RecoveryReport), Error> {
+    builder()
+        .shards(script.recover_shards)
+        .recover(Arc::new(MemStorage::from_files(files)) as Arc<dyn DurableStorage>)
+}
+
+/// The parent a checkpoint file names, or `None` for a full image: the
+/// body (past magic and CRC) opens with the varint sequence number, then
+/// a kind byte, then — for a delta — the parent's sequence number.
+fn ckpt_parent(bytes: &[u8]) -> Option<u64> {
+    let body = &bytes[fup_core::durable::CHECKPOINT_MAGIC.len() + 4..];
+    let mut pos = 0;
+    read_varint64(body, &mut pos).unwrap();
+    let kind = body[pos];
+    pos += 1;
+    (kind == 1).then(|| read_varint64(body, &mut pos).unwrap())
+}
+
+/// The checkpoint sequence numbers in `files`, ascending.
+fn ckpt_seqs(files: &HashMap<String, Vec<u8>>) -> Vec<u64> {
+    let mut seqs: Vec<u64> = files
+        .keys()
+        .filter_map(|n| n.strip_prefix("ckpt-")?.parse().ok())
+        .collect();
+    seqs.sort_unstable();
+    seqs
+}
+
+fn ckpt_file(seq: u64) -> String {
+    format!("ckpt-{seq:08}")
+}
+
 // ---------------------------------------------------------- sweeps --
 
-/// Tentpole: crash at every WAL byte offset. The surviving prefix must
-/// recover to exactly the last commit boundary it contains — never a
-/// panic, never a half-applied round, never a lost acknowledged commit.
-#[test]
-fn kill_at_every_wal_byte_offset_recovers_exactly() {
-    let states = reference_states();
-    // No mid-run checkpoints: the whole script lives in wal-00000000.
+/// Runs the script under `policy`, then crashes it at every byte offset
+/// of its newest WAL segment: each prefix must recover to exactly the
+/// last commit boundary it contains, and the sweep must reach every
+/// version from the newest checkpoint's to the last.
+fn wal_byte_sweep(script: &Script, policy: DurabilityPolicy) {
+    let states = reference_states(script);
     let storage = Arc::new(MemStorage::new());
     assert_eq!(
-        drive_script(
-            Arc::clone(&storage),
-            DurabilityPolicy {
-                checkpoint_every_rounds: u64::MAX,
-                ..Default::default()
-            },
-        ),
-        3
+        drive_script(script, Arc::clone(&storage), policy),
+        script.rounds.len() as u64
     );
     let files = storage.files();
-    let wal = files.get("wal-00000000").expect("active WAL segment");
+    let newest = files
+        .keys()
+        .filter(|n| n.starts_with("wal-"))
+        .max()
+        .expect("an active WAL segment")
+        .clone();
+    let wal = &files[&newest];
     assert!(wal.len() > 50, "script should produce a non-trivial WAL");
 
     let mut versions_seen = std::collections::BTreeSet::new();
     for cut in 0..=wal.len() {
-        let image = MemStorage::from_files(files.clone());
-        image.truncate_file("wal-00000000", cut);
-        let (recovered, report) = builder()
-            .recover(Arc::new(image) as Arc<dyn DurableStorage>)
+        let mut image = files.clone();
+        image.get_mut(&newest).unwrap().truncate(cut);
+        let (recovered, report) = recover(script, image)
             .unwrap_or_else(|e| panic!("recovery must succeed at cut {cut}: {e}"));
         assert_matches_reference(&recovered, &states);
         versions_seen.insert(report.version);
@@ -182,37 +280,54 @@ fn kill_at_every_wal_byte_offset_recovers_exactly() {
         }
     }
     // The sweep must actually traverse every commit boundary.
+    let rounds = script.rounds.len() as u64;
+    let every = policy.checkpoint_every_rounds;
     assert_eq!(
         versions_seen.into_iter().collect::<Vec<_>>(),
-        vec![0, 1, 2, 3],
+        (rounds / every * every..=rounds).collect::<Vec<_>>(),
         "every prefix version should be reachable by some cut"
     );
 }
 
-/// Tentpole: kill the storage after every possible operation budget (with
-/// three torn-append variants each), spanning kills mid-record, at record
-/// boundaries, mid-checkpoint, and between a checkpoint and its WAL
-/// rotation. Recovery from each crash image is exact.
+/// Tentpole: crash at every WAL byte offset. The surviving prefix must
+/// recover to exactly the last commit boundary it contains — never a
+/// panic, never a half-applied round, never a lost acknowledged commit.
 #[test]
-fn kill_at_every_storage_op_budget_recovers_exactly() {
-    let states = reference_states();
+fn kill_at_every_wal_byte_offset_recovers_exactly() {
+    // No mid-run checkpoints: the whole script lives in wal-00000000, so
+    // the sweep reaches versions 0..=3.
     let policy = DurabilityPolicy {
-        // Checkpoint every round: the sweep crosses encode → write_atomic
-        // → fresh-WAL append → gc at every boundary.
-        checkpoint_every_rounds: 1,
-        retain_checkpoints: 2,
+        checkpoint_every_rounds: u64::MAX,
         ..Default::default()
     };
-    let mut exhausted = false;
-    for budget in 0u64..200 {
+    wal_byte_sweep(&basic_script(), policy);
+    // The churn script checkpoints every five rounds: each cut recovers
+    // through a delta chain, then replays the newest segment's prefix.
+    let policy = DurabilityPolicy {
+        checkpoint_every_rounds: 5,
+        ..Default::default()
+    };
+    for (write, recover) in [(1, 4), (4, 1)] {
+        wal_byte_sweep(&churn_script(write, recover), policy);
+    }
+}
+
+/// Kills the storage after every possible operation budget (with three
+/// torn-append variants each) while the script runs under `policy`, and
+/// recovers each crash image exactly. Returns the files of the first
+/// fault-free run.
+fn op_budget_sweep(script: &Script, policy: DurabilityPolicy) -> HashMap<String, Vec<u8>> {
+    let states = reference_states(script);
+    for budget in 0u64..400 {
         let mut any_fault = false;
+        let mut files = HashMap::new();
         for tear_bytes in [0usize, 1, 7] {
             let storage = Arc::new(MemStorage::new());
             storage.fail_after(budget, tear_bytes);
-            drive_script(Arc::clone(&storage), policy);
+            drive_script(script, Arc::clone(&storage), policy);
             any_fault |= storage.faults_fired() > 0;
-            let image = Arc::new(MemStorage::from_files(storage.files()));
-            match builder().recover(image as Arc<dyn DurableStorage>) {
+            files = storage.files();
+            match recover(script, files.clone()) {
                 Ok((recovered, _report)) => assert_matches_reference(&recovered, &states),
                 Err(e) => {
                     // Only one failure is legitimate: the kill hit the very
@@ -231,11 +346,42 @@ fn kill_at_every_storage_op_budget_recovers_exactly() {
         if !any_fault {
             // The whole script fit under the budget — the sweep covered
             // every operation the workload performs.
-            exhausted = true;
-            break;
+            return files;
         }
     }
-    assert!(exhausted, "sweep never reached a fault-free run");
+    panic!("sweep never reached a fault-free run");
+}
+
+/// Tentpole: kill the storage after every possible operation budget (with
+/// three torn-append variants each), spanning kills mid-record, at record
+/// boundaries, mid-checkpoint, and between a checkpoint and its WAL
+/// rotation. Recovery from each crash image is exact.
+#[test]
+fn kill_at_every_storage_op_budget_recovers_exactly() {
+    let policy = DurabilityPolicy {
+        // Checkpoint every round: the sweep crosses encode → write_atomic
+        // → fresh-WAL append → gc at every boundary.
+        checkpoint_every_rounds: 1,
+        retain_checkpoints: 2,
+        ..Default::default()
+    };
+    op_budget_sweep(&basic_script(), policy);
+    // The churn script's checkpoints are deltas with a full image cut
+    // among them, and retention collects the initial pair.
+    for (write, recover) in [(1, 4), (4, 1)] {
+        let files = op_budget_sweep(&churn_script(write, recover), policy);
+        let seqs = ckpt_seqs(&files);
+        assert!(
+            seqs.iter()
+                .any(|&s| s > 0 && ckpt_parent(&files[&ckpt_file(s)]).is_none()),
+            "the churn script must force a full cut: {seqs:?}"
+        );
+        assert!(
+            seqs.iter()
+                .any(|&s| ckpt_parent(&files[&ckpt_file(s)]).is_some()),
+            "the churn script must leave deltas: {seqs:?}"
+        );
+    }
 }
 
 /// Tentpole satellite: the byte-offset kill sweep under **group commit**
@@ -245,10 +391,11 @@ fn kill_at_every_storage_op_budget_recovers_exactly() {
 /// state the uncrashed run published.
 #[test]
 fn kill_at_every_wal_byte_offset_with_group_commit_recovers_exactly() {
-    let states = reference_states();
+    let states = reference_states(&basic_script());
     let storage = Arc::new(MemStorage::new());
     assert_eq!(
         drive_script(
+            &basic_script(),
             Arc::clone(&storage),
             DurabilityPolicy {
                 checkpoint_every_rounds: u64::MAX,
@@ -282,41 +429,12 @@ fn kill_at_every_wal_byte_offset_with_group_commit_recovers_exactly() {
 /// batched stage syncs because boundaries always sync.
 #[test]
 fn kill_at_every_storage_op_budget_with_group_commit_recovers_exactly() {
-    let states = reference_states();
     let policy = DurabilityPolicy {
         checkpoint_every_rounds: 1,
         retain_checkpoints: 2,
         ..DurabilityPolicy::group_commit(4, std::time::Duration::from_secs(3600))
     };
-    let mut exhausted = false;
-    for budget in 0u64..200 {
-        let mut any_fault = false;
-        for tear_bytes in [0usize, 1, 7] {
-            let storage = Arc::new(MemStorage::new());
-            storage.fail_after(budget, tear_bytes);
-            drive_script(Arc::clone(&storage), policy);
-            any_fault |= storage.faults_fired() > 0;
-            let image = Arc::new(MemStorage::from_files(storage.files()));
-            match builder().recover(image as Arc<dyn DurableStorage>) {
-                Ok((recovered, _report)) => assert_matches_reference(&recovered, &states),
-                Err(e) => {
-                    assert!(
-                        matches!(e, Error::Recovery { .. }),
-                        "budget {budget}: unexpected error {e}"
-                    );
-                    assert!(
-                        budget == 0,
-                        "budget {budget} left no recoverable checkpoint"
-                    );
-                }
-            }
-        }
-        if !any_fault {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(exhausted, "sweep never reached a fault-free run");
+    op_budget_sweep(&basic_script(), policy);
 }
 
 /// Tentpole satellite: a **power-loss** crash under group commit — the
@@ -326,10 +444,11 @@ fn kill_at_every_storage_op_budget_with_group_commit_recovers_exactly() {
 /// sitting in the open group is lost, which is the documented contract.
 #[test]
 fn power_loss_under_group_commit_keeps_every_acknowledged_commit() {
-    let states = reference_states();
+    let states = reference_states(&basic_script());
     let storage = Arc::new(MemStorage::new());
     assert_eq!(
         drive_script(
+            &basic_script(),
             Arc::clone(&storage),
             DurabilityPolicy {
                 checkpoint_every_rounds: u64::MAX,
@@ -365,12 +484,12 @@ fn power_loss_under_group_commit_keeps_every_acknowledged_commit() {
 /// (the data may have reached the medium), never half-applied.
 #[test]
 fn failing_fsync_poisons_but_recovers_consistently() {
-    let states = reference_states();
+    let states = reference_states(&basic_script());
     let storage = Arc::new(MemStorage::new());
     let mut m = builder()
         .build_durable(history(), Arc::clone(&storage) as Arc<dyn DurableStorage>)
         .unwrap();
-    m.stage(script_rounds().remove(0)).unwrap();
+    m.stage(basic_script().rounds.remove(0)).unwrap();
     m.commit().unwrap();
     storage.set_fail_sync(true);
     let err = m
@@ -388,12 +507,16 @@ fn failing_fsync_poisons_but_recovers_consistently() {
 
 /// Satellite: a corrupt newest checkpoint falls back to the previous one
 /// (with a longer replay); corrupting every checkpoint yields a typed
-/// error, not a panic.
+/// error, not a panic. On the churn script's delta chains, a corrupt
+/// delta in the middle of the newest chain, or a corrupt full image with
+/// deltas on top, falls back the same way and still reaches the end.
 #[test]
 fn corrupt_checkpoints_fall_back_then_fail_typed() {
-    let states = reference_states();
+    let script = basic_script();
+    let states = reference_states(&script);
     let storage = Arc::new(MemStorage::new());
     drive_script(
+        &script,
         Arc::clone(&storage),
         DurabilityPolicy {
             checkpoint_every_rounds: 1,
@@ -438,6 +561,59 @@ fn corrupt_checkpoints_fall_back_then_fail_typed() {
         .recover(Arc::new(image) as Arc<dyn DurableStorage>)
         .unwrap_err();
     assert!(matches!(err, Error::Recovery { .. }), "{err:?}");
+
+    // The churn script's newest checkpoint heads a chain of deltas on a
+    // full image, with an older full image retained beneath it.
+    let script = churn_script(1, 1);
+    let states = reference_states(&script);
+    let storage = Arc::new(MemStorage::new());
+    drive_script(
+        &script,
+        Arc::clone(&storage),
+        DurabilityPolicy {
+            checkpoint_every_rounds: 1,
+            ..Default::default()
+        },
+    );
+    let files = storage.files();
+    let mut chain = vec![*ckpt_seqs(&files).last().unwrap()];
+    while let Some(parent) = ckpt_parent(&files[&ckpt_file(*chain.last().unwrap())]) {
+        chain.push(parent);
+    }
+    assert!(chain.len() >= 3, "a delta chain with a middle: {chain:?}");
+    let root = *chain.last().unwrap();
+    assert!(
+        ckpt_seqs(&files)
+            .iter()
+            .any(|&s| s < root && ckpt_parent(&files[&ckpt_file(s)]).is_none()),
+        "an older full image is retained below the chain's root {root}"
+    );
+    for (damaged, what) in [
+        (chain[1], "a middle delta"),
+        (root, "the chain's full image"),
+    ] {
+        let mut image = files.clone();
+        let bytes = image.get_mut(&ckpt_file(damaged)).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        let (recovered, report) = recover(&script, image)
+            .unwrap_or_else(|e| panic!("fallback past {what} must succeed: {e}"));
+        assert!(
+            report.corrupt_checkpoints.contains(&damaged),
+            "{what} must be reported: {:?}",
+            report.corrupt_checkpoints
+        );
+        assert!(
+            report.checkpoint_seq < damaged,
+            "{what}: recovered from before it"
+        );
+        assert_matches_reference(&recovered, &states);
+        assert_eq!(
+            recovered.version(),
+            script.rounds.len() as u64,
+            "fallback past {what} + replay reaches the end"
+        );
+    }
 }
 
 /// Satellite: the one-call service restart path — recover a crash image
@@ -446,7 +622,11 @@ fn corrupt_checkpoints_fall_back_then_fail_typed() {
 #[test]
 fn service_recovers_from_crash_image_and_commits_backlog() {
     let storage = Arc::new(MemStorage::new());
-    drive_script(Arc::clone(&storage), DurabilityPolicy::default());
+    drive_script(
+        &basic_script(),
+        Arc::clone(&storage),
+        DurabilityPolicy::default(),
+    );
     let image = Arc::new(MemStorage::from_files(storage.files()));
     let (service, report) =
         MaintainerService::recover(builder(), image, CommitPolicy::manual()).unwrap();

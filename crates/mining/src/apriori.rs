@@ -320,24 +320,20 @@ mod tests {
                 ..AprioriConfig::default()
             })
             .run_with_index(&d, minsup);
-            let mut bytes = Vec::new();
-            if let Some(idx) = &index {
-                idx.encode(&mut bytes);
-            }
-            (out, index.is_some(), bytes, d.metrics().snapshot())
+            (out, index, d.metrics().snapshot())
         };
-        let (reference, none, _, _) = run(CountingBackend::HashTree);
-        assert!(!none);
+        let (reference, none, _) = run(CountingBackend::HashTree);
+        assert!(none.is_none());
         assert!(
             reference.large.len_at(1) > 8,
             "L₁ must exceed the lowered bound"
         );
         assert!(reference.large.max_size() >= 3);
         for backend in [CountingBackend::Vertical, CountingBackend::Auto] {
-            let (fused, fused_some, fused_index, fused_scans) = run(backend);
-            let (fallback, fallback_some, fallback_index, fallback_scans) =
+            let (fused, fused_index, fused_scans) = run(backend);
+            let (fallback, fallback_index, fallback_scans) =
                 with_pair_matrix_limit(8, || run(backend));
-            assert!(fused_some && fallback_some, "{backend:?}");
+            assert!(fused_index.is_some(), "{backend:?}");
             for out in [&fused, &fallback] {
                 assert!(
                     out.large.same_itemsets(&reference.large),

@@ -209,8 +209,10 @@ enum TidListRef {
 
 /// The per-item tid-list index over one (or, after
 /// [`extend`](VerticalIndex::extend), several concatenated) transaction
-/// sources. See the module docs for layout and counting.
-#[derive(Debug, Clone)]
+/// sources. See the module docs for layout and counting. Two indexes are
+/// equal when their layouts are: same coverage, filter, density cutoff,
+/// descriptors and arenas.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerticalIndex {
     /// Transactions covered; tids are `0..num_transactions`, in pass
     /// order.
@@ -503,198 +505,6 @@ impl VerticalIndex {
     /// Transactions covered (tids run `0..num_transactions()`).
     pub fn num_transactions(&self) -> u64 {
         self.num_transactions
-    }
-
-    /// Serialises the index into `buf` (appending), in the checkpoint
-    /// format used by `fup_core`'s durable sessions: header varints, the
-    /// optional keep filter, per-item entry descriptors, then both arenas
-    /// verbatim. [`decode`](VerticalIndex::decode) reverses it.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        use fup_tidb::codec::{write_varint, write_varint64};
-        write_varint64(buf, self.num_transactions);
-        write_varint(buf, self.dense_factor);
-        match &self.keep {
-            None => buf.push(0),
-            Some(words) => {
-                buf.push(1);
-                write_varint64(buf, words.len() as u64);
-                for &w in words {
-                    buf.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-        }
-        write_varint64(buf, self.entries.len() as u64);
-        for entry in &self.entries {
-            match *entry {
-                TidListRef::Empty => buf.push(0),
-                TidListRef::Sparse { start, len } => {
-                    buf.push(1);
-                    write_varint64(buf, start as u64);
-                    write_varint64(buf, len as u64);
-                }
-                TidListRef::Dense { start, count } => {
-                    buf.push(2);
-                    write_varint64(buf, start as u64);
-                    write_varint64(buf, count);
-                }
-            }
-        }
-        write_varint64(buf, self.sparse.len() as u64);
-        for &tid in &self.sparse {
-            buf.extend_from_slice(&tid.to_le_bytes());
-        }
-        write_varint64(buf, self.dense.len() as u64);
-        for &word in &self.dense {
-            buf.extend_from_slice(&word.to_le_bytes());
-        }
-    }
-
-    /// Decodes an index previously written by
-    /// [`encode`](VerticalIndex::encode), advancing `pos` past it.
-    ///
-    /// Every structural invariant is re-validated — arena ranges, sparse
-    /// runs sorted and in tid range, dense popcounts — so a corrupt or
-    /// truncated checkpoint yields [`fup_tidb::Error::Corrupt`], never an
-    /// inconsistent index.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Self, fup_tidb::Error> {
-        use fup_tidb::codec::{read_varint, read_varint64};
-        fn corrupt(reason: &str, offset: usize) -> fup_tidb::Error {
-            fup_tidb::Error::Corrupt {
-                reason: format!("vertical index: {reason}"),
-                offset: Some(offset),
-            }
-        }
-        fn read_usize(buf: &[u8], pos: &mut usize, what: &str) -> Result<usize, fup_tidb::Error> {
-            let at = *pos;
-            let v = read_varint64(buf, pos)?;
-            usize::try_from(v).map_err(|_| corrupt(&format!("{what} exceeds usize"), at))
-        }
-
-        let num_transactions = read_varint64(buf, pos)?;
-        if num_transactions >= u32::MAX as u64 {
-            return Err(corrupt("tid space exceeds u32", *pos));
-        }
-        let words_per_dense = num_transactions.div_ceil(64) as usize;
-        let dense_factor = read_varint(buf, pos)?;
-        let keep = match buf.get(*pos) {
-            Some(0) => {
-                *pos += 1;
-                None
-            }
-            Some(1) => {
-                *pos += 1;
-                let len = read_usize(buf, pos, "keep length")?;
-                let mut words = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    let end = pos.checked_add(8).filter(|&e| e <= buf.len());
-                    let Some(end) = end else {
-                        return Err(corrupt("keep words truncated", *pos));
-                    };
-                    words.push(u64::from_le_bytes(buf[*pos..end].try_into().unwrap()));
-                    *pos = end;
-                }
-                Some(words)
-            }
-            Some(_) => return Err(corrupt("bad keep flag", *pos)),
-            None => return Err(corrupt("truncated before keep flag", *pos)),
-        };
-
-        let num_entries = read_usize(buf, pos, "entry count")?;
-        let mut entries = Vec::with_capacity(num_entries.min(1 << 20));
-        for _ in 0..num_entries {
-            let at = *pos;
-            let tag = *buf
-                .get(*pos)
-                .ok_or_else(|| corrupt("truncated entry", at))?;
-            *pos += 1;
-            entries.push(match tag {
-                0 => TidListRef::Empty,
-                1 => {
-                    let start = read_usize(buf, pos, "sparse start")?;
-                    let len = read_usize(buf, pos, "sparse len")?;
-                    if len == 0 {
-                        return Err(corrupt("empty sparse run", at));
-                    }
-                    TidListRef::Sparse { start, len }
-                }
-                2 => {
-                    let start = read_usize(buf, pos, "dense start")?;
-                    let count = read_varint64(buf, pos)?;
-                    if count == 0 || count > num_transactions {
-                        return Err(corrupt("dense count out of range", at));
-                    }
-                    TidListRef::Dense { start, count }
-                }
-                _ => return Err(corrupt("unknown entry tag", at)),
-            });
-        }
-
-        let sparse_len = read_usize(buf, pos, "sparse arena length")?;
-        let mut sparse = Vec::with_capacity(sparse_len.min(1 << 22));
-        for _ in 0..sparse_len {
-            let end = pos.checked_add(4).filter(|&e| e <= buf.len());
-            let Some(end) = end else {
-                return Err(corrupt("sparse arena truncated", *pos));
-            };
-            sparse.push(u32::from_le_bytes(buf[*pos..end].try_into().unwrap()));
-            *pos = end;
-        }
-        let dense_len = read_usize(buf, pos, "dense arena length")?;
-        let mut dense = Vec::with_capacity(dense_len.min(1 << 20));
-        for _ in 0..dense_len {
-            let end = pos.checked_add(8).filter(|&e| e <= buf.len());
-            let Some(end) = end else {
-                return Err(corrupt("dense arena truncated", *pos));
-            };
-            dense.push(u64::from_le_bytes(buf[*pos..end].try_into().unwrap()));
-            *pos = end;
-        }
-
-        // Re-validate every descriptor against the decoded arenas.
-        for entry in &entries {
-            match *entry {
-                TidListRef::Empty => {}
-                TidListRef::Sparse { start, len } => {
-                    let end = start
-                        .checked_add(len)
-                        .filter(|&e| e <= sparse.len())
-                        .ok_or_else(|| corrupt("sparse run out of arena bounds", *pos))?;
-                    let run = &sparse[start..end];
-                    let sorted = run.windows(2).all(|w| w[0] < w[1]);
-                    if !sorted || u64::from(run[len - 1]) >= num_transactions {
-                        return Err(corrupt("sparse run unsorted or out of tid range", *pos));
-                    }
-                }
-                TidListRef::Dense { start, count } => {
-                    let end = start
-                        .checked_add(words_per_dense)
-                        .filter(|&e| e <= dense.len())
-                        .ok_or_else(|| corrupt("dense run out of arena bounds", *pos))?;
-                    let words = &dense[start..end];
-                    let pop: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-                    if pop != count {
-                        return Err(corrupt("dense popcount mismatch", *pos));
-                    }
-                    let tail_bits = (words_per_dense as u64 * 64).saturating_sub(num_transactions);
-                    if tail_bits > 0 && words_per_dense > 0 {
-                        let last = words[words_per_dense - 1];
-                        if last >> (64 - tail_bits) != 0 {
-                            return Err(corrupt("dense bits beyond tid range", *pos));
-                        }
-                    }
-                }
-            }
-        }
-
-        Ok(VerticalIndex {
-            num_transactions,
-            words_per_dense,
-            dense_factor,
-            keep,
-            entries,
-            sparse,
-            dense,
-        })
     }
 
     /// The support (tid-list length) of `item`.
@@ -1578,75 +1388,6 @@ mod tests {
         // Unfiltered indexes cover everything.
         let unfiltered = VerticalIndex::build(&d, None, &EngineConfig::serial());
         assert!(unfiltered.covers(&item_bitmap([ItemId(3), ItemId(999)])));
-    }
-
-    #[test]
-    fn encode_decode_roundtrips_mixed_index() {
-        let d = mixed_db(200);
-        let keep = item_bitmap((0..6).map(ItemId));
-        for (filter, factor) in [
-            (None, DENSE_FACTOR),
-            (Some(&keep), DENSE_FACTOR),
-            (None, 0),
-            (None, u32::MAX),
-        ] {
-            let idx = VerticalIndex::build_with_density(
-                &d,
-                filter.map(Vec::as_slice),
-                &EngineConfig::serial(),
-                factor,
-            );
-            let mut buf = vec![0xAA, 0xBB];
-            idx.encode(&mut buf);
-            buf.extend_from_slice(&[0xCC]);
-            let mut pos = 2;
-            let back = VerticalIndex::decode(&buf, &mut pos).expect("decode");
-            assert_eq!(
-                pos,
-                buf.len() - 1,
-                "decode must consume exactly the encoding"
-            );
-            assert_eq!(back.num_transactions, idx.num_transactions);
-            assert_eq!(back.words_per_dense, idx.words_per_dense);
-            assert_eq!(back.dense_factor, idx.dense_factor);
-            assert_eq!(back.keep, idx.keep);
-            assert_eq!(back.entries, idx.entries);
-            assert_eq!(back.sparse, idx.sparse);
-            assert_eq!(back.dense, idx.dense);
-        }
-        // The empty index round-trips too.
-        let empty = VerticalIndex::build(&TransactionDb::new(), None, &EngineConfig::serial());
-        let mut buf = Vec::new();
-        empty.encode(&mut buf);
-        let mut pos = 0;
-        let back = VerticalIndex::decode(&buf, &mut pos).expect("decode empty");
-        assert_eq!(pos, buf.len());
-        assert_eq!(back.num_transactions, 0);
-    }
-
-    #[test]
-    fn decode_rejects_corruption_without_panicking() {
-        let d = mixed_db(200);
-        let idx = VerticalIndex::build(&d, None, &EngineConfig::serial());
-        let mut buf = Vec::new();
-        idx.encode(&mut buf);
-        // Every truncation point fails cleanly.
-        for len in 0..buf.len() {
-            let mut pos = 0;
-            assert!(
-                VerticalIndex::decode(&buf[..len], &mut pos).is_err(),
-                "truncation at {len} must be rejected"
-            );
-        }
-        // Flipping any single byte either still decodes to a structurally
-        // valid index (e.g. a tid change that keeps the run sorted) or is
-        // rejected — it must never panic.
-        for at in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[at] ^= 0xFF;
-            let mut pos = 0;
-            let _ = VerticalIndex::decode(&bad, &mut pos);
-        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl StagedUpdate {
 /// Scanning the store (via [`TransactionSource`]) always delivers the
 /// current *live* transactions: `DB` before staging, `DB \ db⁻` while an
 /// update is staged, `(DB \ db⁻) ∪ db⁺` after commit.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SegmentedDb {
     live: Vec<(Tid, Transaction)>,
     /// Index from tid to position in `live`; kept in sync on every mutation.
@@ -145,27 +145,6 @@ pub struct SegmentedDb {
     /// The live-tid view (watermark + tombstones) and the delete claims
     /// released on commit/abort.
     staging: Arc<StagingArea>,
-    /// `true` while the live vector is still in ascending tid order —
-    /// i.e. scan order equals tid order. Deletions `swap_remove` and
-    /// aborts re-append, both of which break the invariant; checkpoints
-    /// use it to decide whether a positional `VerticalIndex`
-    /// (`fup_mining`) can be serialised alongside the tid-ordered
-    /// durable image.
-    tid_ordered: bool,
-}
-
-impl Default for SegmentedDb {
-    fn default() -> Self {
-        SegmentedDb {
-            live: Vec::new(),
-            by_tid: HashMap::new(),
-            next_tid: 0,
-            next_segment: 0,
-            metrics: Arc::default(),
-            staging: Arc::default(),
-            tid_ordered: true,
-        }
-    }
 }
 
 impl SegmentedDb {
@@ -222,9 +201,6 @@ impl SegmentedDb {
         self.by_tid.reserve(pairs.len());
         for (tid, t) in pairs {
             debug_assert!(!self.by_tid.contains_key(&tid), "tid reused: {tid:?}");
-            if self.live.last().is_some_and(|&(last, _)| last > tid) {
-                self.tid_ordered = false;
-            }
             self.by_tid.insert(tid, self.live.len());
             self.live.push((tid, t));
             self.next_tid = self.next_tid.max(tid.0 + 1);
@@ -242,7 +218,6 @@ impl SegmentedDb {
         if idx < self.live.len() {
             let moved_tid = self.live[idx].0;
             self.by_tid.insert(moved_tid, idx);
-            self.tid_ordered = false;
         }
         Some(t)
     }
@@ -289,14 +264,6 @@ impl SegmentedDb {
         self.staging.live_view()
     }
 
-    /// `true` while scan order still equals ascending tid order (no
-    /// deletion has `swap_remove`d and no abort has re-appended) — the
-    /// condition under which a positional index over the live set can be
-    /// serialised against the tid-ordered checkpoint image.
-    pub fn is_tid_ordered(&self) -> bool {
-        self.tid_ordered
-    }
-
     /// Stages an update: removes `batch.deletes` from the live set and
     /// materialises both sides of the update. Fails with
     /// [`Error::UnknownTransaction`] (leaving the store untouched) if any
@@ -321,12 +288,10 @@ impl SegmentedDb {
         for &tid in &batch.deletes {
             let idx = self.by_tid.remove(&tid).expect("validated above");
             let (_, t) = self.live.swap_remove(idx);
-            // swap_remove moved the former last element into `idx` —
-            // scan order no longer equals tid order.
+            // swap_remove moved the former last element into `idx`.
             if idx < self.live.len() {
                 let moved_tid = self.live[idx].0;
                 self.by_tid.insert(moved_tid, idx);
-                self.tid_ordered = false;
             }
             deleted_with_tids.push((tid, t));
         }
@@ -358,10 +323,6 @@ impl SegmentedDb {
             .release_deletes(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
         self.staging
             .live_insert(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
-        if !staged.deleted_with_tids.is_empty() {
-            // Restored rows re-append at the end, out of tid order.
-            self.tid_ordered = false;
-        }
         for (tid, t) in staged.deleted_with_tids {
             self.by_tid.insert(tid, self.live.len());
             self.live.push((tid, t));
@@ -524,28 +485,6 @@ mod tests {
         let s2 = db.stage(UpdateBatch::insert_only(vec![tx(&[2])])).unwrap();
         let (seg2, _) = db.commit(s2);
         assert!(seg2 > seg1);
-    }
-
-    #[test]
-    fn tid_order_flag_tracks_reordering_mutations() {
-        let mut db = SegmentedDb::new();
-        let tids = db.append_all(vec![tx(&[1]), tx(&[2]), tx(&[3])]);
-        assert!(db.is_tid_ordered());
-        // Deleting the tail keeps scan order == tid order.
-        let staged = db.stage(UpdateBatch::delete_only(vec![tids[2]])).unwrap();
-        db.commit(staged);
-        assert!(db.is_tid_ordered());
-        // Deleting from the middle swap_removes: order broken.
-        let staged = db.stage(UpdateBatch::delete_only(vec![tids[0]])).unwrap();
-        db.commit(staged);
-        assert!(!db.is_tid_ordered());
-
-        // An abort that restores rows re-appends them: order broken too.
-        let mut db = SegmentedDb::new();
-        let tids = db.append_all(vec![tx(&[1]), tx(&[2])]);
-        let staged = db.stage(UpdateBatch::delete_only(vec![tids[0]])).unwrap();
-        db.abort(staged);
-        assert!(!db.is_tid_ordered());
     }
 
     #[test]

@@ -614,14 +614,6 @@ impl ShardedDb {
         self.staging.live_view()
     }
 
-    /// `true` while every shard's scan order still equals ascending tid
-    /// order over its subset (no mid-shard deletion or abort reordered a
-    /// shard) — the condition under which each shard's positional index
-    /// stays extendable.
-    pub fn is_tid_ordered(&self) -> bool {
-        self.shards.iter().all(|s| s.is_tid_ordered())
-    }
-
     /// Stages an update: removes `batch.deletes` from their owning shards
     /// and routes `batch.inserts` to prospective tids/shards. Fails with
     /// [`Error::UnknownTransaction`] — leaving every shard untouched — if
@@ -1024,7 +1016,6 @@ mod tests {
         .unwrap();
         assert_eq!(recovered.len(), db.len());
         assert_eq!(recovered.live_view(), view);
-        assert!(recovered.is_tid_ordered());
         for (tid, t) in db.iter() {
             assert_eq!(recovered.get(tid), Some(t));
         }
