@@ -58,9 +58,9 @@ use fup_mining::{
 use fup_tidb::rpc::{ChannelTransport, Message, Transport};
 use fup_tidb::source::ChainSource;
 use fup_tidb::{
-    Admission, ChunkScratch, DurableStorage, FaultKind, ItemId, RangeMove, ScanMetrics,
-    SegmentedDb, ShardSpec, SliceSource, StagingArea, Tid, Transaction, TransactionDb,
-    TransactionSource, TxChunk, UpdateBatch,
+    Admission, ChunkScratch, DurableStorage, FaultKind, ItemId, ScanMetrics, SegmentedDb,
+    ShardSpec, SliceSource, StagingArea, Tid, Transaction, TransactionDb, TransactionSource,
+    TxChunk, UpdateBatch,
 };
 
 use crate::config::FupConfig;
@@ -756,7 +756,13 @@ fn spawn_worker(
         .name(format!("fup-shard-{s}"))
         .spawn(move || match ShardWorker::recover(s, storage, engine) {
             Ok(mut worker) => worker.run(&mut remote),
-            Err(e) => eprintln!("worker {s} recover failed: {e}"),
+            // A worker that cannot recover stays on its transport and
+            // answers every request with the reason until it closes, so
+            // the failure reaches the coordinator.
+            Err(e) => {
+                let reply = Message::Err(e.to_string());
+                while remote.recv().is_ok() && remote.send(&reply).is_ok() {}
+            }
         })
         .expect("spawn shard worker");
     let handle = WorkerHandle {
@@ -1029,7 +1035,7 @@ impl Cluster {
     }
 
     /// Stage + commit with no counting in between — the load path for
-    /// bootstrap and rebalance rounds. Updates all coordinator
+    /// bootstrap rounds. Updates all coordinator
     /// bookkeeping (tids, live view, claims, totals).
     fn run_two_phase(&mut self, batch: &UpdateBatch) -> Result<Vec<Tid>> {
         let round = self.round + 1;
@@ -1268,6 +1274,7 @@ impl Cluster {
                 decided_round,
                 staged_round,
             }),
+            Message::Err(reason) => Err(down(shard, reason)),
             other => Err(down(shard, format!("unexpected probe reply: {other:?}"))),
         }
     }
@@ -1295,14 +1302,15 @@ impl Cluster {
     /// decision record — committed rounds complete (no acknowledged
     /// commit is lost), aborted rounds roll back. Once this returns the
     /// worker serves rounds again and a held retry batch becomes
-    /// committable.
+    /// committable. If recovery or the handshake fails, the error
+    /// carries the worker's reason and the shard stays down.
     pub fn restart_worker(&mut self, shard: usize) -> Result<()> {
         if self.workers[shard].up {
             return Ok(());
         }
-        if let Some(t) = self.threads[shard].take() {
-            let _ = t.join();
-        }
+        // Sever and join whatever still holds the shard's transport (a
+        // worker whose last recovery failed answers until it closes).
+        self.kill_worker(shard);
         let (mut handle, thread) = spawn_worker(
             shard,
             Arc::clone(&self.storages[shard]),
@@ -1312,6 +1320,15 @@ impl Cluster {
         handle.ops = self.workers[shard].ops;
         self.workers[shard] = handle;
         self.threads[shard] = Some(thread);
+        let rejoined = self.rejoin(shard);
+        if rejoined.is_err() {
+            self.workers[shard].up = false;
+        }
+        rejoined
+    }
+
+    /// The rejoin handshake of [`restart_worker`](Cluster::restart_worker).
+    fn rejoin(&mut self, shard: usize) -> Result<()> {
         let probe = self.probe(shard)?;
         if let Some(round) = probe.staged_round {
             let committed = self.decisions.get(&round).copied().unwrap_or(false);
@@ -1346,71 +1363,6 @@ impl Cluster {
             }
         }
         Ok(())
-    }
-
-    /// Re-shards the cluster to `new_spec`: computes the
-    /// [`RangeMove`]s ([`ShardSpec::rebalance_to`]), fetches every
-    /// shard's rows, shuts the old workers down, and reloads the rows —
-    /// original tids preserved — through fresh workers under the new
-    /// spec, reusing the same recovery/load machinery as bootstrap. The
-    /// published snapshot is untouched (row placement never changes
-    /// counts). Requires all workers up and nothing staged or parked.
-    pub fn rebalance_to(
-        &mut self,
-        new_spec: ShardSpec,
-        new_storages: Vec<Arc<dyn DurableStorage>>,
-    ) -> Result<Vec<RangeMove>> {
-        self.ensure_all_up()?;
-        if self.staging.has_pending() || self.retry.is_some() {
-            return Err(Error::Recovery {
-                reason: "rebalance requires an empty backlog (commit first)".into(),
-            });
-        }
-        if new_storages.len() != new_spec.num_shards() {
-            return Err(Error::Recovery {
-                reason: format!(
-                    "{} storage namespaces for {} shards",
-                    new_storages.len(),
-                    new_spec.num_shards()
-                ),
-            });
-        }
-        let moves = self
-            .spec
-            .rebalance_to(&new_spec, self.next_tid)
-            .map_err(|e| Error::Config(crate::error::BuildError::InvalidShardSpec(e)))?;
-        let mut rows: Vec<(Tid, Transaction)> = Vec::new();
-        for s in 0..self.workers.len() {
-            match self.workers[s].call(&Message::FetchRows) {
-                Ok(Message::Rows(v)) => rows.extend(v),
-                Ok(other) => return Err(down(s, format!("unexpected rows reply: {other:?}"))),
-                Err(e) => {
-                    self.workers[s].up = false;
-                    return Err(e);
-                }
-            }
-        }
-        self.shutdown_workers();
-        self.spec = new_spec;
-        self.storages = new_storages;
-        self.workers = Vec::with_capacity(self.spec.num_shards());
-        self.threads = Vec::with_capacity(self.spec.num_shards());
-        for (s, storage) in self.storages.iter().enumerate() {
-            let (handle, thread) = spawn_worker(s, Arc::clone(storage), self.config.engine.clone());
-            self.workers.push(handle);
-            self.threads.push(Some(thread));
-        }
-        // Reload under the new spec as one lockstep round, tids
-        // preserved, then checkpoint so the new namespaces start clean.
-        let round = self.round + 1;
-        let mut routed = vec![(Vec::new(), Vec::new()); self.spec.num_shards()];
-        for (tid, t) in rows {
-            routed[self.spec.shard_of(tid)].0.push((tid, t));
-        }
-        self.stage_round(round, &routed)?;
-        self.commit_round(round, &routed);
-        self.checkpoint()?;
-        Ok(moves)
     }
 
     /// Per-shard health gauges for the service's

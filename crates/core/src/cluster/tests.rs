@@ -193,6 +193,44 @@ fn killed_worker_fails_fast_and_survivors_keep_serving() {
 }
 
 #[test]
+fn failed_worker_recovery_reaches_the_coordinator() {
+    let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
+    let mut c = Cluster::bootstrap(
+        ShardSpec::striped_with(2, 1),
+        storages
+            .iter()
+            .map(|s| Arc::clone(s) as Arc<dyn DurableStorage>)
+            .collect(),
+        history(),
+        MinSupport::percent(25),
+        MinConfidence::percent(60),
+        FupConfig::default(),
+    )
+    .unwrap();
+    let len = storages[1].read(CHECKPOINT_FILE).unwrap().unwrap().len();
+    storages[1].flip_byte(CHECKPOINT_FILE, len - 1);
+    c.kill_worker(1);
+
+    let err = c.restart_worker(1).unwrap_err();
+    match &err {
+        Error::WorkerDown { shard: 1, reason } => {
+            assert!(reason.contains("malformed checkpoint"), "{reason}")
+        }
+        other => panic!("expected WorkerDown, got {other}"),
+    }
+    assert!(!c.worker_up(1));
+    assert!(c.probe(0).unwrap().live > 0);
+    c.stage(UpdateBatch::insert_only(vec![tx(&[1, 2])]))
+        .unwrap();
+    let err = c.commit().unwrap_err();
+    assert!(matches!(err, Error::WorkerDown { shard: 1, .. }), "{err}");
+    // A second attempt reaches the same worker error, not a hang.
+    let err = c.restart_worker(1).unwrap_err();
+    assert!(matches!(err, Error::WorkerDown { shard: 1, .. }), "{err}");
+    c.shutdown();
+}
+
+#[test]
 fn acknowledged_commits_survive_kill_and_restart() {
     let mut c = cluster(ShardSpec::striped_with(2, 1));
     let mut m = flat();
@@ -382,51 +420,6 @@ fn stage_is_idempotent_and_rejects_conflicts() {
         deletes: vec![Tid(99)],
     };
     assert!(matches!(w.handle(&bad).unwrap(), Message::Err(_)));
-}
-
-#[test]
-fn rebalance_preserves_identity_and_reports_moves() {
-    let mut c = cluster(ShardSpec::striped_with(2, 1));
-    let mut m = flat();
-    let b = UpdateBatch::insert_only(vec![tx(&[1, 2, 4]), tx(&[3, 5])]);
-    c.apply(b.clone()).unwrap();
-    m.apply(b).unwrap();
-    let version = c.version();
-
-    let moves = c
-        .rebalance_to(ShardSpec::striped_with(3, 1), mem_storages(3))
-        .unwrap();
-    assert!(!moves.is_empty(), "a 2→3 re-stripe moves rows");
-    assert_eq!(c.num_shards(), 3);
-    assert_eq!(c.version(), version, "rebalance publishes nothing");
-    let live: u64 = (0..3).map(|s| c.probe(s).unwrap().live).sum();
-    assert_eq!(live, c.num_transactions());
-    assert_identical(&c, &m);
-
-    // Rounds keep matching flat under the new spec.
-    let b = UpdateBatch {
-        inserts: vec![tx(&[2, 3, 4])],
-        deletes: vec![Tid(6)],
-    };
-    c.apply(b.clone()).unwrap();
-    m.apply(b).unwrap();
-    assert_identical(&c, &m);
-    c.shutdown();
-}
-
-#[test]
-fn rebalance_requires_empty_backlog() {
-    let mut c = cluster(ShardSpec::striped_with(2, 1));
-    c.stage(UpdateBatch::insert_only(vec![tx(&[1, 2])]))
-        .unwrap();
-    let err = c
-        .rebalance_to(ShardSpec::striped_with(3, 1), mem_storages(3))
-        .unwrap_err();
-    assert!(matches!(err, Error::Recovery { .. }), "{err}");
-    c.commit().unwrap();
-    c.rebalance_to(ShardSpec::striped_with(3, 1), mem_storages(3))
-        .unwrap();
-    c.shutdown();
 }
 
 #[test]

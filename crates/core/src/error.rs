@@ -13,14 +13,9 @@ pub enum BuildError {
     MissingMinSupport,
     /// No minimum confidence threshold was supplied.
     MissingMinConfidence,
-    /// An explicit worker-thread count of zero was requested. (Omit the
-    /// call to let the engine resolve the machine's parallelism instead.)
-    ZeroThreads,
     /// A chunk size of zero was requested; scans need at least one
     /// transaction per chunk.
     ZeroChunkSize,
-    /// DHP pair hashing was enabled with zero hash buckets.
-    ZeroHashBuckets,
     /// `max_k` was capped at zero, which would mine nothing at all.
     ZeroMaxK,
     /// A [`RemineOverRatio`](crate::UpdatePolicy::RemineOverRatio) policy
@@ -60,14 +55,7 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::MissingMinSupport => write!(f, "no minimum support configured"),
             BuildError::MissingMinConfidence => write!(f, "no minimum confidence configured"),
-            BuildError::ZeroThreads => write!(
-                f,
-                "explicit thread count of zero; omit threads() to use the machine's parallelism"
-            ),
             BuildError::ZeroChunkSize => write!(f, "chunk size must be at least 1"),
-            BuildError::ZeroHashBuckets => {
-                write!(f, "DHP pair hashing enabled with zero hash buckets")
-            }
             BuildError::ZeroMaxK => write!(f, "max_k of 0 would mine nothing"),
             BuildError::InvalidRemineRatio(r) => {
                 write!(f, "re-mine ratio {r} is not a non-negative number")
@@ -271,10 +259,10 @@ mod tests {
 
     #[test]
     fn build_errors_convert_and_chain() {
-        let e: Error = BuildError::ZeroThreads.into();
-        assert_eq!(e, Error::Config(BuildError::ZeroThreads));
+        let e: Error = BuildError::ZeroChunkSize.into();
+        assert_eq!(e, Error::Config(BuildError::ZeroChunkSize));
         assert!(std::error::Error::source(&e).is_some());
-        assert!(e.to_string().contains("thread"));
+        assert!(e.to_string().contains("chunk"));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * DHP-style pair hashing over the increment further thins the size-2
 //!   candidates (§3.4, last paragraph).
 //!
-//! [`fup2::Fup2`] takes a delete side as well
+//! [`fup::Fup2`] takes a delete side as well
 //! (`DB' = (DB − db⁻) ∪ db⁺`). Both are fronts of **one** round loop,
 //! stated once in the [`fup`] module docs: FUP is its `db⁻ = ∅` case.
 //!
@@ -70,7 +70,6 @@ pub mod diff;
 pub mod durable;
 pub mod error;
 pub mod fup;
-pub mod fup2;
 pub mod policy;
 pub mod reduce;
 pub mod service;
@@ -82,8 +81,7 @@ pub use config::FupConfig;
 pub use diff::{ItemsetDiff, RuleDiff};
 pub use durable::{DurabilityPolicy, LogState, RecoveryReport, RetryPolicy};
 pub use error::{BuildError, Error, Result};
-pub use fup::{Fup, FupOutcome, FupPassDetail};
-pub use fup2::Fup2;
+pub use fup::{Fup, Fup2, FupOutcome, FupPassDetail};
 pub use policy::UpdatePolicy;
 pub use service::{
     CommitPolicy, HealthReport, HealthState, MaintainerService, ServiceError, ServiceHealth,

@@ -159,9 +159,6 @@ pub enum ServiceError {
     /// A [`CommitPolicy`] staging capacity of zero ops would reject
     /// every batch at arrival.
     ZeroStagingCapacity,
-    /// A [`CommitPolicy`] adaptive latency target of zero would drive
-    /// every round's ops cap to its floor regardless of load.
-    ZeroAdaptiveTarget,
     /// A batch failed arrival-time validation and was not staged (wraps
     /// the session error, e.g. an unknown tid or
     /// [`Error::DeletionsDisabled`]).
@@ -244,10 +241,6 @@ impl fmt::Display for ServiceError {
             ServiceError::ZeroStagingCapacity => {
                 write!(f, "a staging capacity of zero ops would reject every batch")
             }
-            ServiceError::ZeroAdaptiveTarget => write!(
-                f,
-                "an adaptive latency target of zero would pin every round at its floor"
-            ),
             ServiceError::Stage(e) => write!(f, "batch rejected at arrival: {e}"),
             ServiceError::WouldBlock { pending, capacity } => write!(
                 f,
@@ -327,15 +320,6 @@ pub struct CommitPolicy {
     /// mode. A batch larger than the whole capacity is refused outright
     /// ([`ServiceError::WouldBlock`]) in every mode.
     pub max_staged_ops: Option<u64>,
-    /// Target commit latency for **adaptive** round sizing (`None` =
-    /// fixed rounds). When set, the committer derives each round's ops
-    /// cap from the observed latency ring: the last round's op count is
-    /// scaled by `target / observed` latency, so rounds grow while
-    /// commits run under target and shrink when they run over. A
-    /// configured [`max_ops_per_round`](Self::max_ops_per_round) stays
-    /// in force as a hard ceiling, and is also the fallback before the
-    /// ring holds a sample (one per committed round).
-    pub adaptive_round_target: Option<Duration>,
     /// How often the committer re-checks triggers when idle (it is also
     /// woken eagerly by producers whose batch crosses a trigger).
     pub poll_interval: Duration,
@@ -359,7 +343,6 @@ impl Default for CommitPolicy {
             max_increment_ratio: Some(0.10),
             max_ops_per_round: None,
             max_staged_ops: None,
-            adaptive_round_target: None,
             poll_interval: Duration::from_millis(20),
             max_committer_restarts: 3,
         }
@@ -393,16 +376,6 @@ impl CommitPolicy {
     /// [`max_ops_per_round`](Self::max_ops_per_round)).
     pub fn ops_per_round(mut self, n: u64) -> Self {
         self.max_ops_per_round = Some(n);
-        self
-    }
-
-    /// This policy with adaptive round sizing aimed at `target` commit
-    /// latency (see
-    /// [`adaptive_round_target`](Self::adaptive_round_target)). Pair it
-    /// with [`ops_per_round`](Self::ops_per_round) to keep a hard
-    /// ceiling on how far rounds may grow.
-    pub fn adaptive_rounds(mut self, target: Duration) -> Self {
-        self.adaptive_round_target = Some(target);
         self
     }
 
@@ -444,9 +417,6 @@ impl CommitPolicy {
         }
         if self.max_staged_ops == Some(0) {
             return Err(ServiceError::ZeroStagingCapacity);
-        }
-        if self.adaptive_round_target.is_some_and(|t| t.is_zero()) {
-            return Err(ServiceError::ZeroAdaptiveTarget);
         }
         if self.poll_interval.is_zero() {
             return Err(ServiceError::ZeroPollInterval);
@@ -1972,11 +1942,6 @@ fn committer_loop(mut maintainer: Maintainer, shared: &Shared) -> Maintainer {
 /// online). Then the whole backlog travels in one round, so the
 /// session's update policy routes it to a full re-mine instead of
 /// grinding through FUP chunks that a single Apriori pass would beat.
-///
-/// With [`CommitPolicy::adaptive_round_target`] set, the bound is
-/// derived from the latency ring's most recent sample instead of the
-/// fixed knob (which stays in force as a ceiling) — see
-/// [`derive_adaptive_cap`].
 fn round_cap(maintainer: &Maintainer, shared: &Shared, pending: u64) -> Option<u64> {
     if pending > 0
         && maintainer
@@ -1985,40 +1950,7 @@ fn round_cap(maintainer: &Maintainer, shared: &Shared, pending: u64) -> Option<u
     {
         return None;
     }
-    let fixed = shared.policy.max_ops_per_round;
-    let Some(target) = shared.policy.adaptive_round_target else {
-        return fixed;
-    };
-    let observed = shared
-        .latencies
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .back()
-        .copied()
-        .unwrap_or(0);
-    let last_ops = shared.metrics.last_round_ops.load(Ordering::Relaxed);
-    derive_adaptive_cap(target.as_micros() as u64, last_ops, observed, fixed)
-}
-
-/// Adaptive round sizing: scale the last round's op count by
-/// `target / observed` latency — a one-step proportional controller
-/// under the (locally accurate) model that commit latency grows with
-/// round size. Rounds that ran under target may grow, rounds that ran
-/// over must shrink; the fixed knob, when set, remains a hard ceiling
-/// and is the fallback while there is no observation yet. The derived
-/// cap never falls below one op, so progress is always possible.
-fn derive_adaptive_cap(
-    target_micros: u64,
-    last_ops: u64,
-    observed_micros: u64,
-    fixed: Option<u64>,
-) -> Option<u64> {
-    if last_ops == 0 || observed_micros == 0 {
-        return fixed;
-    }
-    let scaled = (last_ops as u128 * target_micros as u128) / observed_micros as u128;
-    let derived = scaled.clamp(1, u64::MAX as u128) as u64;
-    Some(fixed.map_or(derived, |f| derived.min(f)))
+    shared.policy.max_ops_per_round
 }
 
 /// Drains everything staged in bounded rounds, stopping early if a round
@@ -2226,17 +2158,6 @@ mod tests {
                 .unwrap_err(),
             ServiceError::ZeroStagingCapacity
         );
-        assert_eq!(
-            CommitPolicy::manual()
-                .adaptive_rounds(Duration::ZERO)
-                .validate()
-                .unwrap_err(),
-            ServiceError::ZeroAdaptiveTarget
-        );
-        CommitPolicy::manual()
-            .adaptive_rounds(Duration::from_millis(5))
-            .validate()
-            .unwrap();
         CommitPolicy::manual().validate().unwrap();
         CommitPolicy::default().validate().unwrap();
         CommitPolicy::manual()
@@ -2248,45 +2169,6 @@ mod tests {
         let err =
             MaintainerService::launch(session(), CommitPolicy::default().every_ops(0)).unwrap_err();
         assert_eq!(err, ServiceError::ZeroPendingTrigger);
-    }
-
-    #[test]
-    fn adaptive_cap_arithmetic() {
-        // No observation yet → the fixed knob is the answer either way.
-        assert_eq!(derive_adaptive_cap(1_000, 0, 0, None), None);
-        assert_eq!(derive_adaptive_cap(1_000, 0, 500, Some(64)), Some(64));
-        assert_eq!(derive_adaptive_cap(1_000, 10, 0, Some(64)), Some(64));
-        // Under target → rounds may grow proportionally.
-        assert_eq!(derive_adaptive_cap(1_000, 100, 500, None), Some(200));
-        // Over target → rounds shrink, but never below one op.
-        assert_eq!(derive_adaptive_cap(1_000, 100, 4_000, None), Some(25));
-        assert_eq!(derive_adaptive_cap(1, 2, 1_000_000, None), Some(1));
-        // The fixed knob stays a hard ceiling on growth.
-        assert_eq!(derive_adaptive_cap(1_000, 100, 500, Some(150)), Some(150));
-        assert_eq!(derive_adaptive_cap(1_000, 100, 4_000, Some(150)), Some(25));
-        // Exactly on target holds the size steady.
-        assert_eq!(derive_adaptive_cap(1_000, 100, 1_000, None), Some(100));
-    }
-
-    #[test]
-    fn adaptive_rounds_drain_backlogs_end_to_end() {
-        let policy = CommitPolicy::manual()
-            .adaptive_rounds(Duration::from_millis(50))
-            .ops_per_round(4);
-        let service = MaintainerService::launch(session(), policy).unwrap();
-        for i in 0..10u32 {
-            service
-                .stage(UpdateBatch::insert_only(vec![tx(&[i % 5, i % 3 + 4])]))
-                .unwrap();
-        }
-        let report = service.flush().unwrap();
-        assert_eq!(report.num_transactions, 15);
-        let metrics = service.metrics();
-        assert!(metrics.committed_rounds >= 1);
-        assert!(metrics.max_round_ops <= 4, "{metrics:?}");
-        assert_eq!(metrics.committed_inserts, 10);
-        let (maintainer, _) = service.shutdown();
-        maintainer.verify_consistency().unwrap();
     }
 
     #[test]

@@ -70,8 +70,8 @@ use crate::vindex::{IndexSlot, SlotProvider};
 use fup_mining::apriori::AprioriConfig;
 use fup_mining::rules::generate_rules;
 use fup_mining::{
-    Apriori, CountingBackend, EngineConfig, Itemset, LargeItemsets, MinConfidence, MinSupport,
-    MiningStats, Rule, RuleSet, VerticalIndex,
+    Apriori, CountingBackend, Itemset, LargeItemsets, MinConfidence, MinSupport, MiningStats, Rule,
+    RuleSet, VerticalIndex,
 };
 use fup_tidb::wal::WalRecord;
 use fup_tidb::{
@@ -415,9 +415,9 @@ pub(crate) struct RecoverySpec {
 
 /// Fluent, validating builder for a [`Maintainer`] session — the one
 /// place the previously scattered knobs ([`MinSupport`],
-/// [`MinConfidence`], [`FupConfig`], [`EngineConfig`],
-/// [`GenConfig`](fup_mining::GenConfig), [`UpdatePolicy`],
-/// [`CountingBackend`]) come together. Later calls win over earlier ones;
+/// [`MinConfidence`], [`FupConfig`], [`UpdatePolicy`],
+/// [`CountingBackend`]) come together. Every setter writes into one
+/// [`FupConfig`], so later calls win over earlier ones;
 /// [`build`](MaintainerBuilder::build) rejects bad combinations with a
 /// typed [`BuildError`] instead of panicking at runtime.
 #[derive(Debug, Clone, Default)]
@@ -425,10 +425,6 @@ pub struct MaintainerBuilder {
     minsup: Option<MinSupport>,
     minconf: Option<MinConfidence>,
     config: FupConfig,
-    threads: Option<usize>,
-    gen_threads: Option<usize>,
-    chunk_size: Option<usize>,
-    backend: Option<CountingBackend>,
     policy: UpdatePolicy,
     deletions: bool,
     durability: DurabilityPolicy,
@@ -456,84 +452,34 @@ impl MaintainerBuilder {
     }
 
     /// Replaces the whole FUP configuration (optimisation toggles and
-    /// engine settings), discarding any earlier fine-grained calls;
-    /// fine-grained calls made *after* this one override individual
-    /// fields.
+    /// engine settings), including what earlier [`threads`](Self::threads)
+    /// / [`gen_threads`](Self::gen_threads) / [`backend`](Self::backend)
+    /// calls set; those calls made *after* this one override its fields.
+    /// The engine's chunk size must be ≥ 1; a `max_k` cap must be ≥ 1
+    /// and is incompatible with re-mining policies, which ignore it.
     pub fn fup_config(mut self, config: FupConfig) -> Self {
         self.config = config;
-        self.clear_engine_overrides();
         self
     }
 
-    /// Replaces the counting-engine configuration wholesale, discarding
-    /// any earlier fine-grained engine calls; fine-grained calls made
-    /// *after* this one override individual fields.
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.config.engine = engine;
-        self.clear_engine_overrides();
-        self
-    }
-
-    /// Drops pending fine-grained engine overrides so that a wholesale
-    /// [`engine`](Self::engine) / [`fup_config`](Self::fup_config) call
-    /// wins over everything before it — the "later calls win" contract.
-    fn clear_engine_overrides(&mut self) {
-        self.threads = None;
-        self.gen_threads = None;
-        self.chunk_size = None;
-        self.backend = None;
-    }
-
-    /// Worker threads for counting scans *and* candidate generation.
-    /// Explicitly passing `0` is a [`BuildError::ZeroThreads`]; omit the
-    /// call to use the machine's available parallelism.
+    /// Worker threads for counting scans *and* candidate generation
+    /// (`0`, the default, uses the machine's available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.config.engine.threads = threads;
+        self.config.engine.gen.threads = threads;
         self
     }
 
     /// Worker threads for candidate generation alone (overrides the
     /// [`threads`](Self::threads) value for that phase).
     pub fn gen_threads(mut self, threads: usize) -> Self {
-        self.gen_threads = Some(threads);
-        self
-    }
-
-    /// Transactions per claimed scan chunk (must be ≥ 1).
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = Some(chunk_size);
+        self.config.engine.gen.threads = threads;
         self
     }
 
     /// The support-counting backend for every scan of the session.
     pub fn backend(mut self, backend: CountingBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Toggles the `Reduce-db`/`Reduce-DB` trimming of §3.4.
-    pub fn reduce_db(mut self, on: bool) -> Self {
-        self.config.reduce_db = on;
-        self
-    }
-
-    /// Toggles DHP-style pair hashing over the increment (§3.4).
-    pub fn dhp_hash(mut self, on: bool) -> Self {
-        self.config.dhp_hash = on;
-        self
-    }
-
-    /// Bucket count for the DHP pair hash (must be ≥ 1 while
-    /// [`dhp_hash`](Self::dhp_hash) is on).
-    pub fn hash_buckets(mut self, buckets: usize) -> Self {
-        self.config.hash_buckets = buckets;
-        self
-    }
-
-    /// Caps mining at iteration `k` (must be ≥ 1). Incompatible with
-    /// re-mining policies, which ignore the cap.
-    pub fn max_k(mut self, k: usize) -> Self {
-        self.config.max_k = Some(k);
+        self.config.engine.backend = backend;
         self
     }
 
@@ -585,47 +531,24 @@ impl MaintainerBuilder {
         self
     }
 
-    /// Resolves the fine-grained overrides into a validated
-    /// `(minsup, minconf, config)` triple — the shared front half of
-    /// [`build`](Self::build), [`build_durable`](Self::build_durable) and
+    /// Validates the configuration into a `(minsup, minconf, config)`
+    /// triple — the shared front half of [`build`](Self::build),
+    /// [`build_durable`](Self::build_durable) and
     /// [`recover`](Self::recover).
     fn validated(&self) -> std::result::Result<(MinSupport, MinConfidence, FupConfig), BuildError> {
         let minsup = self.minsup.ok_or(BuildError::MissingMinSupport)?;
         let minconf = self.minconf.ok_or(BuildError::MissingMinConfidence)?;
-        let mut config = self.config.clone();
-        if let Some(t) = self.threads {
-            if t == 0 {
-                return Err(BuildError::ZeroThreads);
-            }
-            config.engine.threads = t;
-            config.engine.gen.threads = t;
+        if self.config.engine.chunk_size == 0 {
+            return Err(BuildError::ZeroChunkSize);
         }
-        if let Some(t) = self.gen_threads {
-            if t == 0 {
-                return Err(BuildError::ZeroThreads);
-            }
-            config.engine.gen.threads = t;
-        }
-        if let Some(c) = self.chunk_size {
-            if c == 0 {
-                return Err(BuildError::ZeroChunkSize);
-            }
-            config.engine.chunk_size = c;
-        }
-        if let Some(b) = self.backend {
-            config.engine.backend = b;
-        }
-        if config.dhp_hash && config.hash_buckets == 0 {
-            return Err(BuildError::ZeroHashBuckets);
-        }
-        if config.max_k == Some(0) {
+        if self.config.max_k == Some(0) {
             return Err(BuildError::ZeroMaxK);
         }
-        validate_policy(self.policy, &config)?;
+        validate_policy(self.policy, &self.config)?;
         self.shards
             .validate()
             .map_err(BuildError::InvalidShardSpec)?;
-        Ok((minsup, minconf, config))
+        Ok((minsup, minconf, self.config.clone()))
     }
 
     /// Validates the configuration, then bootstraps the session: loads
@@ -1508,13 +1431,7 @@ impl Maintainer {
             builder: MaintainerBuilder {
                 minsup: Some(self.minsup),
                 minconf: Some(self.minconf),
-                // `config` is already fully resolved, so the fine-grained
-                // override slots stay empty.
                 config: self.config.clone(),
-                threads: None,
-                gen_threads: None,
-                chunk_size: None,
-                backend: None,
                 policy: self.policy,
                 deletions: self.deletions,
                 durability: *log.policy(),
@@ -1595,7 +1512,7 @@ impl Maintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fup_mining::GenConfig;
+    use fup_mining::{EngineConfig, GenConfig};
 
     fn tx(items: &[u32]) -> Transaction {
         Transaction::from_items(items.iter().copied())
@@ -1641,28 +1558,23 @@ mod tests {
                 .min_support(MinSupport::percent(40))
                 .min_confidence(MinConfidence::percent(60))
         };
+        let zero_chunks = FupConfig {
+            engine: EngineConfig {
+                chunk_size: 0,
+                ..EngineConfig::default()
+            },
+            ..FupConfig::default()
+        };
         assert_eq!(
-            base().threads(0).build(history()).unwrap_err(),
-            BuildError::ZeroThreads
-        );
-        assert_eq!(
-            base().gen_threads(0).build(history()).unwrap_err(),
-            BuildError::ZeroThreads
-        );
-        assert_eq!(
-            base().chunk_size(0).build(history()).unwrap_err(),
+            base().fup_config(zero_chunks).build(history()).unwrap_err(),
             BuildError::ZeroChunkSize
         );
+        let capped = |k| FupConfig {
+            max_k: Some(k),
+            ..FupConfig::default()
+        };
         assert_eq!(
-            base()
-                .dhp_hash(true)
-                .hash_buckets(0)
-                .build(history())
-                .unwrap_err(),
-            BuildError::ZeroHashBuckets
-        );
-        assert_eq!(
-            base().max_k(0).build(history()).unwrap_err(),
+            base().fup_config(capped(0)).build(history()).unwrap_err(),
             BuildError::ZeroMaxK
         );
         assert_eq!(
@@ -1674,7 +1586,7 @@ mod tests {
         );
         assert_eq!(
             base()
-                .max_k(3)
+                .fup_config(capped(3))
                 .policy(UpdatePolicy::AlwaysRemine)
                 .build(history())
                 .unwrap_err(),
@@ -1687,10 +1599,16 @@ mod tests {
         let m = Maintainer::builder()
             .min_support(MinSupport::percent(40))
             .min_confidence(MinConfidence::percent(60))
+            .fup_config(FupConfig {
+                reduce_db: false,
+                engine: EngineConfig {
+                    chunk_size: 128,
+                    ..EngineConfig::default()
+                },
+                ..FupConfig::default()
+            })
             .threads(3)
-            .chunk_size(128)
             .backend(CountingBackend::HashTree)
-            .reduce_db(false)
             .build(history())
             .unwrap();
         assert_eq!(m.config().engine.threads, 3);
@@ -1702,13 +1620,14 @@ mod tests {
 
     #[test]
     fn builder_later_calls_win_over_earlier_ones() {
-        // A wholesale engine() after fine-grained calls discards them...
+        let eight = || FupConfig::default().with_threads(8);
+        // A wholesale fup_config() after fine-grained calls discards them...
         let m = Maintainer::builder()
             .min_support(MinSupport::percent(40))
             .min_confidence(MinConfidence::percent(60))
             .threads(2)
             .backend(CountingBackend::Vertical)
-            .engine(EngineConfig::with_threads(8))
+            .fup_config(eight())
             .build(history())
             .unwrap();
         assert_eq!(m.config().engine.threads, 8);
@@ -1717,7 +1636,7 @@ mod tests {
         let m = Maintainer::builder()
             .min_support(MinSupport::percent(40))
             .min_confidence(MinConfidence::percent(60))
-            .engine(EngineConfig::with_threads(8))
+            .fup_config(eight())
             .threads(2)
             .build(history())
             .unwrap();
@@ -1904,7 +1823,10 @@ mod tests {
         let mut capped = Maintainer::builder()
             .min_support(MinSupport::percent(40))
             .min_confidence(MinConfidence::percent(60))
-            .max_k(2)
+            .fup_config(FupConfig {
+                max_k: Some(2),
+                ..FupConfig::default()
+            })
             .build(history())
             .unwrap();
         assert_eq!(

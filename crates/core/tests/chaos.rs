@@ -244,23 +244,30 @@ fn transient_faults_converge_with_one_and_eight_producers() {
 }
 
 /// Seeded random fault injection: every storage operation fails
-/// transiently with probability 1.5%, across several seeds. No
+/// transiently with probability 1.5% or 5%, across several seeds. No
 /// schedule-shaped assumptions — just the invariant: converge, heal,
-/// match the oracle.
+/// match the oracle. At 1.5% a seed's short run may draw no fault at
+/// all; at 5% the three seeds together must draw some.
 #[test]
 fn seeded_random_fault_rates_converge() {
-    for seed in [0xfeed_u64, 0xbeef, 0x5eed_cafe] {
-        let mem = Arc::new(MemStorage::new());
-        let flaky = Arc::new(FlakyStorage::with_fault_rate(
-            Arc::clone(&mem) as Arc<dyn DurableStorage>,
-            seed,
-            150,
-        ));
-        let session = builder()
-            .build_durable(history(), Arc::clone(&flaky) as Arc<dyn DurableStorage>)
-            .unwrap();
-        let service = MaintainerService::launch(session, chaos_policy()).unwrap();
-        converge_and_check(service, &mem, 4, &format!("seed={seed:#x}"));
+    for rate_bp in [150, 500] {
+        let mut fired = 0;
+        for seed in [0xfeed_u64, 0xbeef, 0x5eed_cafe] {
+            let mem = Arc::new(MemStorage::new());
+            let flaky = Arc::new(FlakyStorage::with_fault_rate(
+                Arc::clone(&mem) as Arc<dyn DurableStorage>,
+                seed,
+                rate_bp,
+            ));
+            let session = builder()
+                .build_durable(history(), Arc::clone(&flaky) as Arc<dyn DurableStorage>)
+                .unwrap();
+            let service = MaintainerService::launch(session, chaos_policy()).unwrap();
+            let label = format!("rate_bp={rate_bp} seed={seed:#x}");
+            converge_and_check(service, &mem, 4, &label);
+            fired += flaky.faults_injected();
+        }
+        assert!(rate_bp < 500 || fired > 0, "no fault fired at {rate_bp} bp");
     }
 }
 

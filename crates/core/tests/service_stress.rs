@@ -329,12 +329,13 @@ proptest! {
         // The bounded pipeline: the capacity gate blocks producers, the
         // pending trigger keeps the committer draining in capped rounds,
         // and the final flush covers the stragglers.
+        let capacity = 16;
         let service = MaintainerService::launch(
             build(history),
             CommitPolicy::manual()
                 .every_ops(4)
                 .ops_per_round(round_cap)
-                .staging_capacity(16)
+                .staging_capacity(capacity)
                 .with_poll_interval(std::time::Duration::from_millis(1)),
         )
         .unwrap();
@@ -351,6 +352,12 @@ proptest! {
         service.flush().unwrap();
         let (maintainer, metrics) = service.shutdown();
         prop_assert_eq!(metrics.dropped_rounds, 0);
+        prop_assert!(
+            metrics.max_backlog_ops <= capacity,
+            "the backlog must stay within the {} op capacity (saw {})",
+            capacity,
+            metrics.max_backlog_ops
+        );
         if !force_remine {
             // Batches are atomic, so one batch larger than the cap forms
             // its own round; the bound is max(cap, largest batch).

@@ -82,7 +82,7 @@ pub use item::ItemId;
 pub use rpc::{ChannelTransport, Message, Transport};
 pub use scan::ScanMetrics;
 pub use segment::{SegmentId, SegmentedDb, StagedUpdate, Tid, UpdateBatch};
-pub use shard::{RangeMove, ShardSpec, ShardedDb, ShardedStaged, SpecError, TidRange};
+pub use shard::{ShardSpec, ShardedDb, ShardedStaged, SpecError, TidRange};
 pub use source::{SliceSource, TransactionSource};
 pub use staging::{Admission, LiveTidView, StagingArea};
 pub use storage::{DiskStorage, DurableStorage, FlakyStorage, MemStorage, OpClass};

@@ -45,11 +45,6 @@ impl TidRange {
     pub fn new(start: u64, end: u64) -> Self {
         TidRange { start, end }
     }
-
-    /// `true` if `tid` falls inside the range.
-    pub fn contains(&self, tid: Tid) -> bool {
-        self.start <= tid.0 && tid.0 < self.end
-    }
 }
 
 /// Why a [`ShardSpec`] was rejected. Validation runs in
@@ -255,90 +250,6 @@ impl ShardSpec {
             }
         }
     }
-
-    /// Tid boundaries at which this spec's owner can change, strictly
-    /// below `watermark`, ascending. Between two consecutive boundaries
-    /// the owner is constant.
-    fn owner_boundaries(&self, watermark: u64, out: &mut Vec<u64>) {
-        match self {
-            ShardSpec::Striped { stripe, .. } => {
-                let mut b = 0u64;
-                while b < watermark {
-                    out.push(b);
-                    let Some(next) = b.checked_add(*stripe) else {
-                        break;
-                    };
-                    b = next;
-                }
-            }
-            ShardSpec::Ranges(ranges) => {
-                out.extend(ranges.iter().map(|r| r.start).filter(|&s| s < watermark));
-            }
-        }
-    }
-
-    /// Validates `new` and reports which tid ranges change owner when
-    /// this spec is replaced by it — the work list of a shard rebalance.
-    ///
-    /// Only tids below `watermark` (the store's next-tid allocator, i.e.
-    /// the tids that actually exist) are considered; future tids simply
-    /// route through the new spec from the start. Adjacent moved ranges
-    /// with the same `(from, to)` pair are coalesced, so the result is
-    /// minimal. Cost is linear in the owner-change boundaries of either
-    /// spec below the watermark (for striped specs, `watermark / stripe`).
-    ///
-    /// An empty result means the specs route every existing tid
-    /// identically — rebalancing would move nothing.
-    pub fn rebalance_to(
-        &self,
-        new: &ShardSpec,
-        watermark: u64,
-    ) -> std::result::Result<Vec<RangeMove>, SpecError> {
-        self.validate()?;
-        new.validate()?;
-        let mut bounds = Vec::new();
-        self.owner_boundaries(watermark, &mut bounds);
-        new.owner_boundaries(watermark, &mut bounds);
-        bounds.push(0);
-        bounds.sort_unstable();
-        bounds.dedup();
-
-        let mut moves: Vec<RangeMove> = Vec::new();
-        for (i, &start) in bounds.iter().enumerate() {
-            let end = bounds.get(i + 1).copied().unwrap_or(watermark);
-            if start >= end {
-                continue;
-            }
-            let from = self.shard_of(Tid(start));
-            let to = new.shard_of(Tid(start));
-            if from == to {
-                continue;
-            }
-            match moves.last_mut() {
-                Some(last) if last.range.end == start && last.from == from && last.to == to => {
-                    last.range.end = end;
-                }
-                _ => moves.push(RangeMove {
-                    range: TidRange::new(start, end),
-                    from,
-                    to,
-                }),
-            }
-        }
-        Ok(moves)
-    }
-}
-
-/// One contiguous tid range that changes owner in a
-/// [`ShardSpec::rebalance_to`] plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RangeMove {
-    /// The tids that move (half-open, bounded by the watermark).
-    pub range: TidRange,
-    /// Shard owning the range under the old spec.
-    pub from: usize,
-    /// Shard owning the range under the new spec.
-    pub to: usize,
 }
 
 /// A staged (uncommitted) sharded update: the global `db⁺`/`db⁻` sides
@@ -1042,75 +953,5 @@ mod tests {
             v
         };
         assert_eq!(collect(&sharded), collect(&flat));
-    }
-
-    #[test]
-    fn rebalance_to_reports_moved_ranges() {
-        // 2 → 3 striped shards, stripe 4, 16 existing tids.
-        let old = ShardSpec::striped_with(2, 4);
-        let new = ShardSpec::striped_with(3, 4);
-        let moves = old.rebalance_to(&new, 16).unwrap();
-        // Stripe owners: old 0,1,0,1 — new 0,1,2,0. Stripes 2 and 3 move.
-        assert_eq!(
-            moves,
-            vec![
-                RangeMove {
-                    range: TidRange::new(8, 12),
-                    from: 0,
-                    to: 2
-                },
-                RangeMove {
-                    range: TidRange::new(12, 16),
-                    from: 1,
-                    to: 0
-                },
-            ]
-        );
-        // Every reported move agrees with pointwise routing, and every
-        // unmoved tid routes identically under both specs.
-        for tid in 0..16 {
-            let moved = moves.iter().find(|m| m.range.contains(Tid(tid)));
-            match moved {
-                Some(m) => {
-                    assert_eq!(old.shard_of(Tid(tid)), m.from);
-                    assert_eq!(new.shard_of(Tid(tid)), m.to);
-                }
-                None => assert_eq!(old.shard_of(Tid(tid)), new.shard_of(Tid(tid))),
-            }
-        }
-    }
-
-    #[test]
-    fn rebalance_to_identical_specs_moves_nothing() {
-        let spec = ShardSpec::striped_with(4, 8);
-        assert_eq!(spec.rebalance_to(&spec.clone(), 1000).unwrap(), vec![]);
-        // Zero watermark: nothing exists, nothing moves, even across
-        // different shard counts.
-        let other = ShardSpec::striped_with(2, 8);
-        assert_eq!(spec.rebalance_to(&other, 0).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn rebalance_to_ranges_coalesces_adjacent_moves() {
-        let old = ShardSpec::ranges([TidRange::new(0, 10), TidRange::new(10, u64::MAX)]);
-        // New spec hands everything to shard 0 (single shard).
-        let new = ShardSpec::ranges([TidRange::new(0, u64::MAX)]);
-        let moves = old.rebalance_to(&new, 30).unwrap();
-        assert_eq!(
-            moves,
-            vec![RangeMove {
-                range: TidRange::new(10, 30),
-                from: 1,
-                to: 0
-            }]
-        );
-    }
-
-    #[test]
-    fn rebalance_to_validates_both_specs() {
-        let good = ShardSpec::striped(2);
-        let bad = ShardSpec::striped_with(0, 4);
-        assert_eq!(good.rebalance_to(&bad, 10), Err(SpecError::NoShards));
-        assert_eq!(bad.rebalance_to(&good, 10), Err(SpecError::NoShards));
     }
 }
