@@ -36,15 +36,17 @@
 //! parents, down to a full image — validates (magic + CRC + structure on
 //! every file), replays the WAL tail, and reproduces **exactly the state
 //! of every durably-acknowledged commit**: a round whose `Commit`
-//! boundary reached storage is replayed bit-for-bit (FUP rounds are
-//! deterministic given the arrival order, which the tickets pin); a round
-//! that crashed mid-flight is rolled back, with its staged batches
-//! re-queued. A torn or corrupt WAL tail is dropped (reported, never a
-//! panic) — safe because a `Commit` record always follows its `Stage`
-//! records in file order, so dropping a suffix can only un-stage batches,
-//! never lose an acknowledged commit. A corrupt checkpoint file — full or
-//! delta — falls back to an older checkpoint whose chain avoids it, at
-//! the cost of a longer replay.
+//! boundary reached storage has its rows re-applied bit-for-bit (in the
+//! arrival order the tickets pin), and the itemsets are mined once from
+//! the resulting store — they are a function of the live rows, as every
+//! FUP round equals a from-scratch mine; a round that crashed mid-flight
+//! is rolled back, with its staged batches re-queued. A torn or corrupt
+//! WAL tail is dropped (reported, never a panic) — safe because a
+//! `Commit` record always follows its `Stage` records in file order, so
+//! dropping a suffix can only un-stage batches, never lose an
+//! acknowledged commit. A corrupt checkpoint file — full or delta — falls
+//! back to an older checkpoint whose chain avoids it, at the cost of
+//! re-applying more rows (still one mine).
 //!
 //! ## Fault handling
 //!
@@ -287,7 +289,10 @@ pub struct RecoveryReport {
     /// Checkpoints skipped because they, or a file of their delta chain,
     /// failed validation (newest first) — recovery fell back past them.
     pub corrupt_checkpoints: Vec<u64>,
-    /// Committed rounds replayed from the WAL tail.
+    /// Committed rounds in the WAL tail whose rows were re-applied to the
+    /// store (one per `Commit` boundary, empty `remine()` boundaries
+    /// included). When non-zero, recovery mined the store once after the
+    /// last of them instead of re-running each round.
     pub replayed_rounds: u64,
     /// Staged-but-uncommitted batches re-queued for the next commit
     /// (checkpoint backlog plus un-committed WAL stages).

@@ -21,11 +21,6 @@ pub enum BuildError {
     /// A [`RemineOverRatio`](crate::UpdatePolicy::RemineOverRatio) policy
     /// carried a negative or NaN ratio.
     InvalidRemineRatio(f64),
-    /// A policy that can route updates to a full re-mine was combined
-    /// with a `max_k` cap: the Apriori re-mine ignores the cap, so the
-    /// maintained state would silently gain levels the incremental rounds
-    /// never track.
-    RemineIgnoresMaxK,
     /// A [`DurabilityPolicy`](crate::DurabilityPolicy) asked for a
     /// checkpoint every zero rounds, which would checkpoint before any
     /// round could run.
@@ -60,11 +55,6 @@ impl fmt::Display for BuildError {
             BuildError::InvalidRemineRatio(r) => {
                 write!(f, "re-mine ratio {r} is not a non-negative number")
             }
-            BuildError::RemineIgnoresMaxK => write!(
-                f,
-                "a re-mining policy cannot be combined with a max_k cap: the full re-mine \
-                 ignores the cap and the maintained state would diverge"
-            ),
             BuildError::ZeroCheckpointInterval => {
                 write!(f, "a checkpoint interval of zero rounds is not runnable")
             }
@@ -280,7 +270,7 @@ mod tests {
         assert!(BuildError::InvalidRemineRatio(-1.0)
             .to_string()
             .contains("-1"));
-        assert!(BuildError::RemineIgnoresMaxK.to_string().contains("max_k"));
+        assert!(BuildError::ZeroMaxK.to_string().contains("max_k"));
         assert!(BuildError::ZeroRetryAttempts
             .to_string()
             .contains("RetryPolicy::none"));

@@ -11,7 +11,7 @@
 //! **application** (one incremental round, `commit`) and **serving**
 //! (snapshot reads, untouched by either), and it keeps the expensive
 //! per-round state — the vertical tid-list index — alive across rounds:
-//! insert-only commits *extend* the held [`VerticalIndex`]
+//! insert-only commits *extend* the held [`VerticalIndex`](fup_mining::VerticalIndex)
 //! with the staged delta instead of rebuilding it on first use
 //! (see [`crate::vindex`]).
 //!
@@ -70,8 +70,8 @@ use crate::vindex::{IndexSlot, SlotProvider};
 use fup_mining::apriori::AprioriConfig;
 use fup_mining::rules::generate_rules;
 use fup_mining::{
-    Apriori, CountingBackend, Itemset, LargeItemsets, MinConfidence, MinSupport, MiningStats, Rule,
-    RuleSet, VerticalIndex,
+    Apriori, CountingBackend, Itemset, LargeItemsets, MinConfidence, MinSupport, MiningOutcome,
+    MiningStats, Rule, RuleSet,
 };
 use fup_tidb::wal::WalRecord;
 use fup_tidb::{
@@ -455,8 +455,8 @@ impl MaintainerBuilder {
     /// engine settings), including what earlier [`threads`](Self::threads)
     /// / [`gen_threads`](Self::gen_threads) / [`backend`](Self::backend)
     /// calls set; those calls made *after* this one override its fields.
-    /// The engine's chunk size must be ≥ 1; a `max_k` cap must be ≥ 1
-    /// and is incompatible with re-mining policies, which ignore it.
+    /// The engine's chunk size must be ≥ 1 and a `max_k` cap must be ≥ 1;
+    /// the cap bounds every from-scratch mine of the session too.
     pub fn fup_config(mut self, config: FupConfig) -> Self {
         self.config = config;
         self
@@ -544,7 +544,7 @@ impl MaintainerBuilder {
         if self.config.max_k == Some(0) {
             return Err(BuildError::ZeroMaxK);
         }
-        validate_policy(self.policy, &self.config)?;
+        validate_policy(self.policy)?;
         self.shards
             .validate()
             .map_err(BuildError::InvalidShardSpec)?;
@@ -602,11 +602,15 @@ impl MaintainerBuilder {
 
     /// Rebuilds a durable session from `storage`: assembles the newest
     /// checkpoint whose delta chain validates (falling back past corrupt
-    /// files), replays the WAL tail — committed rounds are re-applied
-    /// exactly, un-committed staged batches are re-queued, a torn tail is
-    /// dropped — and writes a fresh full image. The recovered session's
-    /// state is identical to the pre-crash session at its last
-    /// durably-acknowledged commit.
+    /// files), replays the WAL tail — each committed round's rows are
+    /// re-applied to the store, un-committed staged batches are re-queued,
+    /// a torn tail is dropped — and writes a fresh full image. When the
+    /// tail committed any round, the itemsets are mined once from the
+    /// recovered store (a one-shard session keeps that mine's index), so
+    /// recovery costs one mine however long the tail is; otherwise the
+    /// checkpoint's itemsets stand. The recovered session's state is
+    /// identical to the pre-crash session at its last durably-acknowledged
+    /// commit.
     ///
     /// The builder supplies the *configuration* (engine, policy — neither
     /// is checkpointed), but its thresholds must match the
@@ -658,37 +662,20 @@ impl MaintainerBuilder {
             image.next_segment,
         )
         .map_err(|e| Error::Config(BuildError::InvalidShardSpec(e)))?;
-        let rules = generate_rules(&image.large, minconf);
-        let state = Arc::new(SnapshotState::new(
-            image.version,
-            store.len() as u64,
-            minsup,
-            minconf,
-            image.large,
-            rules,
-        ));
-        // Checkpoints hold no index: the first round that counts
-        // vertically builds each shard's, as in a fresh session.
-        let slots = new_slots(store.num_shards());
-        let shard_ops = vec![0; store.num_shards()];
-        let mut m = Maintainer {
-            store,
-            state,
-            minsup,
-            minconf,
-            config,
-            policy: self.policy,
-            deletions: self.deletions,
-            slots,
-            shard_ops,
-            durable: None,
-        };
+        // Checkpoints hold no index: unless the mine below adopts one, the
+        // first round that counts vertically builds each shard's, as in a
+        // fresh session.
+        let mut m = Maintainer::unpublished(store, minsup, minconf, config);
+        m.policy = self.policy;
+        m.deletions = self.deletions;
 
         // Replay the WAL tail. Staged batches gather in a ticket-ordered
         // pending map seeded with the checkpoint's backlog (their Stage
         // records live in rotated-away segments); each Commit boundary
-        // re-runs its round through the ordinary commit path, which is
-        // deterministic given the ticket order.
+        // applies its tickets' rows to the store in ticket order, as the
+        // round did. The itemsets are not maintained per round: they are a
+        // function of the live rows, so one mine of the final store yields
+        // what replaying every round would.
         let mut pending: BTreeMap<u64, UpdateBatch> = image.backlog.into_iter().collect();
         let mut max_ticket = pending.keys().next_back().copied();
         let mut replayed_rounds = 0u64;
@@ -699,6 +686,15 @@ impl MaintainerBuilder {
                     pending.insert(ticket, batch);
                 }
                 WalRecord::Commit { version, tickets } => {
+                    let expected = image.version + replayed_rounds + 1;
+                    if version != expected {
+                        return Err(Error::Recovery {
+                            reason: format!(
+                                "replay diverged: WAL commit is version {version} but the \
+                                 boundaries before it lead to version {expected}"
+                            ),
+                        });
+                    }
                     let mut entries = Vec::with_capacity(tickets.len());
                     for ticket in tickets {
                         let batch = pending.remove(&ticket).ok_or_else(|| Error::Recovery {
@@ -709,17 +705,9 @@ impl MaintainerBuilder {
                         })?;
                         entries.push((ticket, batch));
                     }
-                    let merged = StagingArea::merge_entries(entries);
-                    let report = m.commit_batch(merged)?;
-                    if report.version != version {
-                        return Err(Error::Recovery {
-                            reason: format!(
-                                "replay diverged: WAL commit is version {version} but the \
-                                 replayed round produced version {}",
-                                report.version
-                            ),
-                        });
-                    }
+                    let staged = m.stage_drained(StagingArea::merge_entries(entries))?;
+                    m.note_shard_ops(&staged);
+                    m.store.commit(staged);
                     replayed_rounds += 1;
                 }
                 WalRecord::Abort { tickets } => {
@@ -729,6 +717,12 @@ impl MaintainerBuilder {
                 }
             }
         }
+        let large = if replayed_rounds == 0 {
+            image.large
+        } else {
+            m.mine().large
+        };
+        m.restate(image.version + replayed_rounds, large);
 
         // Whatever is still pending was staged (durably) but never reached
         // a commit boundary: re-queue it under its original ticket.
@@ -777,29 +771,13 @@ impl MaintainerBuilder {
 
 /// Checks that the session can actually honor `policy` —
 /// shared by the builder and [`Maintainer::set_policy`].
-fn validate_policy(
-    policy: UpdatePolicy,
-    config: &FupConfig,
-) -> std::result::Result<(), BuildError> {
-    let remine_capable = match policy {
-        UpdatePolicy::AlwaysIncremental => false,
-        UpdatePolicy::AlwaysRemine => true,
-        UpdatePolicy::RemineOverRatio(r) => {
-            if r.is_nan() || r < 0.0 {
-                return Err(BuildError::InvalidRemineRatio(r));
-            }
-            true
+fn validate_policy(policy: UpdatePolicy) -> std::result::Result<(), BuildError> {
+    match policy {
+        UpdatePolicy::RemineOverRatio(r) if r.is_nan() || r < 0.0 => {
+            Err(BuildError::InvalidRemineRatio(r))
         }
-    };
-    if remine_capable && config.max_k.is_some() {
-        return Err(BuildError::RemineIgnoresMaxK);
+        _ => Ok(()),
     }
-    Ok(())
-}
-
-/// One fresh [`IndexSlot`] per shard.
-fn new_slots(n: usize) -> Vec<IndexSlot> {
-    (0..n).map(|_| IndexSlot::new()).collect()
 }
 
 /// A rule-maintenance session: owns the transaction store, the current
@@ -849,40 +827,16 @@ impl Maintainer {
     ) -> Self {
         let store = ShardedDb::from_transactions(shards, history)
             .expect("shard spec validated by the builder");
-        let (outcome, built) = Apriori::with_config(AprioriConfig {
-            engine: config.engine.clone(),
-            ..Default::default()
-        })
-        .run_with_index(&store, minsup);
-        let large = outcome.large;
-        let rules = generate_rules(&large, minconf);
-        let state = Arc::new(SnapshotState::new(
-            0,
-            store.len() as u64,
-            minsup,
-            minconf,
-            large,
-            rules,
-        ));
-        let mut m = Maintainer {
-            slots: new_slots(store.num_shards()),
-            shard_ops: vec![0; store.num_shards()],
-            store,
-            state,
-            minsup,
-            minconf,
-            config,
-            policy: UpdatePolicy::default(),
-            deletions: true,
-            durable: None,
-        };
-        // The bootstrap mine engaged vertical counting (pinned, or Auto
-        // past its thresholds) and already paid for an index covering the
-        // store, filtered to L₁ — adopt it so even the *first* commit
-        // extends instead of building. Otherwise a pinned-vertical session,
-        // which wants the index on every commit, seeds one index per
-        // non-empty shard from a fresh scan of that shard.
-        if !m.adopt_mined_index(built) && m.config.engine.backend == CountingBackend::Vertical {
+        let mut m = Maintainer::unpublished(store, minsup, minconf, config);
+        let large = m.mine().large;
+        m.restate(0, large);
+        // When the mine engaged vertical counting (pinned, or Auto past
+        // its thresholds) on a one-shard store, the slot adopted its
+        // index, so even the *first* commit extends instead of building.
+        // Otherwise a pinned-vertical session, which wants the index on
+        // every commit, seeds one index per non-empty shard from a fresh
+        // scan of that shard.
+        if !m.index_stats().resident && m.config.engine.backend == CountingBackend::Vertical {
             for (s, slot) in m.slots.iter_mut().enumerate() {
                 let shard = m.store.shard(s);
                 if !shard.is_empty() {
@@ -897,18 +851,72 @@ impl Maintainer {
         m
     }
 
-    /// Keeps the index a from-scratch mine built over the whole store
-    /// (bootstrap, re-mine) for the next incremental round. The index is
-    /// positional over the whole store and cannot be split, so only a
-    /// one-shard store adopts it. Returns whether it was adopted.
-    fn adopt_mined_index(&mut self, built: Option<VerticalIndex>) -> bool {
-        match built {
-            Some(idx) if self.store.num_shards() == 1 => {
-                self.slots[0].adopt(idx);
-                true
-            }
-            _ => false,
+    /// A session over `store` with empty index slots, default policy and
+    /// an empty state at version 0 — bootstrap and recovery set the state
+    /// it starts from through [`restate`](Self::restate).
+    fn unpublished(
+        store: ShardedDb,
+        minsup: MinSupport,
+        minconf: MinConfidence,
+        config: FupConfig,
+    ) -> Self {
+        let n = store.num_shards();
+        let state = Arc::new(SnapshotState::new(
+            0,
+            store.len() as u64,
+            minsup,
+            minconf,
+            LargeItemsets::new(store.len() as u64),
+            RuleSet::default(),
+        ));
+        Maintainer {
+            store,
+            state,
+            minsup,
+            minconf,
+            config,
+            policy: UpdatePolicy::default(),
+            deletions: true,
+            slots: (0..n).map(|_| IndexSlot::new()).collect(),
+            shard_ops: vec![0; n],
+            durable: None,
         }
+    }
+
+    /// The session's from-scratch miner: its engine, and its `max_k` cap,
+    /// so a mine holds exactly the levels incremental rounds maintain.
+    fn miner(&self) -> Apriori {
+        Apriori::with_config(AprioriConfig {
+            max_k: self.config.max_k,
+            engine: self.config.engine.clone(),
+        })
+    }
+
+    /// Mines the store from scratch (bootstrap, re-mine, recovery) and
+    /// keeps the index the mine built, if it engaged vertical counting,
+    /// for the next incremental round. The index is positional over the
+    /// whole store and cannot be split, so only a one-shard store adopts
+    /// it.
+    fn mine(&mut self) -> MiningOutcome {
+        let (outcome, built) = self.miner().run_with_index(&self.store, self.minsup);
+        if let (Some(idx), 1) = (built, self.store.num_shards()) {
+            self.slots[0].adopt(idx);
+        }
+        outcome
+    }
+
+    /// Publishes `large` as the state at `version`, with its rules
+    /// re-derived and no diff reported.
+    fn restate(&mut self, version: u64, large: LargeItemsets) {
+        let rules = generate_rules(&large, self.minconf);
+        self.state = Arc::new(SnapshotState::new(
+            version,
+            self.store.len() as u64,
+            self.minsup,
+            self.minconf,
+            large,
+            rules,
+        ));
     }
 
     // ------------------------------------------------------ staging --
@@ -1140,15 +1148,7 @@ impl Maintainer {
         self.align_index(&staged);
         self.note_shard_ops(&staged);
         let (_seg, inserted_tids) = self.store.commit(staged);
-        let (outcome, built) = Apriori::with_config(AprioriConfig {
-            engine: self.config.engine.clone(),
-            ..Default::default()
-        })
-        .run_with_index(&self.store, self.minsup);
-        // The re-mine's index (if it engaged vertical counting) covers
-        // exactly the just-committed store: keep it for the next
-        // incremental round instead of whatever the slot held.
-        self.adopt_mined_index(built);
+        let outcome = self.mine();
         Ok(self.publish(
             outcome.large,
             "apriori-remine",
@@ -1232,26 +1232,17 @@ impl Maintainer {
         stats: MiningStats,
         inserted_tids: Vec<Tid>,
     ) -> MaintenanceReport {
-        let new_rules = generate_rules(&new_large, self.minconf);
-        let version = self.state.version + 1;
-        let report = MaintenanceReport {
+        let old = Arc::clone(&self.state);
+        self.restate(old.version + 1, new_large);
+        MaintenanceReport {
             algorithm,
-            version,
-            itemsets: ItemsetDiff::between(&self.state.large, &new_large),
-            rules: RuleDiff::between(&self.state.rules, &new_rules),
+            version: self.state.version,
+            itemsets: ItemsetDiff::between(&old.large, &self.state.large),
+            rules: RuleDiff::between(&old.rules, &self.state.rules),
             inserted_tids,
             num_transactions: self.store.len() as u64,
             stats,
-        };
-        self.state = Arc::new(SnapshotState::new(
-            version,
-            self.store.len() as u64,
-            self.minsup,
-            self.minconf,
-            new_large,
-            new_rules,
-        ));
-        report
+        }
     }
 
     // ------------------------------------------------------ reading --
@@ -1336,11 +1327,11 @@ impl Maintainer {
 
     // ---------------------------------------------- administration --
 
-    /// Sets the incremental-vs-remine policy, rejecting policies the
-    /// session's configuration cannot honor (negative ratios; re-mining
-    /// policies combined with a `max_k` cap the re-mine would ignore).
+    /// Sets the incremental-vs-remine policy, rejecting a
+    /// [`RemineOverRatio`](UpdatePolicy::RemineOverRatio) whose ratio is
+    /// negative or NaN.
     pub fn set_policy(&mut self, policy: UpdatePolicy) -> std::result::Result<(), BuildError> {
-        validate_policy(policy, &self.config)?;
+        validate_policy(policy)?;
         self.policy = policy;
         Ok(())
     }
@@ -1350,12 +1341,7 @@ impl Maintainer {
     /// (logged as an empty commit boundary on a durable session, so
     /// replayed version numbers stay aligned).
     pub fn remine(&mut self) -> &LargeItemsets {
-        let (outcome, built) = Apriori::with_config(AprioriConfig {
-            engine: self.config.engine.clone(),
-            ..Default::default()
-        })
-        .run_with_index(&self.store, self.minsup);
-        self.adopt_mined_index(built);
+        let outcome = self.mine();
         let report = self.publish(outcome.large, "apriori-remine", outcome.stats, Vec::new());
         if let Some(log) = self.durable.clone() {
             let _ = log.log_boundary(&WalRecord::Commit {
@@ -1493,12 +1479,7 @@ impl Maintainer {
     /// divergence otherwise. Intended for tests and audits; scans the
     /// whole store.
     pub fn verify_consistency(&self) -> Result<()> {
-        let fresh = Apriori::with_config(AprioriConfig {
-            engine: self.config.engine.clone(),
-            ..Default::default()
-        })
-        .run(&self.store, self.minsup)
-        .large;
+        let fresh = self.miner().run(&self.store, self.minsup).large;
         if self.state.large.same_itemsets(&fresh) {
             Ok(())
         } else {
@@ -1583,14 +1564,6 @@ mod tests {
                 .build(history())
                 .unwrap_err(),
             BuildError::InvalidRemineRatio(-2.0)
-        );
-        assert_eq!(
-            base()
-                .fup_config(capped(3))
-                .policy(UpdatePolicy::AlwaysRemine)
-                .build(history())
-                .unwrap_err(),
-            BuildError::RemineIgnoresMaxK
         );
     }
 
@@ -1819,20 +1792,73 @@ mod tests {
         assert_eq!(r.algorithm, "apriori-remine");
         m.verify_consistency().unwrap();
         assert!(m.large_itemsets().contains(&s(&[1, 2, 9])));
-        // A max_k session cannot take a re-mining policy.
-        let mut capped = Maintainer::builder()
+    }
+
+    fn capped(k: usize) -> MaintainerBuilder {
+        Maintainer::builder()
             .min_support(MinSupport::percent(40))
             .min_confidence(MinConfidence::percent(60))
             .fup_config(FupConfig {
-                max_k: Some(2),
+                max_k: Some(k),
                 ..FupConfig::default()
             })
+    }
+
+    #[test]
+    fn capped_sessions_mine_only_levels_up_to_max_k() {
+        // Uncapped, this history holds three level-2 itemsets at 40 %.
+        assert_eq!(session().large_itemsets().len_at(2), 3);
+        let mut m = capped(1).build(history()).unwrap();
+        assert_eq!(m.large_itemsets().max_size(), 1, "version 0 is capped");
+        m.apply(UpdateBatch::insert_only(vec![tx(&[1, 2])]))
+            .unwrap();
+        assert_eq!(m.version(), 1);
+        assert_eq!(m.large_itemsets().max_size(), 1, "version 1 is capped");
+        m.remine();
+        assert_eq!(m.large_itemsets().max_size(), 1, "a re-mine is capped");
+        m.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn capped_remine_policy_matches_incremental_rounds() {
+        let mut incremental = capped(2).build(history()).unwrap();
+        let mut remining = capped(2)
+            .policy(UpdatePolicy::AlwaysRemine)
             .build(history())
             .unwrap();
-        assert_eq!(
-            capped.set_policy(UpdatePolicy::AlwaysRemine).unwrap_err(),
-            BuildError::RemineIgnoresMaxK
-        );
+        let rounds = [
+            UpdateBatch::insert_only(vec![
+                tx(&[1, 2, 3]),
+                tx(&[1, 2, 3]),
+                tx(&[1, 2, 3]),
+                tx(&[2, 3]),
+            ]),
+            UpdateBatch {
+                inserts: vec![tx(&[1, 2, 3, 4])],
+                deletes: vec![Tid(4)],
+            },
+            UpdateBatch::delete_only(vec![Tid(0), Tid(5)]),
+        ];
+        for batch in rounds {
+            incremental.apply(batch.clone()).unwrap();
+            let r = remining.apply(batch).unwrap();
+            assert_eq!(r.algorithm, "apriori-remine");
+            assert_same_published_state(&incremental, &remining);
+            assert!(remining.large_itemsets().max_size() <= 2);
+            remining.verify_consistency().unwrap();
+        }
+        // The cap is what kept level 3 out: uncapped, it is large.
+        let mut uncapped = session();
+        assert!(uncapped.large_itemsets().max_size() <= 2);
+        uncapped
+            .apply(UpdateBatch::insert_only(vec![
+                tx(&[1, 2, 3]),
+                tx(&[1, 2, 3]),
+                tx(&[1, 2, 3]),
+                tx(&[2, 3]),
+            ]))
+            .unwrap();
+        assert_eq!(uncapped.large_itemsets().max_size(), 3);
     }
 
     #[test]
@@ -2165,6 +2191,156 @@ mod tests {
             .recover(image as Arc<dyn DurableStorage>)
             .unwrap();
         assert_eq!(r.version(), 1, "the re-mine's version bump must survive");
+    }
+
+    /// One step of the replay script: a committed batch, or a `remine()`
+    /// (an empty commit boundary in the WAL).
+    enum Step {
+        Apply(UpdateBatch),
+        Remine,
+    }
+
+    /// Eight committed rounds over `history()` (tids 0–4): inserts, mixed
+    /// rounds, a re-mine, and deletes of rows inserted earlier in the same
+    /// tail (tid 5 in step 3, tid 9 in step 5, tid 11 in step 7).
+    fn replay_script() -> Vec<Step> {
+        vec![
+            Step::Apply(UpdateBatch::insert_only(vec![
+                tx(&[1, 2, 3]),
+                tx(&[1, 2, 3]),
+            ])),
+            Step::Apply(UpdateBatch {
+                inserts: vec![tx(&[2, 3, 4])],
+                deletes: vec![Tid(0)],
+            }),
+            Step::Remine,
+            Step::Apply(UpdateBatch {
+                inserts: vec![tx(&[1, 2])],
+                deletes: vec![Tid(5)],
+            }),
+            Step::Apply(UpdateBatch::insert_only(vec![tx(&[4, 5]), tx(&[4, 5])])),
+            Step::Apply(UpdateBatch {
+                inserts: vec![tx(&[1, 3])],
+                deletes: vec![Tid(9)],
+            }),
+            Step::Apply(UpdateBatch::insert_only(vec![tx(&[1, 2, 3, 4])])),
+            Step::Apply(UpdateBatch::delete_only(vec![Tid(2), Tid(11)])),
+        ]
+    }
+
+    /// A durable session over `history()` whose WAL keeps every round
+    /// (no checkpoint after `ckpt-0`), so recovery replays all of them.
+    fn tail_builder(shards: u32, max_k: Option<usize>) -> MaintainerBuilder {
+        Maintainer::builder()
+            .min_support(MinSupport::percent(40))
+            .min_confidence(MinConfidence::percent(60))
+            .fup_config(FupConfig {
+                max_k,
+                ..FupConfig::default()
+            })
+            .shards(shards)
+            .durability(DurabilityPolicy {
+                checkpoint_every_rounds: u64::MAX,
+                ..Default::default()
+            })
+    }
+
+    /// Commits the first `rounds` steps of the replay script on a fresh
+    /// durable session, stages one batch that never commits, and returns
+    /// the uncrashed session with its storage.
+    fn run_tail(
+        builder: MaintainerBuilder,
+        rounds: usize,
+    ) -> (Maintainer, Arc<fup_tidb::MemStorage>) {
+        let storage = mem();
+        let mut m = builder
+            .build_durable(history(), Arc::clone(&storage) as Arc<dyn DurableStorage>)
+            .unwrap();
+        for step in replay_script().into_iter().take(rounds) {
+            match step {
+                Step::Apply(batch) => {
+                    m.apply(batch).unwrap();
+                }
+                Step::Remine => {
+                    m.remine();
+                }
+            }
+        }
+        m.stage(UpdateBatch::insert_only(vec![tx(&[6, 7])]))
+            .unwrap();
+        (m, storage)
+    }
+
+    fn crash_and_recover(
+        builder: MaintainerBuilder,
+        storage: &fup_tidb::MemStorage,
+    ) -> (Maintainer, RecoveryReport) {
+        let image = Arc::new(fup_tidb::MemStorage::from_files(storage.files()));
+        builder.recover(image as Arc<dyn DurableStorage>).unwrap()
+    }
+
+    #[test]
+    fn replayed_tails_recover_the_uncrashed_state() {
+        for shards in [1, 4] {
+            for max_k in [None, Some(2)] {
+                for rounds in [0, 1, 4, 8] {
+                    let what = format!("{shards} shard(s), max_k {max_k:?}, {rounds} round(s)");
+                    let (mut m, storage) = run_tail(tail_builder(shards, max_k), rounds);
+                    let (mut r, report) = crash_and_recover(tail_builder(shards, max_k), &storage);
+                    assert_eq!(report.replayed_rounds, rounds as u64, "{what}");
+                    assert_eq!(report.restaged_batches, 1, "{what}");
+                    assert_eq!(report.version, rounds as u64, "{what}");
+                    assert_same_published_state(&m, &r);
+                    assert_eq!(m.rules(), r.rules(), "{what}");
+                    assert_eq!(m.staged(), r.staged(), "{what}");
+                    if let Some(k) = max_k {
+                        assert!(r.large_itemsets().max_size() <= k, "{what}");
+                    }
+                    r.verify_consistency().unwrap();
+                    // Both commit the re-staged batch and one more round
+                    // and stay equal.
+                    for s in [&mut m, &mut r] {
+                        s.commit().unwrap();
+                        s.apply(UpdateBatch::insert_only(vec![tx(&[1, 2, 3])]))
+                            .unwrap();
+                    }
+                    assert_same_published_state(&m, &r);
+                    r.verify_consistency().unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_recovery_adopts_the_replay_mine_index() {
+        let pinned = || tail_builder(1, None).backend(CountingBackend::Vertical);
+        let (_m, storage) = run_tail(pinned(), 4);
+        let (mut r, report) = crash_and_recover(pinned(), &storage);
+        assert_eq!(report.replayed_rounds, 4);
+        let stats = r.index_stats();
+        assert!(stats.resident, "the recovery mine's index is kept");
+        assert_eq!(stats.builds, 1, "the adopted index is the only build");
+        r.commit().unwrap();
+        r.apply(UpdateBatch::insert_only(vec![tx(&[1, 2])]))
+            .unwrap();
+        let after = r.index_stats();
+        assert_eq!(after.builds, stats.builds, "insert commits do not build");
+        assert_eq!(after.extends, stats.extends + 2, "they extend");
+        r.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn recovery_scans_the_store_the_same_for_any_tail_length() {
+        // Pinned vertical: the mine's scans (item counts, then the fused
+        // index build) do not depend on how deep the itemsets go.
+        let pinned = || tail_builder(1, None).backend(CountingBackend::Vertical);
+        let scans = |rounds| {
+            let (_m, storage) = run_tail(pinned(), rounds);
+            let (r, report) = crash_and_recover(pinned(), &storage);
+            assert_eq!(report.replayed_rounds, rounds as u64);
+            r.store().metrics().full_scans()
+        };
+        assert_eq!(scans(1), scans(8));
     }
 
     // -------------------------------------------------- sharding --
