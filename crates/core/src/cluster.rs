@@ -810,8 +810,8 @@ impl Cluster {
         config.engine.backend = CountingBackend::Vertical;
         // The history moves on to the workers below; mine it where it is.
         let outcome = Apriori::with_config(AprioriConfig {
+            max_k: config.max_k,
             engine: config.engine.clone(),
-            ..Default::default()
         })
         .run(&SliceSource::new(&history), minsup);
         let large = outcome.large;
@@ -1189,8 +1189,8 @@ impl Cluster {
         let (kept, inserted) = (SliceSource::new(&rows), SliceSource::new(&batch.inserts));
         let post_state = ChainSource::new(&kept, &inserted);
         let outcome = Apriori::with_config(AprioriConfig {
+            max_k: self.config.max_k,
             engine: self.config.engine.clone(),
-            ..Default::default()
         })
         .run(&post_state, self.minsup);
         let new_tids: Vec<Tid> = (0..batch.inserts.len() as u64)

@@ -157,6 +157,46 @@ fn remine_policy_round_identical() {
 }
 
 #[test]
+fn capped_cluster_matches_a_capped_flat_session() {
+    // At 25 % the history holds {1, 2, 3} twice, so an uncapped mine
+    // reaches level 3; `max_k: Some(2)` must stop both sessions' mines —
+    // the bootstrap and a policy re-mine — at pairs.
+    assert_eq!(flat().large_itemsets().max_size(), 3);
+    let capped = FupConfig {
+        max_k: Some(2),
+        ..FupConfig::default()
+    };
+    let mut c = Cluster::bootstrap(
+        ShardSpec::striped_with(2, 1),
+        mem_storages(2),
+        history(),
+        MinSupport::percent(25),
+        MinConfidence::percent(60),
+        capped.clone(),
+    )
+    .unwrap();
+    let mut m = Maintainer::builder()
+        .min_support(MinSupport::percent(25))
+        .min_confidence(MinConfidence::percent(60))
+        .fup_config(capped)
+        .build(history())
+        .unwrap();
+    assert_identical(&c, &m);
+    assert_eq!(c.snapshot().large_itemsets().max_size(), 2);
+    c.set_policy(UpdatePolicy::AlwaysRemine);
+    m.set_policy(UpdatePolicy::AlwaysRemine).unwrap();
+    let batch = UpdateBatch::insert_only(vec![tx(&[1, 2, 3]), tx(&[1, 2, 3, 5])]);
+    let cr = c.apply(batch.clone()).unwrap();
+    let mr = m.apply(batch).unwrap();
+    assert_eq!(cr.algorithm, "apriori-remine");
+    assert_eq!(mr.algorithm, "apriori-remine");
+    assert_identical(&c, &m);
+    assert_eq!(c.snapshot().large_itemsets().max_size(), 2);
+    assert_eq!(m.large_itemsets().max_size(), 2);
+    c.shutdown();
+}
+
+#[test]
 fn killed_worker_fails_fast_and_survivors_keep_serving() {
     let mut c = cluster(ShardSpec::striped_with(2, 1));
     let v0 = c.snapshot();

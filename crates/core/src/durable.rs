@@ -23,9 +23,9 @@
 //!
 //! Checkpoints and WAL segments rotate together: writing `ckpt-<s>`
 //! starts a fresh, empty `wal-<s>` (the backlog is embedded in the
-//! checkpoint). Most checkpoints are deltas; a full image is cut once
-//! the deltas since the last one add up to its size, on every heal, and
-//! at the recovery seal. Retention keeps the
+//! checkpoint). Most checkpoints are deltas, the recovery seal included;
+//! a full image is cut once the deltas since the last one add up to its
+//! size, and on every heal. Retention keeps the
 //! [`DurabilityPolicy::retain_checkpoints`] newest full images and every
 //! file from the oldest of them on, so each retained checkpoint's chain
 //! is complete.
@@ -46,7 +46,10 @@
 //! dropping a suffix can only un-stage batches, never lose an
 //! acknowledged commit. A corrupt checkpoint file — full or delta — falls
 //! back to an older checkpoint whose chain avoids it, at the cost of
-//! re-applying more rows (still one mine).
+//! re-applying more rows (still one mine). Recovery then seals with the
+//! log's next ordinary checkpoint: the log resumes the assembled chain's
+//! byte counts, so the usual full-cut rule applies and the seal is
+//! usually a delta, holding the tail's rows, on the chosen checkpoint.
 //!
 //! ## Fault handling
 //!
@@ -73,7 +76,7 @@
 use crate::error::{BuildError, Error, Result};
 use fup_mining::{Itemset, LargeItemsets};
 use fup_tidb::codec::{read_varint, read_varint64, write_varint, write_varint64};
-use fup_tidb::page::PagedStore;
+use fup_tidb::page::{self, PagedStore};
 use fup_tidb::wal::{self, WalRecord};
 use fup_tidb::{DurableStorage, StagingArea, Tid, Transaction, UpdateBatch};
 use std::collections::hash_map::{Entry, HashMap};
@@ -568,8 +571,9 @@ pub(crate) fn decode_checkpoint(
     if !(64..=16 << 20).contains(&page_size) {
         return Err(corrupt("implausible checkpoint page size", pos));
     }
-    let num_pages = read_varint64(body, &mut pos)? as usize;
-    let mut pages = Vec::with_capacity(num_pages.min(1 << 20));
+    // Each page decodes in place, straight into rows, in one pass.
+    let num_pages = read_varint64(body, &mut pos)?;
+    let mut transactions = Vec::with_capacity(tids.len());
     for _ in 0..num_pages {
         let at = pos;
         let len = read_varint64(body, &mut pos)? as usize;
@@ -577,11 +581,9 @@ pub(crate) fn decode_checkpoint(
             .checked_add(len)
             .filter(|&e| e <= body.len())
             .ok_or_else(|| corrupt("checkpoint page truncated", at))?;
-        pages.push(body[pos..end].to_vec());
+        page::decode_page(&body[pos..end], page_size, &mut transactions)?;
         pos = end;
     }
-    let store = PagedStore::from_encoded_pages(page_size, pages)?;
-    let transactions = store.to_transactions()?;
     if transactions.len() != tids.len() {
         return Err(corrupt(
             format!(
@@ -758,7 +760,8 @@ struct LogInner {
     /// a torn frame would bury every later record at replay.
     wal_len: Option<u64>,
     /// The newest installed checkpoint, which the next delta extends;
-    /// `None` until this log installs its first (a full image).
+    /// `None` until this log installs its first (a full image), unless
+    /// the log resumes a recovered chain.
     tip: Option<Tip>,
     /// Sequence numbers of the full images retention counts, ascending.
     fulls: Vec<u64>,
@@ -829,17 +832,31 @@ impl DurableLog {
         }
     }
 
-    /// A log resuming at `seq` after recovery, over storage that still
-    /// holds the full image `root` the recovered chain starts from:
-    /// retention counts `root` as the full image before the seal.
+    /// A log resuming at `seq` after recovery, on the recovered `chain`
+    /// with the tail's replayed rounds — which deleted `deleted` — on top
+    /// of its newest checkpoint. The log is where it would stand had it
+    /// written that chain and committed those rounds itself: the next
+    /// checkpoint (the recovery seal) extends the chain's newest
+    /// checkpoint under the ordinary full-cut rule, and retention counts
+    /// the chain's root as the newest full image.
     pub(crate) fn resumed(
         storage: Arc<dyn DurableStorage>,
         policy: DurabilityPolicy,
         seq: u64,
-        root: u64,
+        chain: Chain,
+        deleted: Vec<Tid>,
     ) -> Self {
         let log = Self::new(storage, policy, seq);
-        log.lock_inner().fulls.push(root);
+        {
+            let mut inner = log.lock_inner();
+            inner.fulls.push(chain.root);
+            inner.tip = Some(Tip {
+                parent: chain.tip,
+                deleted,
+                full_bytes: chain.full_bytes,
+                delta_bytes: chain.delta_bytes,
+            });
+        }
         log
     }
 
@@ -1227,13 +1244,25 @@ impl DurableLog {
 
 // ------------------------------------------------------- log loading --
 
+/// The chosen checkpoint's chain as the full-cut rule counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Chain {
+    /// The chosen checkpoint: the parent the recovery seal names.
+    pub tip: Parent,
+    /// The full image the chain starts from.
+    pub root: u64,
+    /// Bytes of that full image, and of the deltas above it.
+    pub full_bytes: u64,
+    pub delta_bytes: u64,
+}
+
 /// Everything recovery reads from storage before rebuilding a session.
 #[derive(Debug)]
 pub(crate) struct RecoveredLog {
     /// The chosen checkpoint, folded into a full image.
     pub image: CheckpointImage,
-    /// The full image the chosen checkpoint's chain starts from.
-    pub root: u64,
+    /// The chain it was folded from.
+    pub chain: Chain,
     pub corrupt_checkpoints: Vec<u64>,
     /// WAL records from every segment at or after the chosen checkpoint,
     /// concatenated in segment order.
@@ -1244,9 +1273,9 @@ pub(crate) struct RecoveredLog {
     pub max_seq: u64,
 }
 
-/// Checkpoint files decoded so far, by sequence number; `None` marks one
-/// that is missing or failed validation.
-type Decoded = HashMap<u64, Option<CheckpointImage>>;
+/// Checkpoint files decoded so far, by sequence number, each with its
+/// byte length; `None` marks one that is missing or failed validation.
+type Decoded = HashMap<u64, Option<(CheckpointImage, u64)>>;
 
 /// Assembles the chain ending at checkpoint `seq` — the full image at its
 /// root with every delta on the way back up folded in — or `None` if any
@@ -1258,7 +1287,7 @@ fn assemble_chain(
     storage: &dyn DurableStorage,
     seq: u64,
     decoded: &mut Decoded,
-) -> Result<Option<(CheckpointImage, u64)>> {
+) -> Result<Option<(CheckpointImage, Chain)>> {
     let mut chain = Vec::new();
     let mut next = Some(seq);
     while let Some(s) = next {
@@ -1266,10 +1295,13 @@ fn assemble_chain(
             Entry::Occupied(cached) => cached.into_mut(),
             Entry::Vacant(slot) => {
                 let bytes = storage.read(&ckpt_name(s)).map_err(Error::Store)?;
-                slot.insert(bytes.and_then(|b| decode_checkpoint(&b).ok().filter(|f| f.seq == s)))
+                slot.insert(bytes.and_then(|b| {
+                    let file = decode_checkpoint(&b).ok().filter(|f| f.seq == s)?;
+                    Some((file, b.len() as u64))
+                }))
             }
         };
-        let Some(file) = file else {
+        let Some((file, _)) = file else {
             return Ok(None);
         };
         next = file.parent.map(|p| p.seq);
@@ -1282,13 +1314,24 @@ fn assemble_chain(
             .flatten()
             .expect("every file of the chain decoded above")
     });
-    let mut image = files.next().expect("the chain holds its root");
-    for delta in files {
+    let (mut image, full_bytes) = files.next().expect("the chain holds its root");
+    let mut delta_bytes = 0;
+    for (delta, len) in files {
         if image.apply(delta).is_err() {
             return Ok(None);
         }
+        delta_bytes += len;
     }
-    Ok(Some((image, root)))
+    let chain = Chain {
+        tip: Parent {
+            seq: image.seq,
+            watermark: image.watermark,
+        },
+        root,
+        full_bytes,
+        delta_bytes,
+    };
+    Ok(Some((image, chain)))
 }
 
 /// Scans the storage directory, assembles the newest checkpoint whose
@@ -1324,7 +1367,7 @@ pub(crate) fn load_latest(storage: &dyn DurableStorage) -> Result<RecoveredLog> 
             None => corrupt_checkpoints.push(seq),
         }
     }
-    let Some((image, root)) = chosen else {
+    let Some((image, chain)) = chosen else {
         return Err(Error::Recovery {
             reason: format!(
                 "no checkpoint chain validates ({} candidate(s)); \
@@ -1358,7 +1401,7 @@ pub(crate) fn load_latest(storage: &dyn DurableStorage) -> Result<RecoveredLog> 
 
     Ok(RecoveredLog {
         image,
-        root,
+        chain,
         corrupt_checkpoints,
         replay,
         wal_tail_dropped,
@@ -1504,6 +1547,68 @@ mod tests {
         }
     }
 
+    /// The sample image with its one page edited by `edit`, the page's
+    /// length prefix rewritten to match and the CRC resealed, so the
+    /// damage reaches the page decoder.
+    fn sample_image_with_page(edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let bytes = sample_image_bytes();
+        let header = CHECKPOINT_MAGIC.len() + 4;
+        let body = &bytes[header..];
+        let mut pos = 0;
+        read_varint64(body, &mut pos).unwrap(); // seq
+        pos += 1; // kind: a full image
+        for _ in 0..6 {
+            read_varint64(body, &mut pos).unwrap(); // version .. watermark
+        }
+        read_varint(body, &mut pos).unwrap(); // next segment
+        decode_tids(body, &mut pos).unwrap(); // tombstones
+        decode_tids(body, &mut pos).unwrap(); // live tids
+        read_varint64(body, &mut pos).unwrap(); // page size
+        assert_eq!(read_varint64(body, &mut pos).unwrap(), 1, "one page");
+        let len_at = pos;
+        let len = read_varint64(body, &mut pos).unwrap() as usize;
+        let mut page = body[pos..pos + len].to_vec();
+        edit(&mut page);
+        let mut out = bytes[..header + len_at].to_vec();
+        write_varint64(&mut out, page.len() as u64);
+        out.extend_from_slice(&page);
+        out.extend_from_slice(&body[pos + len..]);
+        reseal(&mut out);
+        out
+    }
+
+    #[test]
+    fn checkpoint_rejects_corrupt_pages_typed() {
+        let untouched = decode_checkpoint(&sample_image_with_page(|_| {})).unwrap();
+        assert_eq!(untouched.live.len(), 3);
+        let is_corrupt = |bytes: Vec<u8>| {
+            matches!(
+                decode_checkpoint(&bytes),
+                Err(fup_tidb::Error::Corrupt { .. })
+            )
+        };
+        assert!(
+            is_corrupt(sample_image_with_page(|page| {
+                page.pop();
+            })),
+            "a truncated page"
+        );
+        assert!(
+            is_corrupt(sample_image_with_page(|page| page[0] += 5)),
+            "a count header inflated beyond the payload"
+        );
+        assert!(
+            is_corrupt(sample_image_with_page(|page| {
+                page.resize(fup_tidb::page::DEFAULT_PAGE_SIZE + 1, 0)
+            })),
+            "a page larger than the page size"
+        );
+        assert!(
+            is_corrupt(sample_image_with_page(|page| page.push(0))),
+            "trailing bytes after the last row"
+        );
+    }
+
     #[test]
     fn delta_folds_into_its_parent() {
         let delta = decode_checkpoint(&sample_delta_bytes()).unwrap();
@@ -1632,7 +1737,20 @@ mod tests {
             .write_atomic(&ckpt_name(6), &sample_delta_bytes())
             .unwrap();
         let recovered = load_latest(&storage).unwrap();
-        assert_eq!((recovered.image.seq, recovered.root), (6, 5));
+        assert_eq!(recovered.image.seq, 6);
+        assert_eq!(
+            recovered.chain,
+            Chain {
+                tip: Parent {
+                    seq: 6,
+                    watermark: 7
+                },
+                root: 5,
+                full_bytes: sample_image_bytes().len() as u64,
+                delta_bytes: sample_delta_bytes().len() as u64,
+            },
+            "the chain's byte counts are what the full-cut rule resumes from"
+        );
         assert_eq!(recovered.image.parent, None, "folded into a full image");
         assert_eq!(recovered.image.live.len(), 4);
         assert!(recovered.corrupt_checkpoints.is_empty());

@@ -604,13 +604,16 @@ impl MaintainerBuilder {
     /// checkpoint whose delta chain validates (falling back past corrupt
     /// files), replays the WAL tail — each committed round's rows are
     /// re-applied to the store, un-committed staged batches are re-queued,
-    /// a torn tail is dropped — and writes a fresh full image. When the
-    /// tail committed any round, the itemsets are mined once from the
-    /// recovered store (a one-shard session keeps that mine's index), so
-    /// recovery costs one mine however long the tail is; otherwise the
-    /// checkpoint's itemsets stand. The recovered session's state is
-    /// identical to the pre-crash session at its last durably-acknowledged
-    /// commit.
+    /// a torn tail is dropped — and seals with the next ordinary
+    /// checkpoint. When the tail committed any round, the itemsets are
+    /// mined once from the recovered store (a one-shard session keeps that
+    /// mine's index), so recovery costs one decode of the chain plus one
+    /// mine however long the tail is; otherwise the checkpoint's itemsets
+    /// stand. The seal resumes the recovered chain under the usual
+    /// full-cut rule, so it is usually a delta holding the tail's rows
+    /// that names the chosen checkpoint as its parent. The recovered
+    /// session's state is identical to the pre-crash session at its last
+    /// durably-acknowledged commit.
     ///
     /// The builder supplies the *configuration* (engine, policy — neither
     /// is checkpointed), but its thresholds must match the
@@ -679,6 +682,8 @@ impl MaintainerBuilder {
         let mut pending: BTreeMap<u64, UpdateBatch> = image.backlog.into_iter().collect();
         let mut max_ticket = pending.keys().next_back().copied();
         let mut replayed_rounds = 0u64;
+        // Every tid the replayed rounds deleted, for the seal's delta.
+        let mut deleted = Vec::new();
         for record in recovered.replay {
             match record {
                 WalRecord::Stage { ticket, batch } => {
@@ -705,7 +710,9 @@ impl MaintainerBuilder {
                         })?;
                         entries.push((ticket, batch));
                     }
-                    let staged = m.stage_drained(StagingArea::merge_entries(entries))?;
+                    let batch = StagingArea::merge_entries(entries);
+                    deleted.extend_from_slice(&batch.deletes);
+                    let staged = m.stage_drained(batch)?;
                     m.note_shard_ops(&staged);
                     m.store.commit(staged);
                     replayed_rounds += 1;
@@ -744,17 +751,20 @@ impl MaintainerBuilder {
             }
         }
 
-        // Seal recovery with a fresh full image past every sequence number
-        // seen in storage, so damaged files can never shadow it.
+        // Seal recovery with the log's next ordinary checkpoint, past every
+        // sequence number seen in storage so damaged files can never
+        // shadow it. The log resumes the recovered chain with the replayed
+        // rounds on top, so the full-cut rule decides the seal's shape:
+        // usually a delta holding just the tail's rows, naming the chosen
+        // checkpoint as its parent.
         let log = Arc::new(DurableLog::resumed(
             storage,
             self.durability,
             recovered.max_seq,
-            recovered.root,
+            recovered.chain,
+            deleted,
         ));
-        let seq = recovered.max_seq + 1;
-        let bytes = m.encode_checkpoint_image(seq, None)?;
-        log.install_checkpoint(seq, &bytes, m.store.watermark())?;
+        m.write_durable_checkpoint(&log)?;
         m.durable = Some(log);
 
         let report = RecoveryReport {
@@ -2341,6 +2351,246 @@ mod tests {
             r.store().metrics().full_scans()
         };
         assert_eq!(scans(1), scans(8));
+    }
+
+    // --------------------------------------------- the recovery seal --
+
+    /// A durable session at the default eight-round checkpoint cadence.
+    fn cadence_builder(shards: u32) -> MaintainerBuilder {
+        Maintainer::builder()
+            .min_support(MinSupport::percent(40))
+            .min_confidence(MinConfidence::percent(60))
+            .shards(shards)
+    }
+
+    /// Round `i` after a recovery: two inserts, plus a delete of a history
+    /// row on rounds 2 and 6 and of the row round 6 inserted last on
+    /// round 7 (`watermark` is the store's before the round).
+    fn round_after(i: u32, watermark: u64) -> UpdateBatch {
+        let deletes = match i {
+            2 => vec![Tid(1)],
+            6 => vec![Tid(3)],
+            7 => vec![Tid(watermark - 1)],
+            _ => Vec::new(),
+        };
+        UpdateBatch {
+            inserts: vec![tx(&[1, 2, 3 + i % 3]), tx(&[2, 4])],
+            deletes,
+        }
+    }
+
+    /// A power-loss image of `storage`: only what reached a sync barrier.
+    fn power_cut(storage: &fup_tidb::MemStorage) -> Arc<fup_tidb::MemStorage> {
+        Arc::new(fup_tidb::MemStorage::from_files(storage.synced_files()))
+    }
+
+    /// Published state, rules and the staged backlog all agree.
+    fn assert_same_session(a: &Maintainer, b: &Maintainer) {
+        assert_same_published_state(a, b);
+        assert_eq!(a.rules(), b.rules(), "rules diverge");
+        assert_eq!(a.staged(), b.staged(), "backlogs diverge");
+    }
+
+    /// Every checkpoint file in `storage` that decodes, in sequence order.
+    fn checkpoints(storage: &fup_tidb::MemStorage) -> Vec<durable::CheckpointImage> {
+        let mut files: Vec<_> = storage
+            .files()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("ckpt-"))
+            .collect();
+        files.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        files
+            .iter()
+            .filter_map(|(_, bytes)| durable::decode_checkpoint(bytes).ok())
+            .collect()
+    }
+
+    fn newest_checkpoint(storage: &fup_tidb::MemStorage) -> durable::CheckpointImage {
+        checkpoints(storage).pop().expect("a checkpoint")
+    }
+
+    #[test]
+    fn the_recovery_seal_is_a_delta_on_the_chosen_checkpoint() {
+        let (m, storage) = run_tail(cadence_builder(1), 4);
+        let image = power_cut(&storage);
+        let (_r, report) = cadence_builder(1)
+            .recover(Arc::clone(&image) as Arc<dyn DurableStorage>)
+            .unwrap();
+        assert_eq!(report.checkpoint_seq, 0);
+        let seal = newest_checkpoint(&image);
+        assert_eq!(seal.seq, 1);
+        assert_eq!(
+            seal.parent,
+            Some(durable::Parent {
+                seq: 0,
+                watermark: history().len() as u64,
+            })
+        );
+        // It holds the tail alone: the rows the replayed rounds inserted
+        // and kept, and every tid they deleted.
+        let tail_rows = m
+            .store()
+            .iter()
+            .filter(|(tid, _)| tid.0 >= history().len() as u64)
+            .count();
+        assert_eq!(seal.live.len(), tail_rows);
+        assert_eq!(seal.tombstones, vec![Tid(0), Tid(5)]);
+        assert_eq!(seal.version, m.version());
+    }
+
+    #[test]
+    fn a_recovered_session_survives_a_second_power_cut() {
+        for shards in [1, 4] {
+            for k in [0u32, 1, 9] {
+                let what = format!("{shards} shard(s), {k} round(s) between the crashes");
+                let (mut m, storage) = run_tail(cadence_builder(shards), 4);
+                let image = power_cut(&storage);
+                let (mut r, _) = cadence_builder(shards)
+                    .recover(Arc::clone(&image) as Arc<dyn DurableStorage>)
+                    .unwrap();
+                let seal = newest_checkpoint(&image).seq;
+                for i in 0..k {
+                    let batch = round_after(i, m.store().watermark());
+                    for s in [&mut m, &mut r] {
+                        s.apply(batch.clone()).unwrap();
+                    }
+                }
+                for s in [&mut m, &mut r] {
+                    s.stage(UpdateBatch::insert_only(vec![tx(&[3, 4])]))
+                        .unwrap();
+                }
+                drop(r);
+                let (r2, report) = cadence_builder(shards)
+                    .recover(power_cut(&image) as Arc<dyn DurableStorage>)
+                    .unwrap();
+                // Nine rounds cross the cadence: the second recovery starts
+                // from the checkpoint written after the seal.
+                let expect_from = if k >= 8 { seal + 1 } else { seal };
+                assert_eq!(report.checkpoint_seq, expect_from, "{what}");
+                assert_eq!(report.version, m.version(), "{what}");
+                assert_same_session(&m, &r2);
+                r2.verify_consistency().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn the_full_cut_rule_resumes_across_a_crash() {
+        let builder = || {
+            Maintainer::builder()
+                .min_support(MinSupport::percent(40))
+                .min_confidence(MinConfidence::percent(60))
+                .durability(DurabilityPolicy {
+                    checkpoint_every_rounds: 2,
+                    ..Default::default()
+                })
+        };
+        // A 240-row base and rounds of ten rows: a delta's rows outweigh
+        // the itemsets and header every checkpoint carries, so a seal with
+        // no rows is small beside the margin of a chain one delta short of
+        // the cut.
+        let base: Vec<Transaction> = (0..240u32)
+            .map(|i| tx(&[1 + i % 2, 3 + i % 4, 7 + i % 10]))
+            .collect();
+        let round = |i: u64| {
+            UpdateBatch::insert_only(
+                (0..10u32).map(|j| tx(&[1 + j % 2, 3 + (i as u32 + j) % 4, 7 + j])),
+            )
+        };
+        // The versions at which a run cut a full image after `ckpt-0`.
+        let fulls = |storage: &fup_tidb::MemStorage| -> Vec<u64> {
+            checkpoints(storage)
+                .iter()
+                .filter(|c| c.seq > 0 && c.parent.is_none())
+                .map(|c| c.version)
+                .collect()
+        };
+
+        // Uncrashed: commit until the deltas outgrow `ckpt-0` and a full
+        // image is cut.
+        let storage = mem();
+        let mut m = builder()
+            .build_durable(
+                base.clone(),
+                Arc::clone(&storage) as Arc<dyn DurableStorage>,
+            )
+            .unwrap();
+        while fulls(&storage).is_empty() {
+            m.apply(round(m.version())).unwrap();
+            assert!(m.version() < 200, "the deltas never outgrew ckpt-0");
+        }
+        let cut = fulls(&storage)[0];
+        assert_eq!(cut, m.version());
+        // One delta short of the cut: after the checkpoint two cadences
+        // before the full image, the next delta crosses the threshold.
+        let crash_at = cut - 4;
+        assert!(crash_at >= 2, "the chain holds deltas before the crash");
+
+        // Crashed: the same rounds, a power cut right after the checkpoint
+        // at `crash_at`, recovery, then the rest of the rounds.
+        let storage = mem();
+        let mut b = builder()
+            .build_durable(base, Arc::clone(&storage) as Arc<dyn DurableStorage>)
+            .unwrap();
+        for v in 0..crash_at {
+            b.apply(round(v)).unwrap();
+        }
+        drop(b);
+        let image = power_cut(&storage);
+        let (mut r, report) = builder()
+            .recover(Arc::clone(&image) as Arc<dyn DurableStorage>)
+            .unwrap();
+        assert_eq!(report.replayed_rounds, 0);
+        assert!(newest_checkpoint(&image).parent.is_some(), "a delta seal");
+        for v in crash_at..cut {
+            r.apply(round(v)).unwrap();
+        }
+        assert_eq!(
+            fulls(&image),
+            vec![cut],
+            "the full image lands on the same checkpoint"
+        );
+        assert_same_published_state(&m, &r);
+    }
+
+    #[test]
+    fn a_second_crash_after_a_fallback_recovers_through_the_seal() {
+        let builder = || {
+            tail_builder(1, None).durability(DurabilityPolicy {
+                checkpoint_every_rounds: 2,
+                ..Default::default()
+            })
+        };
+        let (mut m, storage) = run_tail(builder(), 8);
+        let newest = newest_checkpoint(&storage).seq;
+        assert!(newest >= 2, "a checkpoint to fall back to");
+        let name = durable::ckpt_name(newest);
+        let image = Arc::new(fup_tidb::MemStorage::from_files(storage.files()));
+        image.flip_byte(&name, storage.file(&name).unwrap().len() / 2);
+        let (mut r, report) = builder()
+            .recover(Arc::clone(&image) as Arc<dyn DurableStorage>)
+            .unwrap();
+        assert_eq!(report.corrupt_checkpoints, vec![newest]);
+        assert!(report.checkpoint_seq < newest);
+        assert_same_session(&m, &r);
+        let seal = newest_checkpoint(&image);
+        assert_eq!(seal.parent.map(|p| p.seq), Some(report.checkpoint_seq));
+
+        // Crash again after one more round: recovery starts from the seal,
+        // which shadows the damaged file, and reads no further back.
+        for s in [&mut m, &mut r] {
+            s.apply(UpdateBatch::insert_only(vec![tx(&[1, 3])]))
+                .unwrap();
+        }
+        drop(r);
+        let (r2, report) = builder()
+            .recover(power_cut(&image) as Arc<dyn DurableStorage>)
+            .unwrap();
+        assert!(report.corrupt_checkpoints.is_empty());
+        assert_eq!(report.checkpoint_seq, seal.seq);
+        assert_eq!(report.replayed_rounds, 1);
+        assert_same_session(&m, &r2);
+        r2.verify_consistency().unwrap();
     }
 
     // -------------------------------------------------- sharding --

@@ -12,7 +12,9 @@
 //!   panicking and never losing an acknowledged commit. Both sweeps also
 //!   run a churn script whose checkpoints are delta chains with deletes
 //!   crossing their boundaries and a full image cut among them, written
-//!   and recovered at one shard and at four.
+//!   and recovered at one shard and at four. A third sweep kills a
+//!   recovery — inside its seal, a delta on the chain it recovered — and
+//!   the commits after it.
 //! * **Corrupt checkpoints degrade, not destroy:** a flipped byte in the
 //!   newest checkpoint, in a delta in the middle of its chain, or in the
 //!   full image the chain starts from falls back to an older checkpoint;
@@ -381,6 +383,98 @@ fn kill_at_every_storage_op_budget_recovers_exactly() {
                 .any(|&s| ckpt_parent(&files[&ckpt_file(s)]).is_some()),
             "the churn script must leave deltas: {seqs:?}"
         );
+    }
+}
+
+/// The op-budget sweep across **recovery itself**: the script's first
+/// `split` rounds commit and the session crashes, then every budget kills
+/// a run that recovers — sealing with a delta on the chain it chose — and
+/// commits the remaining rounds. Cuts land inside the seal's install (its
+/// atomic write, the fresh segment's append and sync, retention) and in
+/// every later commit and checkpoint. Each crash image recovers exactly,
+/// with no commit acknowledged after the first recovery lost.
+fn recover_then_commit_sweep(script: &Script, split: usize, policy: DurabilityPolicy) {
+    let states = reference_states(script);
+    let storage = Arc::new(MemStorage::new());
+    let mut m = builder()
+        .shards(script.write_shards)
+        .durability(policy)
+        .build_durable(
+            script.history.clone(),
+            Arc::clone(&storage) as Arc<dyn DurableStorage>,
+        )
+        .unwrap();
+    for batch in &script.rounds[..split] {
+        m.apply(batch.clone()).unwrap();
+    }
+    drop(m);
+    let crashed = storage.files();
+    let resume = |storage: &Arc<MemStorage>| {
+        builder()
+            .shards(script.recover_shards)
+            .durability(policy)
+            .recover(Arc::clone(storage) as Arc<dyn DurableStorage>)
+    };
+
+    // Unfaulted, the seal is a delta naming the checkpoint recovery chose.
+    let sealed = Arc::new(MemStorage::from_files(crashed.clone()));
+    let (_, report) = resume(&sealed).unwrap();
+    let files = sealed.files();
+    let seal = *ckpt_seqs(&files).last().unwrap();
+    assert_eq!(
+        ckpt_parent(&files[&ckpt_file(seal)]),
+        Some(report.checkpoint_seq),
+        "the seal is a delta on the chosen checkpoint"
+    );
+
+    for budget in 0u64..400 {
+        let mut any_fault = false;
+        for tear_bytes in [0usize, 1, 7] {
+            let storage = Arc::new(MemStorage::from_files(crashed.clone()));
+            storage.fail_after(budget, tear_bytes);
+            let mut acked = 0u64;
+            if let Ok((mut m, _)) = resume(&storage) {
+                for batch in &script.rounds[split..] {
+                    if m.apply(batch.clone()).is_err() {
+                        break;
+                    }
+                    acked += 1;
+                }
+            }
+            any_fault |= storage.faults_fired() > 0;
+            let (recovered, _) = recover(script, storage.files())
+                .unwrap_or_else(|e| panic!("budget {budget}: recovery must succeed: {e}"));
+            assert_matches_reference(&recovered, &states);
+            assert!(
+                recovered.version() >= split as u64 + acked,
+                "budget {budget}: an acknowledged commit was lost"
+            );
+        }
+        if !any_fault {
+            return;
+        }
+    }
+    panic!("sweep never reached a fault-free run");
+}
+
+/// Satellite: kill recovery's seal and the commits after it at every
+/// storage-op budget. The basic script recovers a two-round WAL tail onto
+/// `ckpt-0`; the churn script recovers a delta chain checkpointed every
+/// round, written and recovered at one shard and at four.
+#[test]
+fn kill_at_every_storage_op_budget_across_recovery_recovers_exactly() {
+    let policy = DurabilityPolicy {
+        checkpoint_every_rounds: u64::MAX,
+        ..Default::default()
+    };
+    recover_then_commit_sweep(&basic_script(), 2, policy);
+    let policy = DurabilityPolicy {
+        checkpoint_every_rounds: 1,
+        retain_checkpoints: 2,
+        ..Default::default()
+    };
+    for (write, recover) in [(1, 4), (4, 1)] {
+        recover_then_commit_sweep(&churn_script(write, recover), 6, policy);
     }
 }
 

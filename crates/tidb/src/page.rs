@@ -134,41 +134,6 @@ impl PagedStore {
         &self.pages[idx].data
     }
 
-    /// Rebuilds a store from raw page images (as produced by
-    /// [`page_bytes`](Self::page_bytes)), validating that every page
-    /// decodes. The durable checkpoint reader uses this to restore the
-    /// live transactions without re-encoding them.
-    pub fn from_encoded_pages<I>(page_size: usize, pages: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = Vec<u8>>,
-    {
-        let mut store = PagedStore::with_page_size(page_size);
-        let mut items: Vec<ItemId> = Vec::new();
-        for (idx, data) in pages.into_iter().enumerate() {
-            if data.len() < PAGE_HEADER || data.len() > page_size {
-                return Err(Error::Corrupt {
-                    reason: format!("page {idx} has invalid length {}", data.len()),
-                    offset: None,
-                });
-            }
-            let count = u16::from_le_bytes([data[0], data[1]]);
-            let mut pos = PAGE_HEADER;
-            for _ in 0..count {
-                codec::decode_transaction(&data, &mut pos, &mut items)?;
-            }
-            if pos != data.len() {
-                return Err(Error::Corrupt {
-                    reason: format!("page {idx} has trailing bytes"),
-                    offset: Some(pos),
-                });
-            }
-            store.page_first_txn.push(store.num_transactions);
-            store.num_transactions += u64::from(count);
-            store.pages.push(Page { data, count });
-        }
-        Ok(store)
-    }
-
     /// Total encoded bytes across all pages (excluding slack).
     pub fn encoded_bytes(&self) -> u64 {
         self.pages.iter().map(|p| p.data.len() as u64).sum()
@@ -178,36 +143,36 @@ impl PagedStore {
     pub fn page_size(&self) -> usize {
         self.page_size
     }
+}
 
-    /// Decodes every transaction back out (charging a scan), primarily for
-    /// verification and for materialising trimmed copies.
-    pub fn to_transactions(&self) -> Result<Vec<Transaction>> {
-        let mut out = Vec::with_capacity(self.num_transactions as usize);
-        let mut failed = None;
-        self.for_each_fallible(&mut |items| {
-            out.push(Transaction::from_sorted_vec(items.to_vec()));
-        })
-        .inspect_err(|e| {
-            failed = Some(e.clone());
-        })?;
-        Ok(out)
+/// Decodes one raw page image — as [`PagedStore::page_bytes`] returns it,
+/// from a store of `page_size`-byte pages — in place, appending its
+/// transactions to `out`. A page shorter than its header or longer than
+/// `page_size`, whose count header promises more transactions than its
+/// bytes hold, or with bytes after its last transaction is
+/// [`Error::Corrupt`], and so is any transaction the codec rejects. The
+/// durable checkpoint reader restores its embedded pages through this.
+pub fn decode_page(page: &[u8], page_size: usize, out: &mut Vec<Transaction>) -> Result<()> {
+    if page.len() < PAGE_HEADER || page.len() > page_size {
+        return Err(Error::Corrupt {
+            reason: format!("page has invalid length {}", page.len()),
+            offset: None,
+        });
     }
-
-    fn for_each_fallible(&self, f: &mut dyn FnMut(&[ItemId])) -> Result<()> {
-        self.metrics.record_full_scan();
-        let mut items: Vec<ItemId> = Vec::new();
-        for page in &self.pages {
-            self.metrics.record_page();
-            self.metrics.record_bytes(page.data.len() as u64);
-            let mut pos = PAGE_HEADER;
-            for _ in 0..page.count {
-                codec::decode_transaction(&page.data, &mut pos, &mut items)?;
-                self.metrics.record_transaction(items.len());
-                f(&items);
-            }
-        }
-        Ok(())
+    let count = u16::from_le_bytes([page[0], page[1]]);
+    let mut pos = PAGE_HEADER;
+    let mut items: Vec<ItemId> = Vec::new();
+    for _ in 0..count {
+        codec::decode_transaction(page, &mut pos, &mut items)?;
+        out.push(Transaction::from_sorted_vec(items.to_vec()));
     }
+    if pos != page.len() {
+        return Err(Error::Corrupt {
+            reason: "page has trailing bytes".into(),
+            offset: Some(pos),
+        });
+    }
+    Ok(())
 }
 
 impl TransactionSource for PagedStore {
@@ -218,10 +183,22 @@ impl TransactionSource for PagedStore {
     /// # Panics
     ///
     /// Panics if a page is corrupt. Pages are only written by
-    /// [`PagedStore::append`], so corruption here indicates an internal bug;
-    /// use [`PagedStore::to_transactions`] for fallible decoding.
+    /// [`PagedStore::append`], so corruption here indicates an internal
+    /// bug; [`decode_page`] is the fallible decoder for untrusted images.
     fn for_each(&self, f: &mut dyn FnMut(&[ItemId])) {
-        self.for_each_fallible(f).expect("internal page corruption");
+        self.metrics.record_full_scan();
+        let mut items: Vec<ItemId> = Vec::new();
+        for page in &self.pages {
+            self.metrics.record_page();
+            self.metrics.record_bytes(page.data.len() as u64);
+            let mut pos = PAGE_HEADER;
+            for _ in 0..page.count {
+                codec::decode_transaction(&page.data, &mut pos, &mut items)
+                    .expect("internal page corruption");
+                self.metrics.record_transaction(items.len());
+                f(&items);
+            }
+        }
     }
 
     fn metrics(&self) -> &ScanMetrics {
@@ -287,12 +264,19 @@ mod tests {
         Transaction::from_items(items.iter().copied())
     }
 
+    /// Every transaction of `store`, decoded by one full scan.
+    fn scan(store: &PagedStore) -> Vec<Transaction> {
+        let mut out = Vec::new();
+        store.for_each(&mut |items| out.push(Transaction::from_sorted_vec(items.to_vec())));
+        out
+    }
+
     #[test]
     fn append_and_scan_roundtrip() {
         let txs: Vec<Transaction> = (0..100).map(|i| tx(&[i, i + 1, i + 2, 500 + i])).collect();
         let store = PagedStore::from_transactions(&txs).unwrap();
         assert_eq!(store.num_transactions(), 100);
-        let back = store.to_transactions().unwrap();
+        let back = scan(&store);
         assert_eq!(back, txs);
     }
 
@@ -304,7 +288,7 @@ mod tests {
             store.append(&tx(&[i, i + 100])).unwrap();
         }
         assert!(store.num_pages() > 1, "expected multiple pages");
-        let back = store.to_transactions().unwrap();
+        let back = scan(&store);
         assert_eq!(back.len(), 10);
     }
 
@@ -346,7 +330,7 @@ mod tests {
         let mut store = PagedStore::new();
         store.append(&Transaction::empty()).unwrap();
         store.append(&tx(&[7])).unwrap();
-        let back = store.to_transactions().unwrap();
+        let back = scan(&store);
         assert_eq!(back[0], Transaction::empty());
         assert_eq!(back[1], tx(&[7]));
     }
@@ -358,36 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn raw_pages_roundtrip_through_from_encoded_pages() {
-        let txs: Vec<Transaction> = (0..80).map(|i| tx(&[i, i + 3, 900 + i])).collect();
+    fn raw_pages_roundtrip_through_decode_page() {
+        let txs: Vec<Transaction> = (0..2_000).map(|i| tx(&[i, i + 3, 900 + i])).collect();
         let store = PagedStore::from_transactions(&txs).unwrap();
-        let pages: Vec<Vec<u8>> = (0..store.num_pages())
-            .map(|p| store.page_bytes(p).to_vec())
-            .collect();
-        let rebuilt = PagedStore::from_encoded_pages(store.page_size(), pages).unwrap();
-        assert_eq!(rebuilt.num_transactions(), 80);
-        assert_eq!(rebuilt.to_transactions().unwrap(), txs);
-        // Chunked access works on the rebuilt store too.
-        let mut scratch = crate::chunk::ChunkScratch::default();
-        let chunk = rebuilt.chunk(10, 2, &mut scratch);
-        assert_eq!(chunk.len(), 10);
-    }
-
-    #[test]
-    fn from_encoded_pages_rejects_corruption() {
-        let txs: Vec<Transaction> = (0..10).map(|i| tx(&[i, i + 1])).collect();
-        let store = PagedStore::from_transactions(&txs).unwrap();
-        let good = store.page_bytes(0).to_vec();
-        // Truncated page.
-        let torn = good[..good.len() - 1].to_vec();
-        assert!(PagedStore::from_encoded_pages(store.page_size(), [torn]).is_err());
-        // Count header inflated beyond the payload.
-        let mut inflated = good.clone();
-        inflated[0] = inflated[0].wrapping_add(5);
-        assert!(PagedStore::from_encoded_pages(store.page_size(), [inflated]).is_err());
-        // Oversized page image.
-        let mut oversized = good.clone();
-        oversized.resize(store.page_size() + 1, 0);
-        assert!(PagedStore::from_encoded_pages(store.page_size(), [oversized]).is_err());
+        assert!(store.num_pages() > 1, "expected multiple pages");
+        let mut back = Vec::new();
+        for p in 0..store.num_pages() {
+            decode_page(store.page_bytes(p), store.page_size(), &mut back).unwrap();
+        }
+        assert_eq!(back, txs);
     }
 }
