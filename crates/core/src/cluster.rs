@@ -2,25 +2,27 @@
 //! coordinator, and single-shard crash recovery.
 //!
 //! This module lifts the tid-range sharding of the in-process
-//! session's store out of one address space: each shard
-//! becomes a **worker** owning its own [`SegmentedDb`] slice, its own
-//! WAL + checkpoint namespace (a per-shard [`DurableStorage`] root), and
-//! its own persistent [`IndexSlot`]. A **coordinator** routes staged
-//! batches through a [`ShardSpec`], broadcasts each round's candidate
-//! tables, and merges the per-shard `(base, delta)` support splits by
-//! summation — count distribution, exactly as in-process sharding, so
-//! the cluster's itemsets and rules are **bit-identical** to a flat
-//! [`Maintainer`](crate::Maintainer) over the same history and updates.
+//! session's store out of one address space: each shard becomes a
+//! **worker** owning its rows (under dense local tids, see
+//! [`ShardSpec::local_tid`]), its own durable log on a per-shard
+//! [`DurableStorage`] namespace, and its own persistent [`IndexSlot`]. A
+//! **coordinator** routes staged batches through a [`ShardSpec`],
+//! broadcasts each round's candidate tables, and merges the per-shard
+//! `(base, delta)` support splits by summation — count distribution,
+//! exactly as in-process sharding, so the cluster's itemsets and rules
+//! are **bit-identical** to a flat [`Maintainer`](crate::Maintainer)
+//! over the same history and updates.
 //!
 //! ## Protocol and durability
 //!
 //! Coordinator and workers speak the [`fup_tidb::rpc`] message protocol
 //! over a pluggable [`Transport`] (in-process channel pair here; the
-//! same frames travel a Unix-domain socket unchanged). A worker's WAL
-//! records *are* protocol frames: [`Message::StageRound`],
-//! [`Message::CommitRound`] and [`Message::AbortRound`] are appended
-//! verbatim before they take effect, so recovery replays the log with
-//! the wire decoder and inherits the WAL's torn-tail prefix rule.
+//! same frames travel a Unix-domain socket unchanged). A worker persists
+//! through the durable session's own log: it appends each round it
+//! stages and decides as a [`WalRecord`] keyed by the round number,
+//! checkpoints the session's image format (with no itemsets) when the
+//! coordinator says so, and recovers exactly as a session does —
+//! newest valid checkpoint chain, WAL tail, seal.
 //!
 //! ## Two-phase rounds
 //!
@@ -37,13 +39,13 @@
 //! 3. **Decide** — `CommitRound` (or `AbortRound`) is WAL-logged and
 //!    applied on every worker.
 //!
-//! A worker killed between phases recovers from its own checkpoint +
-//! WAL: an undecided `StageRound` at the log's tail is re-staged and
-//! reported at rejoin, and the coordinator resolves it from its
-//! decision record — an acknowledged commit is never lost. While a
-//! worker is down the coordinator fails rounds fast ([`Error::WorkerDown`]),
-//! holding staged work in the bounded backlog (the backpressure gate);
-//! published snapshots keep serving reads throughout.
+//! A worker killed between phases recovers from its own log: an
+//! undecided round at the log's tail is re-staged and reported at
+//! rejoin, and the coordinator resolves it from its last decision — an
+//! acknowledged commit is never lost. While a worker is down the
+//! coordinator fails rounds fast ([`Error::WorkerDown`]), holding staged
+//! work in the bounded backlog (the backpressure gate); published
+//! snapshots keep serving reads throughout.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -57,14 +59,16 @@ use fup_mining::{
 };
 use fup_tidb::rpc::{ChannelTransport, Message, Transport};
 use fup_tidb::source::ChainSource;
+use fup_tidb::wal::WalRecord;
 use fup_tidb::{
-    Admission, ChunkScratch, DurableStorage, FaultKind, ItemId, ScanMetrics, SegmentedDb,
-    ShardSpec, SliceSource, StagingArea, Tid, Transaction, TransactionDb, TransactionSource,
+    Admission, ChunkScratch, DurableStorage, ItemId, ScanMetrics, ShardSpec, ShardedDb,
+    ShardedStaged, SliceSource, StagingArea, Tid, Transaction, TransactionDb, TransactionSource,
     TxChunk, UpdateBatch,
 };
 
 use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
+use crate::durable::{self, DurabilityPolicy, DurableLog};
 use crate::error::{Error, Result};
 use crate::fup::update_round;
 use crate::policy::UpdatePolicy;
@@ -72,38 +76,44 @@ use crate::service::ShardHealth;
 use crate::session::{MaintenanceReport, RuleSnapshot, SnapshotState};
 use crate::vindex::{IndexSlot, VerticalProvider};
 
-/// Per-shard WAL file name inside the worker's storage namespace.
-const WAL_FILE: &str = "wal";
-/// Per-shard checkpoint file name.
-const CHECKPOINT_FILE: &str = "checkpoint";
-/// Attempts for transient storage faults on the worker's WAL path.
-const WAL_RETRIES: u32 = 4;
-
-/// One shard's routed slice of a batch: tid-assigned inserts + deletes.
+/// One shard's routed slice of a batch: inserts with the local tids they
+/// will take, and local delete tids.
 type RoutedSlice = (Vec<(Tid, Transaction)>, Vec<Tid>);
+
+/// The `(minsup, minconf)` a worker checkpoint records: a worker mines
+/// nothing, so its images carry no thresholds and an empty itemset table.
+const NO_THRESHOLDS: ((u64, u64), (u64, u64)) = ((0, 1), (0, 1));
 
 // ========================================================== worker ==
 
 /// A round staged on a worker, held until its phase-2 decision.
 struct StagedRound {
     round: u64,
-    inserts: Vec<(Tid, Transaction)>,
+    /// Local tids the round deletes, request order.
     deletes: Vec<Tid>,
-    /// Rows the deletes removed, request order — echoed in `StagedOk`.
-    removed: Vec<(Tid, Transaction)>,
+    staged: ShardedStaged,
 }
 
-/// One shard's process: a [`SegmentedDb`] slice, a persistent
-/// [`IndexSlot`], and a WAL + checkpoint in a private [`DurableStorage`]
-/// namespace. Drives nothing itself — [`run`](ShardWorker::run) serves
-/// requests until the transport closes (which models a crash: memory is
-/// lost, storage survives).
+impl StagedRound {
+    /// The rows the deletes removed, request order — echoed in `StagedOk`.
+    fn removed(&self) -> Vec<(Tid, Transaction)> {
+        let rows = self.staged.deleted().raw().iter().cloned();
+        self.deletes.iter().copied().zip(rows).collect()
+    }
+}
+
+/// One shard's process: its rows under dense local tids in a one-shard
+/// [`ShardedDb`], a persistent [`IndexSlot`], and the durable log a
+/// durable session writes, on a private [`DurableStorage`] namespace.
+/// Drives nothing itself — [`run`](ShardWorker::run) serves requests
+/// until the transport closes (which models a crash: memory is lost,
+/// storage survives).
 pub struct ShardWorker {
     shard: usize,
-    db: SegmentedDb,
+    db: ShardedDb,
     slot: IndexSlot,
     engine: EngineConfig,
-    storage: Arc<dyn DurableStorage>,
+    log: DurableLog,
     decided_round: u64,
     staged: Option<StagedRound>,
     /// The round's engaged index and its base/delta boundary.
@@ -111,94 +121,93 @@ pub struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Rebuilds a worker from its storage namespace: checkpoint first,
-    /// then the WAL replayed frame by frame with the torn-tail prefix
-    /// rule. An undecided `StageRound` at the tail is re-staged (its
-    /// deletes re-applied) and will be reported at the next
-    /// `HealthProbe`, so the coordinator can resolve it from its
-    /// decision record. An empty namespace yields an empty shard.
+    /// A worker on an empty storage namespace; a namespace that holds
+    /// anything is [`Error::Recovery`]. Nothing is written until the
+    /// first round, and the first checkpoint is a full image.
+    pub fn create(
+        shard: usize,
+        storage: Arc<dyn DurableStorage>,
+        engine: EngineConfig,
+    ) -> Result<ShardWorker> {
+        let log = DurableLog::create(storage, DurabilityPolicy::default())?;
+        let db = ShardedDb::new(ShardSpec::default()).expect("one shard is a valid spec");
+        Ok(ShardWorker::new(shard, db, log, 0, engine))
+    }
+
+    /// Rebuilds a worker from its storage namespace as a durable session
+    /// recovers: the newest checkpoint chain that validates, the WAL tail
+    /// replayed (a torn tail dropped), then a seal — the *decided* state,
+    /// with any undecided round as its backlog, on a fresh WAL segment,
+    /// so nothing is ever appended after a torn tail. Only then is the
+    /// undecided round re-staged, for the next `HealthProbe` to report.
     pub fn recover(
         shard: usize,
         storage: Arc<dyn DurableStorage>,
         engine: EngineConfig,
     ) -> Result<ShardWorker> {
-        let mut db = SegmentedDb::new();
-        let mut decided_round = 0u64;
-        if let Some(bytes) = storage.read(CHECKPOINT_FILE).map_err(Error::Store)? {
-            let (frames, torn) = fup_tidb::rpc::read_frames(&bytes);
-            match (frames.as_slice(), torn) {
-                ([Message::CommitRound { round }, Message::Rows(rows)], None) => {
-                    decided_round = *round;
-                    db.append_pairs(rows.clone());
+        let recovered = durable::load_latest(storage.as_ref())?;
+        let mut image = recovered.image;
+        let mut pending = image.backlog.pop();
+        let db = ShardedDb::from_recovered(
+            ShardSpec::default(),
+            image.live,
+            image.watermark,
+            image.tombstones,
+            image.next_segment,
+        )
+        .expect("one shard is a valid spec");
+        // The log resumes the chain; each round replayed below reports its
+        // deletions to it, as a live commit does, for the seal's delta.
+        let log = DurableLog::resumed(
+            storage,
+            DurabilityPolicy::default(),
+            recovered.max_seq,
+            recovered.chain,
+            Vec::new(),
+        );
+        let mut worker = ShardWorker::new(shard, db, log, image.version, engine);
+        for record in recovered.replay {
+            let (round, commit) = match record {
+                WalRecord::Stage { ticket, batch } => {
+                    pending = Some((ticket, batch));
+                    continue;
                 }
-                _ => {
-                    return Err(Error::Recovery {
-                        reason: format!("shard {shard}: malformed checkpoint"),
-                    })
-                }
-            }
+                WalRecord::Commit { version, .. } => (version, true),
+                WalRecord::Abort { tickets } => (tickets.first().copied().unwrap_or(0), false),
+            };
+            let Some((_, batch)) = pending.take().filter(|&(r, _)| r == round) else {
+                return Err(Error::Recovery {
+                    reason: format!("shard {shard}: the WAL decides round {round} it never staged"),
+                });
+            };
+            worker.stage_locally(round, batch)?;
+            worker.apply_decision(commit);
         }
-        let mut pending: Option<(u64, RoutedSlice)> = None;
-        if let Some(bytes) = storage.read(WAL_FILE).map_err(Error::Store)? {
-            let (frames, _torn) = fup_tidb::rpc::read_frames(&bytes);
-            for frame in frames {
-                match frame {
-                    Message::StageRound {
-                        round,
-                        inserts,
-                        deletes,
-                    } if round > decided_round => {
-                        // Idempotent against a duplicated append: the
-                        // same round re-staged replaces itself.
-                        pending = Some((round, (inserts, deletes)));
-                    }
-                    Message::CommitRound { round } => {
-                        if let Some((r, (inserts, deletes))) = pending.take() {
-                            if r == round {
-                                for tid in deletes {
-                                    let _ = db.remove_tid(tid);
-                                }
-                                db.append_pairs(inserts);
-                            }
-                        }
-                        decided_round = decided_round.max(round);
-                    }
-                    Message::AbortRound { round } => {
-                        if let Some((r, _)) = &pending {
-                            if *r == round {
-                                pending = None;
-                            }
-                        }
-                        decided_round = decided_round.max(round);
-                    }
-                    _ => {}
-                }
-            }
+        let backlog: Vec<(u64, UpdateBatch)> = pending.into_iter().collect();
+        worker.write_checkpoint(&backlog)?;
+        for (round, batch) in backlog {
+            worker.stage_locally(round, batch)?;
         }
-        let staged = pending.map(|(round, (inserts, deletes))| {
-            let mut removed = Vec::with_capacity(deletes.len());
-            for &tid in &deletes {
-                if let Some(t) = db.remove_tid(tid) {
-                    removed.push((tid, t));
-                }
-            }
-            StagedRound {
-                round,
-                inserts,
-                deletes,
-                removed,
-            }
-        });
-        Ok(ShardWorker {
+        Ok(worker)
+    }
+
+    fn new(
+        shard: usize,
+        db: ShardedDb,
+        log: DurableLog,
+        decided_round: u64,
+        engine: EngineConfig,
+    ) -> ShardWorker {
+        ShardWorker {
             shard,
             db,
             slot: IndexSlot::new(),
             engine,
-            storage,
+            log,
             decided_round,
-            staged,
+            staged: None,
             round_index: None,
-        })
+        }
     }
 
     /// Serves requests until the transport closes or a `Shutdown`
@@ -225,41 +234,6 @@ impl ShardWorker {
         }
     }
 
-    /// Appends one protocol frame to the WAL and syncs, retrying
-    /// transient faults (a transient fault leaves nothing behind — the
-    /// [`FlakyStorage`](fup_tidb::FlakyStorage) contract).
-    fn wal_append(&self, frame: &[u8]) -> Result<()> {
-        self.wal_retry(|| self.storage.append(WAL_FILE, frame))?;
-        self.wal_retry(|| self.storage.sync(WAL_FILE))
-    }
-
-    fn wal_retry(&self, mut op: impl FnMut() -> fup_tidb::Result<()>) -> Result<()> {
-        let mut last: Option<fup_tidb::Error> = None;
-        for _ in 0..WAL_RETRIES {
-            match op() {
-                Ok(()) => return Ok(()),
-                Err(
-                    e @ fup_tidb::Error::Io {
-                        kind: FaultKind::Transient,
-                        ..
-                    },
-                ) => last = Some(e),
-                Err(e) => return Err(Error::Store(e)),
-            }
-        }
-        Err(Error::Store(last.expect("at least one attempt ran")))
-    }
-
-    /// The staged round's insert side as a local delta source.
-    fn staged_delta(&self) -> TransactionDb {
-        let inserts = self
-            .staged
-            .as_ref()
-            .map(|s| s.inserts.as_slice())
-            .unwrap_or(&[]);
-        TransactionDb::from_transactions(inserts.iter().map(|(_, t)| t.clone()))
-    }
-
     fn handle(&mut self, msg: &Message) -> Result<Message> {
         match msg {
             Message::StageRound {
@@ -268,16 +242,15 @@ impl ShardWorker {
                 deletes,
             } => self.handle_stage(*round, inserts, deletes),
             Message::Engage { keep } => {
-                if self.staged.is_none() {
+                let Some(st) = &self.staged else {
                     return Ok(Message::Err("engage without a staged round".into()));
-                }
+                };
                 if self.round_index.is_none() {
-                    let delta = self.staged_delta();
                     let boundary = TransactionSource::num_transactions(&self.db);
                     let idx = self.slot.acquire_items(
                         keep.iter().copied(),
                         &self.db,
-                        &delta,
+                        st.staged.inserted(),
                         &self.engine,
                     );
                     self.round_index = Some((idx, boundary));
@@ -327,9 +300,15 @@ impl ShardWorker {
                 }
                 Ok(Message::Ok)
             }
-            Message::CommitRound { round } => self.handle_commit(*round, msg),
-            Message::AbortRound { round } => self.handle_abort(*round, msg),
-            Message::Checkpoint => self.handle_checkpoint(),
+            Message::CommitRound { round } => self.handle_decision(*round, true),
+            Message::AbortRound { round } => self.handle_decision(*round, false),
+            Message::Checkpoint => {
+                if self.staged.is_some() {
+                    return Ok(Message::Err("checkpoint with a round staged".into()));
+                }
+                self.write_checkpoint(&[])?;
+                Ok(Message::Ok)
+            }
             Message::HealthProbe => Ok(Message::Health {
                 live: self.db.len() as u64,
                 decided_round: self.decided_round,
@@ -358,7 +337,7 @@ impl ShardWorker {
             if st.round == round {
                 return Ok(Message::StagedOk {
                     round,
-                    removed: st.removed.clone(),
+                    removed: st.removed(),
                 });
             }
             return Ok(Message::Err(format!(
@@ -372,117 +351,132 @@ impl ShardWorker {
                 self.decided_round
             )));
         }
+        let watermark = self.db.watermark();
+        if (0..)
+            .zip(inserts)
+            .any(|(i, (tid, _))| tid.0 != watermark + i)
+        {
+            return Ok(Message::Err(format!(
+                "inserts must take the next local tids, from {watermark}"
+            )));
+        }
         let mut seen = HashSet::new();
         for tid in deletes {
             if !self.db.contains(*tid) || !seen.insert(*tid) {
                 return Ok(Message::Err(format!("unknown tid {}", tid.0)));
             }
         }
-        // Log before acting: the frame *is* the WAL record.
-        let frame = Message::StageRound {
-            round,
-            inserts: inserts.to_vec(),
-            deletes: deletes.to_vec(),
-        }
-        .to_frame();
-        self.wal_append(&frame)?;
-        let mut removed = Vec::with_capacity(deletes.len());
-        for &tid in deletes {
-            let t = self.db.remove_tid(tid).expect("validated above");
-            removed.push((tid, t));
-        }
-        self.staged = Some(StagedRound {
-            round,
-            inserts: inserts.to_vec(),
-            deletes: deletes.to_vec(),
-            removed: removed.clone(),
-        });
+        // Log before acting: a round is staged only once its record is
+        // durable.
+        let record = WalRecord::Stage {
+            ticket: round,
+            batch: UpdateBatch {
+                inserts: inserts.iter().map(|(_, t)| t.clone()).collect(),
+                deletes: deletes.to_vec(),
+            },
+        };
+        self.log.log_synced(&record)?;
+        let WalRecord::Stage { batch, .. } = record else {
+            unreachable!("built as a stage record")
+        };
+        let removed = self.stage_locally(round, batch)?.removed();
         Ok(Message::StagedOk { round, removed })
     }
 
-    fn handle_commit(&mut self, round: u64, msg: &Message) -> Result<Message> {
-        let Some(st) = &self.staged else {
+    /// Stages `batch` as `round` in memory: the deletes leave the live
+    /// set, the inserts wait for the decision.
+    fn stage_locally(&mut self, round: u64, batch: UpdateBatch) -> Result<&StagedRound> {
+        let deletes = batch.deletes.clone();
+        let staged = self.db.stage(batch)?;
+        Ok(self.staged.insert(StagedRound {
+            round,
+            deletes,
+            staged,
+        }))
+    }
+
+    /// Phase 2 on the worker: logs the decision on the staged round
+    /// (`commit`, else abort), then applies it.
+    fn handle_decision(&mut self, round: u64, commit: bool) -> Result<Message> {
+        let verb = if commit { "commit" } else { "abort" };
+        match self.staged.as_ref().map(|st| st.round) {
+            Some(staged) if staged == round => {}
             // Idempotent redelivery of an already-decided round (the
             // rejoin handshake may resolve a round the worker already
             // decided before crashing).
-            if round <= self.decided_round {
-                return Ok(Message::Ok);
+            None if round <= self.decided_round => return Ok(Message::Ok),
+            None => return Ok(Message::Err(format!("no staged round to {verb} ({round})"))),
+            Some(staged) => {
+                return Ok(Message::Err(format!(
+                    "staged round {staged} does not match {verb} {round}"
+                )))
             }
-            return Ok(Message::Err(format!("no staged round to commit ({round})")));
-        };
-        if st.round != round {
-            return Ok(Message::Err(format!(
-                "staged round {} does not match commit {round}",
-                st.round
-            )));
         }
-        self.wal_append(&msg.to_frame())?;
-        let st = self.staged.take().expect("checked above");
-        self.db.append_pairs(st.inserts.clone());
-        // Mirror the flat session's `align_index`: a round whose
-        // counting stashed the index (FinishRound) already covers
-        // base ∪ delta; otherwise insert-only rounds extend the held
-        // index, delete rounds drop it (swap_remove reordered the live
-        // set).
+        let record = if commit {
+            WalRecord::Commit {
+                version: round,
+                tickets: vec![round],
+            }
+        } else {
+            WalRecord::Abort {
+                tickets: vec![round],
+            }
+        };
+        self.log.log_synced(&record)?;
+        self.apply_decision(commit);
+        Ok(Message::Ok)
+    }
+
+    /// Applies the decision on the staged round in memory (`commit`,
+    /// else abort) — after it is logged, or when recovery replays it.
+    fn apply_decision(&mut self, commit: bool) {
+        let st = self.staged.take().expect("a round is staged");
+        self.decided_round = st.round;
+        self.round_index = None;
         let touched = self.slot.take_touched();
-        if !touched {
-            if st.deletes.is_empty() {
-                let delta =
-                    TransactionDb::from_transactions(st.inserts.iter().map(|(_, t)| t.clone()));
-                self.slot.extend_with(&delta, &self.engine);
-            } else {
+        if commit {
+            // The coordinator sets the checkpoint cadence; the log only
+            // needs the deletions for its next delta.
+            let _ = self.log.note_round(&st.deletes);
+            // Mirror the flat session's `align_index`: a round whose
+            // counting stashed the index (FinishRound) already covers
+            // base ∪ delta; otherwise insert-only rounds extend the held
+            // index, delete rounds drop it (swap_remove reordered the
+            // live set).
+            if !touched {
+                if st.deletes.is_empty() {
+                    self.slot.extend_with(st.staged.inserted(), &self.engine);
+                } else {
+                    self.slot.clear();
+                }
+            }
+            self.db.commit(st.staged);
+        } else {
+            // Removed rows go back at the end of the live set, exactly as
+            // the in-process abort does — which is why the slot must drop
+            // its index when rows were removed (order changed).
+            if !st.deletes.is_empty() {
                 self.slot.clear();
             }
+            self.db.abort(st.staged);
         }
-        self.round_index = None;
-        self.decided_round = round;
-        Ok(Message::Ok)
     }
 
-    fn handle_abort(&mut self, round: u64, msg: &Message) -> Result<Message> {
-        let Some(st) = &self.staged else {
-            if round <= self.decided_round {
-                return Ok(Message::Ok);
-            }
-            return Ok(Message::Err(format!("no staged round to abort ({round})")));
-        };
-        if st.round != round {
-            return Ok(Message::Err(format!(
-                "staged round {} does not match abort {round}",
-                st.round
-            )));
-        }
-        self.wal_append(&msg.to_frame())?;
-        let st = self.staged.take().expect("checked above");
-        // Removed rows go back at the end of the live set, exactly as
-        // the in-process abort does — which is why the slot must drop
-        // its index when rows were removed (order changed).
-        self.db.append_pairs(st.removed);
-        if !st.deletes.is_empty() {
-            self.slot.clear();
-        }
-        let _ = self.slot.take_touched();
-        self.round_index = None;
-        self.decided_round = round;
-        Ok(Message::Ok)
-    }
-
-    fn handle_checkpoint(&mut self) -> Result<Message> {
-        if self.staged.is_some() {
-            return Ok(Message::Err("checkpoint with a round staged".into()));
-        }
-        let mut bytes = Message::CommitRound {
-            round: self.decided_round,
-        }
-        .to_frame();
-        bytes.extend_from_slice(
-            &Message::Rows(self.db.iter().map(|(tid, t)| (tid, t.clone())).collect()).to_frame(),
-        );
-        self.storage
-            .write_atomic(CHECKPOINT_FILE, &bytes)
-            .map_err(Error::Store)?;
-        self.storage.remove(WAL_FILE).map_err(Error::Store)?;
-        Ok(Message::Ok)
+    /// Installs the log's next checkpoint — a delta on the last one, or
+    /// a full image under the log's full-cut rule — of the decided state,
+    /// with `backlog` as its undecided round.
+    fn write_checkpoint(&self, backlog: &[(u64, UpdateBatch)]) -> Result<u64> {
+        self.log.checkpoint_with(self.db.watermark(), |seq, base| {
+            durable::encode_store(
+                &self.db,
+                seq,
+                base,
+                self.decided_round,
+                NO_THRESHOLDS,
+                &LargeItemsets::new(0),
+                backlog,
+            )
+        })
     }
 }
 
@@ -694,9 +688,6 @@ impl VerticalProvider for ClusterProvider<'_> {
 struct WorkerHandle {
     transport: Mutex<Box<dyn Transport>>,
     up: bool,
-    /// A round staged on the worker awaiting its phase-2 decision (set
-    /// through crash windows so the rejoin handshake can resolve it).
-    staged_round: Option<u64>,
     /// Update operations (inserts + deletes) committed into this shard
     /// since the cluster started.
     ops: u64,
@@ -728,11 +719,12 @@ pub struct Cluster {
     state: Arc<SnapshotState>,
     next_tid: u64,
     total_live: u64,
-    round: u64,
-    /// Phase-2 decision per round: `true` committed, `false` aborted.
-    /// This is what makes an acknowledged commit survive a worker
-    /// crash — the rejoin handshake replays the decision.
-    decisions: HashMap<u64, bool>,
+    /// The last decided round and whether it committed — the whole
+    /// decision record. Rounds are decided in order and none runs while
+    /// a worker is down, so a rejoining worker can hold only this round
+    /// staged; resolving it from here is what makes an acknowledged
+    /// commit survive a worker crash.
+    decided: (u64, bool),
     /// A drained batch whose round failed on a transport error; held
     /// (with its delete claims and its slice of the backpressure gate)
     /// until the worker rejoins and the round can re-run.
@@ -746,17 +738,21 @@ fn down(shard: usize, reason: impl std::fmt::Display) -> Error {
     }
 }
 
+/// Spawns worker `s`, opening its namespace with `open`:
+/// [`ShardWorker::create`] at bootstrap, [`ShardWorker::recover`] on
+/// restart.
 fn spawn_worker(
     s: usize,
     storage: Arc<dyn DurableStorage>,
     engine: EngineConfig,
+    open: fn(usize, Arc<dyn DurableStorage>, EngineConfig) -> Result<ShardWorker>,
 ) -> (WorkerHandle, JoinHandle<()>) {
     let (coord, mut remote) = ChannelTransport::pair();
     let thread = std::thread::Builder::new()
         .name(format!("fup-shard-{s}"))
-        .spawn(move || match ShardWorker::recover(s, storage, engine) {
+        .spawn(move || match open(s, storage, engine) {
             Ok(mut worker) => worker.run(&mut remote),
-            // A worker that cannot recover stays on its transport and
+            // A worker that cannot open stays on its transport and
             // answers every request with the reason until it closes, so
             // the failure reaches the coordinator.
             Err(e) => {
@@ -768,7 +764,6 @@ fn spawn_worker(
     let handle = WorkerHandle {
         transport: Mutex::new(Box::new(coord)),
         up: true,
-        staged_round: None,
         ops: 0,
     };
     (handle, thread)
@@ -780,7 +775,7 @@ impl Cluster {
     /// placement), spawns one worker per shard of `spec` on its storage
     /// namespace, and loads the routed history through a first
     /// stage/commit round followed by a checkpoint, so every shard
-    /// starts durable with an empty WAL.
+    /// starts from a full image of its history and an empty WAL.
     ///
     /// The engine backend is pinned to [`CountingBackend::Vertical`]:
     /// every k ≥ 2 pass counts through the per-shard indexes (summed
@@ -822,7 +817,12 @@ impl Cluster {
         let mut workers = Vec::with_capacity(spec.num_shards());
         let mut threads = Vec::with_capacity(spec.num_shards());
         for (s, storage) in storages.iter().enumerate() {
-            let (handle, thread) = spawn_worker(s, Arc::clone(storage), config.engine.clone());
+            let (handle, thread) = spawn_worker(
+                s,
+                Arc::clone(storage),
+                config.engine.clone(),
+                ShardWorker::create,
+            );
             workers.push(handle);
             threads.push(Some(thread));
         }
@@ -840,28 +840,24 @@ impl Cluster {
             state,
             next_tid: 0,
             total_live: 0,
-            round: 0,
-            decisions: HashMap::new(),
+            decided: (0, false),
             retry: None,
         };
         for s in 0..cluster.workers.len() {
-            match cluster.workers[s].call(&Message::HealthProbe)? {
-                Message::Health {
-                    live: 0,
-                    decided_round: 0,
-                    staged_round: None,
-                } => {}
-                _ => {
-                    return Err(Error::Recovery {
-                        reason: format!("shard {s}: storage namespace is not empty"),
-                    })
-                }
+            // A worker refuses a used namespace and answers with why.
+            if let Message::Err(reason) = cluster.workers[s].call(&Message::HealthProbe)? {
+                return Err(Error::Recovery {
+                    reason: format!("shard {s}: {reason}"),
+                });
             }
         }
-        // Initial load: route the history as commit round 1, then
-        // checkpoint so the bulk rows live in the checkpoint, not the WAL.
+        // Initial load: the history is round 1, staged and committed with
+        // no counting in between, then checkpointed, so each worker's
+        // first checkpoint is a full image of its routed history.
         let batch = UpdateBatch::insert_only(history);
-        cluster.run_two_phase(&batch)?;
+        let routed = cluster.route(&batch);
+        cluster.stage_round(1, &routed)?;
+        cluster.commit_round(1, &routed, &batch);
         cluster.checkpoint()?;
         Ok(cluster)
     }
@@ -928,17 +924,19 @@ impl Cluster {
 }
 
 impl Cluster {
-    /// Routes a batch through the shard spec: inserts get prospective
-    /// tids (`next_tid + i`, the tids the commit will assign), deletes
-    /// go to the shard owning their tid.
+    /// Routes a batch through the shard spec, in each shard's local tids:
+    /// inserts get the local tids of their prospective global tids
+    /// (`next_tid + i`, the tids the commit will assign), deletes go to
+    /// the shard owning their tid.
     fn route(&self, batch: &UpdateBatch) -> Vec<RoutedSlice> {
         let mut out = vec![(Vec::new(), Vec::new()); self.spec.num_shards()];
         for (i, t) in batch.inserts.iter().enumerate() {
-            let tid = Tid(self.next_tid + i as u64);
-            out[self.spec.shard_of(tid)].0.push((tid, t.clone()));
+            let (s, local) = self.spec.local_tid(Tid(self.next_tid + i as u64));
+            out[s].0.push((local, t.clone()));
         }
         for &tid in &batch.deletes {
-            out[self.spec.shard_of(tid)].1.push(tid);
+            let (s, local) = self.spec.local_tid(tid);
+            out[s].1.push(local);
         }
         out
     }
@@ -954,15 +952,13 @@ impl Cluster {
 
     /// Phase 1: stages `routed` as `round` on every worker (empty
     /// slices included — round boundaries are lockstep). On success
-    /// returns the rows the deletes removed, keyed by tid. On failure
-    /// the already-staged prefix is aborted and the failing worker is
-    /// marked down.
-    fn stage_round(
-        &mut self,
-        round: u64,
-        routed: &[RoutedSlice],
-    ) -> Result<HashMap<u64, Transaction>> {
-        let mut removed = HashMap::new();
+    /// returns the rows the deletes removed, in shard order. On
+    /// failure the round is aborted on the already-staged prefix and
+    /// the failing worker is marked down: a worker that did not stage
+    /// may still hold part of the round in its log (a torn append, a
+    /// failed sync), and only a restart reconciles the two.
+    fn stage_round(&mut self, round: u64, routed: &[RoutedSlice]) -> Result<Vec<Transaction>> {
+        let mut removed = Vec::new();
         let mut staged_on: Vec<usize> = Vec::new();
         for (s, slice) in routed.iter().enumerate() {
             let msg = Message::StageRound {
@@ -970,47 +966,46 @@ impl Cluster {
                 inserts: slice.0.clone(),
                 deletes: slice.1.clone(),
             };
-            let fail = |reason: String| -> (usize, String) { (s, reason) };
-            let err = match self.workers[s].call(&msg) {
+            let reason = match self.workers[s].call(&msg) {
+                // The removed rows must echo the routed deletes, in order.
                 Ok(Message::StagedOk {
                     round: r,
                     removed: rem,
-                }) if r == round => {
+                }) if r == round && rem.iter().map(|(tid, _)| tid).eq(&slice.1) => {
                     staged_on.push(s);
-                    self.workers[s].staged_round = Some(round);
-                    for (tid, t) in rem {
-                        removed.insert(tid.0, t);
-                    }
+                    removed.extend(rem.into_iter().map(|(_, t)| t));
                     continue;
                 }
-                Ok(Message::Err(reason)) => fail(reason),
-                Ok(other) => fail(format!("unexpected stage reply: {other:?}")),
-                Err(e) => {
-                    self.workers[s].up = false;
-                    fail(e.to_string())
-                }
+                Ok(Message::Err(reason)) => reason,
+                Ok(other) => format!("unexpected stage reply: {other:?}"),
+                Err(e) => e.to_string(),
             };
-            self.abort_round(round, &staged_on);
-            self.decisions.insert(round, false);
-            self.round = round;
-            return Err(down(err.0, err.1));
+            self.workers[s].up = false;
+            self.abort_round(round, staged_on);
+            return Err(down(s, reason));
         }
         Ok(removed)
     }
 
-    /// Phase 2 (commit arm): decides `round` as committed and delivers
-    /// the decision to every worker. A worker that cannot be reached
-    /// keeps its staged round durably and completes the commit from the
-    /// decision record at rejoin — the commit is acknowledged either
-    /// way, because every worker holds the round in its WAL.
-    fn commit_round(&mut self, round: u64, routed: &[RoutedSlice]) {
-        self.decisions.insert(round, true);
-        self.round = round;
+    /// Phase 2 (commit arm): decides `round` — `batch`, routed as
+    /// `routed` — as committed, delivers the decision to every worker,
+    /// and advances the coordinator's bookkeeping (tids, live view,
+    /// claims, totals), returning the inserts' tids. A worker that
+    /// cannot be reached keeps its staged round durably and completes
+    /// the commit from the decision record at rejoin — the commit is
+    /// acknowledged either way, because every worker holds the round in
+    /// its WAL.
+    fn commit_round(
+        &mut self,
+        round: u64,
+        routed: &[RoutedSlice],
+        batch: &UpdateBatch,
+    ) -> Vec<Tid> {
+        self.decided = (round, true);
         let msg = Message::CommitRound { round };
         for (s, slice) in routed.iter().enumerate() {
             match self.workers[s].call(&msg) {
                 Ok(Message::Ok) => {
-                    self.workers[s].staged_round = None;
                     self.workers[s].ops += slice.0.len() as u64 + slice.1.len() as u64;
                 }
                 Ok(_) | Err(_) => {
@@ -1019,38 +1014,27 @@ impl Cluster {
                 }
             }
         }
-    }
-
-    /// Phase 2 (abort arm): delivers the abort to every worker in
-    /// `staged_on`; unreachable workers resolve at rejoin from the
-    /// decision record.
-    fn abort_round(&mut self, round: u64, staged_on: &[usize]) {
-        let msg = Message::AbortRound { round };
-        for &s in staged_on {
-            match self.workers[s].call(&msg) {
-                Ok(Message::Ok) => self.workers[s].staged_round = None,
-                Ok(_) | Err(_) => self.workers[s].up = false,
-            }
-        }
-    }
-
-    /// Stage + commit with no counting in between — the load path for
-    /// bootstrap rounds. Updates all coordinator
-    /// bookkeeping (tids, live view, claims, totals).
-    fn run_two_phase(&mut self, batch: &UpdateBatch) -> Result<Vec<Tid>> {
-        let round = self.round + 1;
-        let routed = self.route(batch);
-        self.stage_round(round, &routed)?;
-        let new_tids: Vec<Tid> = (0..batch.inserts.len() as u64)
-            .map(|i| Tid(self.next_tid + i))
-            .collect();
-        self.commit_round(round, &routed);
+        let inserted = batch.inserts.len() as u64;
+        let new_tids: Vec<Tid> = (self.next_tid..self.next_tid + inserted).map(Tid).collect();
         self.staging.live_remove(batch.deletes.iter().copied());
         self.staging.release_deletes(batch.deletes.iter().copied());
         self.staging.live_insert(new_tids.iter().copied());
-        self.next_tid += batch.inserts.len() as u64;
-        self.total_live = self.total_live + batch.inserts.len() as u64 - batch.deletes.len() as u64;
-        Ok(new_tids)
+        self.next_tid += inserted;
+        self.total_live = self.total_live + inserted - batch.deletes.len() as u64;
+        new_tids
+    }
+
+    /// Phase 2 (abort arm): decides `round` as aborted and delivers the
+    /// abort to every worker in `staged_on`; unreachable workers resolve
+    /// at rejoin from the decision record.
+    fn abort_round(&mut self, round: u64, staged_on: impl IntoIterator<Item = usize>) {
+        self.decided = (round, false);
+        let msg = Message::AbortRound { round };
+        for s in staged_on {
+            if self.workers[s].call(&msg).ok() != Some(Message::Ok) {
+                self.workers[s].up = false;
+            }
+        }
     }
 
     /// Commits everything staged (plus a held retry batch, if a prior
@@ -1078,11 +1062,7 @@ impl Cluster {
     }
 
     fn commit_batch(&mut self, batch: UpdateBatch) -> Result<MaintenanceReport> {
-        let ops = batch.num_ops();
-        if self.policy.should_remine(ops, self.total_live) {
-            return self.commit_by_remine(batch);
-        }
-        let round = self.round + 1;
+        let round = self.decided.0 + 1;
         let routed = self.route(&batch);
         let removed = match self.stage_round(round, &routed) {
             Ok(removed) => removed,
@@ -1091,13 +1071,11 @@ impl Cluster {
                 return Err(e);
             }
         };
+        if self.policy.should_remine(batch.num_ops(), self.total_live) {
+            return self.commit_by_remine(round, &routed, batch);
+        }
         let d_minus = batch.deletes.len() as u64;
-        let deleted_db = TransactionDb::from_transactions(batch.deletes.iter().map(|tid| {
-            removed
-                .get(&tid.0)
-                .expect("worker acknowledged every routed delete")
-                .clone()
-        }));
+        let deleted_db = TransactionDb::from_transactions(removed);
         let inserted_db = TransactionDb::from_transactions(batch.inserts.iter().cloned());
         let state = Arc::clone(&self.state);
         let mut provider = ClusterProvider::new(&self.workers);
@@ -1117,10 +1095,7 @@ impl Cluster {
             // Counting lost a worker mid-round: the sums are garbage.
             // Abort everywhere reachable (the dead worker resolves at
             // rejoin) and hold the batch for a re-run.
-            let staged: Vec<usize> = (0..self.workers.len()).collect();
-            self.abort_round(round, &staged);
-            self.decisions.insert(round, false);
-            self.round = round;
+            self.abort_round(round, 0..self.workers.len());
             self.workers[shard].up = false;
             self.park_retry(batch);
             return Err(down(shard, reason));
@@ -1131,60 +1106,43 @@ impl Cluster {
                 // Algorithm-level rejection (e.g. a stale baseline):
                 // mirror the flat session — the batch is consumed, the
                 // round aborted, claims released.
-                let staged: Vec<usize> = (0..self.workers.len()).collect();
-                self.abort_round(round, &staged);
-                self.decisions.insert(round, false);
-                self.round = round;
+                self.abort_round(round, 0..self.workers.len());
                 self.staging.release_deletes(batch.deletes.iter().copied());
                 return Err(e);
             }
         };
-        let new_tids: Vec<Tid> = (0..batch.inserts.len() as u64)
-            .map(|i| Tid(self.next_tid + i))
-            .collect();
-        self.commit_round(round, &routed);
-        self.staging.live_remove(batch.deletes.iter().copied());
-        self.staging.release_deletes(batch.deletes.iter().copied());
-        self.staging.live_insert(new_tids.iter().copied());
-        self.next_tid += batch.inserts.len() as u64;
-        self.total_live = self.total_live + batch.inserts.len() as u64 - d_minus;
+        let new_tids = self.commit_round(round, &routed, &batch);
         let algorithm = outcome.stats.algorithm;
         Ok(self.publish(outcome.large, algorithm, outcome.stats, new_tids))
     }
 
-    /// Policy-routed re-mine: the batch still two-phases through the
-    /// workers, but counting is a from-scratch Apriori over the rows
-    /// fetched back from every shard (after the deletes, plus the
-    /// batch's inserts) — the round's post-state, mined locally.
-    fn commit_by_remine(&mut self, batch: UpdateBatch) -> Result<MaintenanceReport> {
-        let round = self.round + 1;
-        let routed = self.route(&batch);
-        if let Err(e) = self.stage_round(round, &routed) {
-            self.park_retry(batch);
-            return Err(e);
-        }
+    /// Policy-routed re-mine of the staged `round`: the batch still
+    /// two-phases through the workers, but counting is a from-scratch
+    /// Apriori over the rows fetched back from every shard (after the
+    /// deletes, plus the batch's inserts) — the round's post-state,
+    /// mined locally.
+    fn commit_by_remine(
+        &mut self,
+        round: u64,
+        routed: &[RoutedSlice],
+        batch: UpdateBatch,
+    ) -> Result<MaintenanceReport> {
         let mut rows: Vec<Transaction> = Vec::new();
         for s in 0..self.workers.len() {
-            match self.workers[s].call(&Message::FetchRows) {
-                Ok(Message::Rows(v)) => rows.extend(v.into_iter().map(|(_, t)| t)),
-                Ok(other) => {
-                    let staged: Vec<usize> = (0..self.workers.len()).collect();
-                    self.abort_round(round, &staged);
-                    self.decisions.insert(round, false);
-                    self.round = round;
-                    self.park_retry(batch);
-                    return Err(down(s, format!("unexpected rows reply: {other:?}")));
+            let reason = match self.workers[s].call(&Message::FetchRows) {
+                Ok(Message::Rows(v)) => {
+                    rows.extend(v.into_iter().map(|(_, t)| t));
+                    continue;
                 }
+                Ok(other) => format!("unexpected rows reply: {other:?}"),
                 Err(e) => {
                     self.workers[s].up = false;
-                    let staged: Vec<usize> = (0..self.workers.len()).collect();
-                    self.abort_round(round, &staged);
-                    self.decisions.insert(round, false);
-                    self.round = round;
-                    self.park_retry(batch);
-                    return Err(down(s, e.to_string()));
+                    e.to_string()
                 }
-            }
+            };
+            self.abort_round(round, 0..self.workers.len());
+            self.park_retry(batch);
+            return Err(down(s, reason));
         }
         let (kept, inserted) = (SliceSource::new(&rows), SliceSource::new(&batch.inserts));
         let post_state = ChainSource::new(&kept, &inserted);
@@ -1193,15 +1151,7 @@ impl Cluster {
             engine: self.config.engine.clone(),
         })
         .run(&post_state, self.minsup);
-        let new_tids: Vec<Tid> = (0..batch.inserts.len() as u64)
-            .map(|i| Tid(self.next_tid + i))
-            .collect();
-        self.commit_round(round, &routed);
-        self.staging.live_remove(batch.deletes.iter().copied());
-        self.staging.release_deletes(batch.deletes.iter().copied());
-        self.staging.live_insert(new_tids.iter().copied());
-        self.next_tid += batch.inserts.len() as u64;
-        self.total_live = self.total_live + batch.inserts.len() as u64 - batch.deletes.len() as u64;
+        let new_tids = self.commit_round(round, routed, &batch);
         Ok(self.publish(outcome.large, "apriori-remine", outcome.stats, new_tids))
     }
 
@@ -1315,6 +1265,7 @@ impl Cluster {
             shard,
             Arc::clone(&self.storages[shard]),
             self.config.engine.clone(),
+            ShardWorker::recover,
         );
         // The ops gauge counts since cluster start, not since restart.
         handle.ops = self.workers[shard].ops;
@@ -1329,26 +1280,32 @@ impl Cluster {
 
     /// The rejoin handshake of [`restart_worker`](Cluster::restart_worker).
     fn rejoin(&mut self, shard: usize) -> Result<()> {
-        let probe = self.probe(shard)?;
-        if let Some(round) = probe.staged_round {
-            let committed = self.decisions.get(&round).copied().unwrap_or(false);
-            let msg = if committed {
-                Message::CommitRound { round }
-            } else {
-                Message::AbortRound { round }
-            };
-            match self.workers[shard].call(&msg)? {
-                Message::Ok => {}
-                other => return Err(down(shard, format!("rejoin resolution refused: {other:?}"))),
-            }
+        let Some(round) = self.probe(shard)?.staged_round else {
+            return Ok(());
+        };
+        let (last, committed) = self.decided;
+        if round != last {
+            return Err(down(
+                shard,
+                format!("worker holds round {round} staged, but the last decided round is {last}"),
+            ));
         }
-        self.workers[shard].staged_round = None;
-        Ok(())
+        let msg = if committed {
+            Message::CommitRound { round }
+        } else {
+            Message::AbortRound { round }
+        };
+        match self.workers[shard].call(&msg)? {
+            Message::Ok => Ok(()),
+            other => Err(down(shard, format!("rejoin resolution refused: {other:?}"))),
+        }
     }
 
     /// Checkpoints every worker (requires all up and nothing staged):
-    /// each writes its rows + decided round atomically and truncates
-    /// its WAL.
+    /// each installs its log's next checkpoint — a delta on its last
+    /// one, or a full image once the deltas outgrow it — and rotates to
+    /// a fresh WAL segment. This is also how a worker whose log degraded
+    /// heals without a restart.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.ensure_all_up()?;
         for s in 0..self.workers.len() {

@@ -232,11 +232,10 @@ fn killed_worker_fails_fast_and_survivors_keep_serving() {
     c.shutdown();
 }
 
-#[test]
-fn failed_worker_recovery_reaches_the_coordinator() {
-    let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
-    let mut c = Cluster::bootstrap(
-        ShardSpec::striped_with(2, 1),
+/// A two-worker cluster over `MemStorage`s the test keeps handles on.
+fn cluster_on(storages: &[Arc<MemStorage>]) -> Cluster {
+    Cluster::bootstrap(
+        ShardSpec::striped_with(storages.len() as u32, 1),
         storages
             .iter()
             .map(|s| Arc::clone(s) as Arc<dyn DurableStorage>)
@@ -246,15 +245,75 @@ fn failed_worker_recovery_reaches_the_coordinator() {
         MinConfidence::percent(60),
         FupConfig::default(),
     )
-    .unwrap();
-    let len = storages[1].read(CHECKPOINT_FILE).unwrap().unwrap().len();
-    storages[1].flip_byte(CHECKPOINT_FILE, len - 1);
-    c.kill_worker(1);
+    .unwrap()
+}
 
+fn mem_handles(n: usize) -> Vec<Arc<MemStorage>> {
+    (0..n).map(|_| Arc::new(MemStorage::new())).collect()
+}
+
+/// Every checkpoint file in `storage`, oldest first.
+fn checkpoint_files(storage: &MemStorage) -> Vec<String> {
+    let mut names: Vec<String> = storage
+        .list()
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.starts_with("ckpt-"))
+        .collect();
+    names.sort();
+    names
+}
+
+fn flip_last_byte(storage: &MemStorage, file: &str) {
+    storage.flip_byte(file, storage.file(file).unwrap().len() - 1);
+}
+
+#[test]
+fn failed_worker_recovery_reaches_the_coordinator() {
+    let storages = mem_handles(2);
+    let mut c = cluster_on(&storages);
+    let mut m = flat();
+    // An acknowledged round, a checkpoint (a delta on the bootstrap's
+    // full image), and another round in the fresh WAL segment.
+    let b1 = UpdateBatch {
+        inserts: vec![tx(&[1, 2, 5]), tx(&[3, 5])],
+        deletes: vec![Tid(0), Tid(3)],
+    };
+    c.apply(b1.clone()).unwrap();
+    m.apply(b1).unwrap();
+    c.checkpoint().unwrap();
+    let b2 = UpdateBatch::insert_only(vec![tx(&[2, 4, 5])]);
+    c.apply(b2.clone()).unwrap();
+    m.apply(b2).unwrap();
+
+    // A flipped byte in the newest checkpoint: recovery falls back to
+    // the retained full image and replays both WAL segments.
+    let newest = checkpoint_files(&storages[1]).pop().unwrap();
+    let before = c.probe(1).unwrap();
+    flip_last_byte(&storages[1], &newest);
+    c.kill_worker(1);
+    c.restart_worker(1).unwrap();
+    assert_eq!(c.probe(1).unwrap(), before);
+    let b3 = UpdateBatch {
+        inserts: vec![tx(&[1, 4])],
+        deletes: vec![Tid(9)],
+    };
+    c.apply(b3.clone()).unwrap();
+    m.apply(b3).unwrap();
+    assert_identical(&c, &m);
+
+    // Only a namespace whose every checkpoint is corrupt stays down,
+    // and the reason reaches the coordinator.
+    for file in checkpoint_files(&storages[1]) {
+        if file != newest {
+            flip_last_byte(&storages[1], &file);
+        }
+    }
+    c.kill_worker(1);
     let err = c.restart_worker(1).unwrap_err();
     match &err {
         Error::WorkerDown { shard: 1, reason } => {
-            assert!(reason.contains("malformed checkpoint"), "{reason}")
+            assert!(reason.contains("no checkpoint chain validates"), "{reason}")
         }
         other => panic!("expected WorkerDown, got {other}"),
     }
@@ -267,6 +326,75 @@ fn failed_worker_recovery_reaches_the_coordinator() {
     // A second attempt reaches the same worker error, not a hang.
     let err = c.restart_worker(1).unwrap_err();
     assert!(matches!(err, Error::WorkerDown { shard: 1, .. }), "{err}");
+    c.shutdown();
+}
+
+#[test]
+fn torn_stage_append_loses_no_later_commit() {
+    let storages = mem_handles(2);
+    let mut c = cluster_on(&storages);
+    let mut m = flat();
+    // Worker 1's next mutating op is the round's stage append: tear it
+    // after 5 bytes and kill the medium.
+    storages[1].fail_after(0, 5);
+    let held = UpdateBatch {
+        inserts: vec![tx(&[1, 2, 5]), tx(&[3, 5])],
+        deletes: vec![Tid(1)],
+    };
+    let err = c.apply(held.clone()).unwrap_err();
+    assert!(matches!(err, Error::WorkerDown { shard: 1, .. }), "{err}");
+    storages[1].revive();
+    c.restart_worker(1).unwrap();
+
+    // The held batch commits: an acknowledged round, logged after the
+    // recovery that dropped the torn tail.
+    c.commit().unwrap();
+    m.apply(held).unwrap();
+    let before = c.probe(1).unwrap();
+    c.kill_worker(1);
+    c.restart_worker(1).unwrap();
+    assert_eq!(
+        c.probe(1).unwrap(),
+        before,
+        "an acknowledged round was lost"
+    );
+    let b = UpdateBatch {
+        inserts: vec![tx(&[2, 3, 5])],
+        deletes: vec![Tid(3), Tid(9)],
+    };
+    c.apply(b.clone()).unwrap();
+    m.apply(b).unwrap();
+    assert_identical(&c, &m);
+    c.shutdown();
+}
+
+#[test]
+fn rejoin_refuses_a_round_other_than_the_last_decided() {
+    let storages = mem_handles(2);
+    let mut c = cluster_on(&storages);
+    c.kill_worker(1);
+    // Leave round 7 staged in worker 1's log behind the coordinator's
+    // back; the coordinator's last decision is the bootstrap's round 1.
+    let storage = Arc::clone(&storages[1]) as Arc<dyn DurableStorage>;
+    let mut w = ShardWorker::recover(1, storage, EngineConfig::default()).unwrap();
+    let stage = Message::StageRound {
+        round: 7,
+        inserts: vec![],
+        deletes: vec![Tid(0)],
+    };
+    assert!(matches!(
+        w.handle(&stage).unwrap(),
+        Message::StagedOk { round: 7, .. }
+    ));
+    drop(w);
+    let err = c.restart_worker(1).unwrap_err();
+    match &err {
+        Error::WorkerDown { shard: 1, reason } => {
+            assert!(reason.contains("last decided round is 1"), "{reason}")
+        }
+        other => panic!("expected WorkerDown, got {other}"),
+    }
+    assert!(!c.worker_up(1));
     c.shutdown();
 }
 
@@ -302,9 +430,20 @@ fn acknowledged_commits_survive_kill_and_restart() {
 }
 
 #[test]
-fn checkpoint_truncates_wal_and_recovery_reads_it() {
+fn checkpoint_rotates_the_wal_and_recovery_reads_it() {
     let mut c = cluster(ShardSpec::striped_with(2, 1));
     let mut m = flat();
+    // After bootstrap each worker's newest checkpoint is a full image of
+    // its routed history, with nothing left to replay.
+    for s in 0..2 {
+        let log = durable::load_latest(c.storages[s].as_ref()).unwrap();
+        assert_eq!(
+            log.chain.root, log.chain.tip.seq,
+            "shard {s}: not a full image"
+        );
+        assert_eq!(log.image.live.len() as u64, c.probe(s).unwrap().live);
+        assert!(log.replay.is_empty());
+    }
     let b = UpdateBatch {
         inserts: vec![tx(&[1, 2, 3]), tx(&[4, 5])],
         deletes: vec![Tid(1)],
@@ -313,11 +452,10 @@ fn checkpoint_truncates_wal_and_recovery_reads_it() {
     m.apply(b).unwrap();
     c.checkpoint().unwrap();
     for s in 0..2 {
-        assert!(
-            c.storages[s].read(WAL_FILE).unwrap().is_none(),
-            "shard {s}: WAL not truncated"
-        );
-        assert!(c.storages[s].read(CHECKPOINT_FILE).unwrap().is_some());
+        // A delta on that image, and a fresh, empty WAL segment.
+        let log = durable::load_latest(c.storages[s].as_ref()).unwrap();
+        assert_ne!(log.chain.root, log.chain.tip.seq, "shard {s}: not a delta");
+        assert!(log.replay.is_empty(), "shard {s}: WAL not rotated");
         c.kill_worker(s);
         c.restart_worker(s).unwrap();
     }
@@ -336,7 +474,7 @@ fn worker_recovers_undecided_staged_round_and_resolves_it() {
     // guarantee of the two-phase protocol.
     let storage: Arc<dyn DurableStorage> = Arc::new(MemStorage::new());
     let engine = EngineConfig::default();
-    let mut w = ShardWorker::recover(0, Arc::clone(&storage), engine.clone()).unwrap();
+    let mut w = ShardWorker::create(0, Arc::clone(&storage), engine.clone()).unwrap();
     let base = vec![(Tid(0), tx(&[1, 2])), (Tid(1), tx(&[2, 3]))];
     let stage1 = Message::StageRound {
         round: 1,
@@ -351,6 +489,8 @@ fn worker_recovers_undecided_staged_round_and_resolves_it() {
         w.handle(&Message::CommitRound { round: 1 }).unwrap(),
         Message::Ok
     );
+    // As at bootstrap: the load round is checkpointed.
+    assert_eq!(w.handle(&Message::Checkpoint).unwrap(), Message::Ok);
 
     // Round 2 stages (delete + insert) and the worker dies undecided.
     let stage2 = Message::StageRound {
@@ -364,39 +504,36 @@ fn worker_recovers_undecided_staged_round_and_resolves_it() {
     ));
     drop(w);
 
+    let staged_probe = Message::Health {
+        live: 1, // round 2's delete is re-applied while staged
+        decided_round: 1,
+        staged_round: Some(2),
+    };
     let mut w = ShardWorker::recover(0, Arc::clone(&storage), engine.clone()).unwrap();
-    match w.handle(&Message::HealthProbe).unwrap() {
-        Message::Health {
-            live,
-            decided_round,
-            staged_round,
-        } => {
-            assert_eq!(live, 1, "round 2's delete is re-applied while staged");
-            assert_eq!(decided_round, 1);
-            assert_eq!(staged_round, Some(2));
-        }
-        other => panic!("unexpected probe reply: {other:?}"),
-    }
-    // Commit arm: the staged inserts land, the delete sticks.
+    assert_eq!(w.handle(&Message::HealthProbe).unwrap(), staged_probe);
+    // A second crash between recovery and the decision: the seal holds
+    // the round, so it is reported again.
+    drop(w);
+    let mut w = ShardWorker::recover(0, Arc::clone(&storage), engine.clone()).unwrap();
+    assert_eq!(w.handle(&Message::HealthProbe).unwrap(), staged_probe);
+    // Commit arm: the staged inserts land, the delete sticks — and a
+    // third recovery finds the round decided.
     assert_eq!(
         w.handle(&Message::CommitRound { round: 2 }).unwrap(),
         Message::Ok
     );
-    match w.handle(&Message::HealthProbe).unwrap() {
-        Message::Health {
-            live,
-            decided_round,
-            staged_round,
-        } => {
-            assert_eq!((live, decided_round, staged_round), (2, 2, None));
-        }
-        other => panic!("unexpected probe reply: {other:?}"),
-    }
+    let committed_probe = Message::Health {
+        live: 2,
+        decided_round: 2,
+        staged_round: None,
+    };
+    assert_eq!(w.handle(&Message::HealthProbe).unwrap(), committed_probe);
     drop(w);
+    let mut w = ShardWorker::recover(0, Arc::clone(&storage), engine).unwrap();
+    assert_eq!(w.handle(&Message::HealthProbe).unwrap(), committed_probe);
 
     // Abort arm, from the same storage shape: stage round 3 with a
     // delete, crash, recover, abort — the removed row is restored.
-    let mut w = ShardWorker::recover(0, Arc::clone(&storage), engine).unwrap();
     let stage3 = Message::StageRound {
         round: 3,
         inserts: vec![],
@@ -412,22 +549,20 @@ fn worker_recovers_undecided_staged_round_and_resolves_it() {
         w.handle(&Message::AbortRound { round: 3 }).unwrap(),
         Message::Ok
     );
-    match w.handle(&Message::HealthProbe).unwrap() {
+    assert_eq!(
+        w.handle(&Message::HealthProbe).unwrap(),
         Message::Health {
-            live,
-            decided_round,
-            staged_round,
-        } => {
-            assert_eq!((live, decided_round, staged_round), (2, 3, None));
+            live: 2,
+            decided_round: 3,
+            staged_round: None,
         }
-        other => panic!("unexpected probe reply: {other:?}"),
-    }
+    );
 }
 
 #[test]
 fn stage_is_idempotent_and_rejects_conflicts() {
     let storage: Arc<dyn DurableStorage> = Arc::new(MemStorage::new());
-    let mut w = ShardWorker::recover(0, storage, EngineConfig::default()).unwrap();
+    let mut w = ShardWorker::create(0, storage, EngineConfig::default()).unwrap();
     let stage = Message::StageRound {
         round: 1,
         inserts: vec![(Tid(0), tx(&[1, 2]))],
@@ -460,6 +595,13 @@ fn stage_is_idempotent_and_rejects_conflicts() {
         deletes: vec![Tid(99)],
     };
     assert!(matches!(w.handle(&bad).unwrap(), Message::Err(_)));
+    // So are inserts that skip the shard's next local tid (1).
+    let gap = Message::StageRound {
+        round: 2,
+        inserts: vec![(Tid(2), tx(&[3]))],
+        deletes: vec![],
+    };
+    assert!(matches!(w.handle(&gap).unwrap(), Message::Err(_)));
 }
 
 #[test]

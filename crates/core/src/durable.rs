@@ -2,6 +2,10 @@
 //! checkpoints, and recovery over an injectable
 //! [`DurableStorage`] medium.
 //!
+//! One log, two users: a [`Maintainer`](crate::Maintainer), and each
+//! cluster [`ShardWorker`](crate::ShardWorker), whose records are keyed
+//! by round and whose checkpoints carry no itemsets.
+//!
 //! ## Protocol
 //!
 //! A durable session keeps two kinds of files in its storage directory,
@@ -78,7 +82,7 @@ use fup_mining::{Itemset, LargeItemsets};
 use fup_tidb::codec::{read_varint, read_varint64, write_varint, write_varint64};
 use fup_tidb::page::{self, PagedStore};
 use fup_tidb::wal::{self, WalRecord};
-use fup_tidb::{DurableStorage, StagingArea, Tid, Transaction, UpdateBatch};
+use fup_tidb::{DurableStorage, ShardedDb, StagingArea, Tid, Transaction, UpdateBatch};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -358,7 +362,7 @@ pub(crate) struct CheckpointImage {
 
 /// What every checkpoint carries whole, full image or delta.
 #[derive(Debug)]
-pub(crate) struct CheckpointHead<'a> {
+struct CheckpointHead<'a> {
     pub seq: u64,
     pub parent: Option<Parent>,
     pub version: u64,
@@ -444,7 +448,7 @@ fn check_partition(
 /// live-tid view; for a delta they are the tids tombstoned and the rows
 /// inserted since the parent. Both in ascending tid order. Fails only if
 /// a transaction cannot fit a storage page.
-pub(crate) fn encode_checkpoint(
+fn encode_checkpoint(
     head: &CheckpointHead<'_>,
     tombstones: &[Tid],
     live: &[(Tid, &Transaction)],
@@ -508,6 +512,49 @@ pub(crate) fn encode_checkpoint(
     out.extend_from_slice(&wal::crc32(&body).to_le_bytes());
     out.extend_from_slice(&body);
     Ok(out)
+}
+
+/// Serialises `store` as checkpoint `seq`: with a `base`, a delta (the
+/// rows inserted since its parent and the tids deleted since); without,
+/// a full image (the tid-ordered live set and its tombstones). The rest
+/// — `version`, `(minsup, minconf)`, itemsets, backlog — rides whole.
+pub(crate) fn encode_store(
+    store: &ShardedDb,
+    seq: u64,
+    base: Option<DeltaBase<'_>>,
+    version: u64,
+    thresholds: ((u64, u64), (u64, u64)),
+    large: &LargeItemsets,
+    backlog: &[(u64, UpdateBatch)],
+) -> Result<Vec<u8>> {
+    let (tombstones, live) = match base {
+        None => {
+            let mut live: Vec<(Tid, &Transaction)> = store.iter().collect();
+            live.sort_unstable_by_key(|&(tid, _)| tid);
+            (store.live_view().tombstones_sorted(), live)
+        }
+        Some(base) => {
+            let mut deleted = base.deleted.to_vec();
+            deleted.sort_unstable();
+            let inserted = (base.parent.watermark..store.watermark())
+                .map(Tid)
+                .filter_map(|tid| store.get(tid).map(|t| (tid, t)))
+                .collect();
+            (deleted, inserted)
+        }
+    };
+    let head = CheckpointHead {
+        seq,
+        parent: base.map(|b| b.parent),
+        version,
+        minsup: thresholds.0,
+        minconf: thresholds.1,
+        watermark: store.watermark(),
+        next_segment: store.next_segment(),
+        large,
+        backlog,
+    };
+    encode_checkpoint(&head, &tombstones, &live).map_err(Error::Store)
 }
 
 /// Decodes and fully validates one checkpoint file, full image or delta.
@@ -810,6 +857,22 @@ pub(crate) struct DurableLog {
 }
 
 impl DurableLog {
+    /// A new log on `storage`, which must be empty: pointing a new log at
+    /// a namespace that holds one would shadow its history, so that is
+    /// [`Error::Recovery`] — recover the existing log instead. Nothing is
+    /// written; the owner's first checkpoint is a full image.
+    pub(crate) fn create(
+        storage: Arc<dyn DurableStorage>,
+        policy: DurabilityPolicy,
+    ) -> Result<Self> {
+        match storage.list().map_err(Error::Store)?.len() {
+            0 => Ok(Self::new(storage, policy, 0)),
+            n => Err(Error::Recovery {
+                reason: format!("storage already holds {n} file(s); recover it instead"),
+            }),
+        }
+    }
+
     pub(crate) fn new(
         storage: Arc<dyn DurableStorage>,
         policy: DurabilityPolicy,
@@ -1065,11 +1128,11 @@ impl DurableLog {
         }
     }
 
-    /// Appends a `Commit`/`Abort` boundary record — always a sync
-    /// barrier (group commit never delays a boundary: an acknowledged
-    /// commit must survive any crash). Degrades or poisons on failure
-    /// per the fault kind.
-    pub(crate) fn log_boundary(&self, record: &WalRecord) -> Result<()> {
+    /// Appends `record` and syncs, whatever the group-commit accounting:
+    /// a session's `Commit`/`Abort` boundaries and every record of a
+    /// cluster shard worker must survive any crash once acknowledged.
+    /// Degrades or poisons on failure per the fault kind.
+    pub(crate) fn log_synced(&self, record: &WalRecord) -> Result<()> {
         self.check_usable()?;
         let mut inner = self.lock_inner();
         match self.append_locked(&mut inner, &record.to_framed_bytes(), true) {
@@ -1926,7 +1989,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(mem.sync_calls(), 0, "the stage record waits in the group");
-        log.log_boundary(&WalRecord::Commit {
+        log.log_synced(&WalRecord::Commit {
             version: 1,
             tickets: vec![ticket],
         })
@@ -1953,7 +2016,7 @@ mod tests {
             0,
         );
         log.install_checkpoint(0, &empty_image(0), 0).unwrap();
-        log.log_boundary(&WalRecord::Commit {
+        log.log_synced(&WalRecord::Commit {
             version: 1,
             tickets: vec![],
         })
@@ -1998,7 +2061,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Recovery { .. }));
         assert!(matches!(
-            log.log_boundary(&WalRecord::Abort { tickets: vec![] })
+            log.log_synced(&WalRecord::Abort { tickets: vec![] })
                 .unwrap_err(),
             Error::Recovery { .. }
         ));
@@ -2038,7 +2101,7 @@ mod tests {
         assert!(staging.has_pending(), "the retried batch was admitted");
         // A sync blip rides the same budget.
         flaky.fail_next(OpClass::Sync, 1);
-        log.log_boundary(&WalRecord::Commit {
+        log.log_synced(&WalRecord::Commit {
             version: 1,
             tickets: vec![ticket],
         })
@@ -2073,7 +2136,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, Error::DurabilityDegraded);
         assert_eq!(
-            log.log_boundary(&WalRecord::Abort { tickets: vec![] })
+            log.log_synced(&WalRecord::Abort { tickets: vec![] })
                 .unwrap_err(),
             Error::DurabilityDegraded
         );

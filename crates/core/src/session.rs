@@ -59,9 +59,7 @@
 
 use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
-use crate::durable::{
-    self, CheckpointHead, DeltaBase, DurabilityPolicy, DurableLog, RecoveryReport,
-};
+use crate::durable::{self, DeltaBase, DurabilityPolicy, DurableLog, RecoveryReport};
 use crate::error::{BuildError, Error, Result};
 use crate::fup::update_round;
 use crate::policy::UpdatePolicy;
@@ -581,19 +579,8 @@ impl MaintainerBuilder {
         storage: Arc<dyn DurableStorage>,
     ) -> Result<Maintainer> {
         self.durability.validate().map_err(Error::Config)?;
-        let existing = storage.list().map_err(Error::Store)?;
-        if !existing.is_empty() {
-            return Err(Error::Recovery {
-                reason: format!(
-                    "storage already holds {} file(s); recover() the existing session \
-                     or point build_durable() at an empty directory",
-                    existing.len()
-                ),
-            });
-        }
-        let durability = self.durability;
+        let log = Arc::new(DurableLog::create(storage, self.durability)?);
         let mut m = self.build(history).map_err(Error::Config)?;
-        let log = Arc::new(DurableLog::new(storage, durability, 0));
         let bytes = m.encode_checkpoint_image(0, None)?;
         log.install_checkpoint(0, &bytes, m.store.watermark())?;
         m.durable = Some(log);
@@ -990,7 +977,7 @@ impl Maintainer {
                     .staging()
                     .release_deletes(merged.deletes.iter().copied());
                 if !tickets.is_empty() {
-                    let _ = log.log_boundary(&WalRecord::Abort { tickets });
+                    let _ = log.log_synced(&WalRecord::Abort { tickets });
                 }
                 merged
             }
@@ -1046,7 +1033,7 @@ impl Maintainer {
         let deleted = merged.deletes.clone();
         match self.commit_batch(merged) {
             Ok(report) => {
-                if let Err(boundary_err) = log.log_boundary(&WalRecord::Commit {
+                if let Err(boundary_err) = log.log_synced(&WalRecord::Commit {
                     version: report.version,
                     tickets,
                 }) {
@@ -1078,7 +1065,7 @@ impl Maintainer {
                 // rolled back). Mirror that durably so recovery does not
                 // resurrect them as staged.
                 if !tickets.is_empty() {
-                    let _ = log.log_boundary(&WalRecord::Abort { tickets });
+                    let _ = log.log_synced(&WalRecord::Abort { tickets });
                 }
                 Err(e)
             }
@@ -1354,7 +1341,7 @@ impl Maintainer {
         let outcome = self.mine();
         let report = self.publish(outcome.large, "apriori-remine", outcome.stats, Vec::new());
         if let Some(log) = self.durable.clone() {
-            let _ = log.log_boundary(&WalRecord::Commit {
+            let _ = log.log_synced(&WalRecord::Commit {
                 version: report.version,
                 tickets: Vec::new(),
             });
@@ -1447,41 +1434,23 @@ impl Maintainer {
         })
     }
 
-    /// Serialises the session's durable image as checkpoint `seq`. With a
-    /// `base`, a delta: the rows inserted since its parent (tids at or
-    /// above the parent's watermark) and the tids deleted since. Without,
-    /// a full image: the tid-ordered live set and its tombstones. Either
-    /// way the maintained itemsets and the staged backlog ride whole.
+    /// Serialises the session's durable image as checkpoint `seq` (a
+    /// delta with a `base`, a full image without — see
+    /// [`durable::encode_store`]), with the maintained itemsets and the
+    /// staged backlog.
     fn encode_checkpoint_image(&self, seq: u64, base: Option<DeltaBase<'_>>) -> Result<Vec<u8>> {
-        let (tombstones, live) = match base {
-            None => {
-                let mut live: Vec<(Tid, &Transaction)> = self.store.iter().collect();
-                live.sort_unstable_by_key(|&(tid, _)| tid);
-                (self.store.live_view().tombstones_sorted(), live)
-            }
-            Some(base) => {
-                let mut deleted = base.deleted.to_vec();
-                deleted.sort_unstable();
-                let inserted = (base.parent.watermark..self.store.watermark())
-                    .map(Tid)
-                    .filter_map(|tid| self.store.get(tid).map(|t| (tid, t)))
-                    .collect();
-                (deleted, inserted)
-            }
-        };
-        let backlog = self.store.staging().entries_snapshot();
-        let head = CheckpointHead {
+        durable::encode_store(
+            &self.store,
             seq,
-            parent: base.map(|b| b.parent),
-            version: self.state.version,
-            minsup: (self.minsup.num(), self.minsup.den()),
-            minconf: (self.minconf.num(), self.minconf.den()),
-            watermark: self.store.watermark(),
-            next_segment: self.store.next_segment(),
-            large: &self.state.large,
-            backlog: &backlog,
-        };
-        durable::encode_checkpoint(&head, &tombstones, &live).map_err(Error::Store)
+            base,
+            self.state.version,
+            (
+                (self.minsup.num(), self.minsup.den()),
+                (self.minconf.num(), self.minconf.den()),
+            ),
+            &self.state.large,
+            &self.store.staging().entries_snapshot(),
+        )
     }
 
     /// Verifies that the incrementally-maintained itemsets equal a full

@@ -19,6 +19,10 @@
 //!   worker from its checkpoint + WAL and commits the held backlog —
 //!   with no acknowledged commit lost and the final state still
 //!   bit-identical to flat.
+//! * **Kill sweep:** one worker's storage dies at every operation
+//!   budget of a churn script with a checkpoint in it, tearing the fatal
+//!   append to 0, 1 or 7 bytes; after each death the worker restarts,
+//!   the held work commits, and nothing acknowledged is lost.
 
 use std::sync::Arc;
 
@@ -222,4 +226,125 @@ fn kill_one_worker_recovery_loses_nothing() {
     assert_eq!(cs.rules(), fs.rules());
     assert_eq!(cluster.num_transactions(), flat.len() as u64);
     cluster.shutdown();
+}
+
+/// Live rows across every worker, by probe.
+fn workers_live(cluster: &Cluster) -> u64 {
+    (0..cluster.num_shards())
+        .map(|s| cluster.probe(s).unwrap().live)
+        .sum()
+}
+
+/// The flat reference and its live tids: what the acknowledged rounds
+/// leave behind.
+struct Reference {
+    flat: Maintainer,
+    live: Vec<Tid>,
+}
+
+impl Reference {
+    fn acknowledge(&mut self, batch: UpdateBatch) {
+        let report = self.flat.apply(batch.clone()).unwrap();
+        self.live.retain(|t| !batch.deletes.contains(t));
+        self.live.extend(report.inserted_tids);
+    }
+}
+
+/// The op-budget kill sweep of `prop_recovery`, run against a worker
+/// namespace: worker 1's `MemStorage` dies after `budget` mutating
+/// operations of a script of three churn rounds and one checkpoint,
+/// tearing the fatal append to `tear` bytes. The storage then revives,
+/// the worker restarts, and the held work (if the dead operation was a
+/// round) commits; the script carries on. At every budget no
+/// acknowledged round is lost — the workers hold exactly the flat
+/// reference's rows — and the cluster stays bit-identical to flat.
+#[test]
+fn worker_op_budget_kill_sweep_loses_no_acknowledged_round() {
+    let tx = |items: &[u32]| Transaction::from_items(items.iter().copied());
+    let history: Vec<Transaction> = (0..12u32)
+        .map(|i| tx(&[i % 3, 3 + (i % 4), 7 + (i % 2)]))
+        .collect();
+    let minsup = MinSupport::percent(25);
+    for tear in [0usize, 1, 7] {
+        for budget in 0u64.. {
+            assert!(budget < 200, "the script never outlived the fault");
+            let storage = Arc::new(MemStorage::new());
+            let mut cluster = Cluster::bootstrap(
+                ShardSpec::striped_with(2, 1),
+                vec![
+                    Arc::new(MemStorage::new()) as Arc<dyn DurableStorage>,
+                    Arc::clone(&storage) as Arc<dyn DurableStorage>,
+                ],
+                history.clone(),
+                minsup,
+                MinConfidence::percent(60),
+                FupConfig::default(),
+            )
+            .unwrap();
+            let mut reference = Reference {
+                flat: flat_reference(history.clone(), minsup, CountingBackend::Auto),
+                live: (0..history.len() as u64).map(Tid).collect(),
+            };
+            storage.fail_after(budget, tear);
+            let mut fired = false;
+            for step in 0..4u32 {
+                let label = format!("tear {tear}, budget {budget}, step {step}");
+                let held = if step == 2 {
+                    let _ = cluster.checkpoint();
+                    None
+                } else {
+                    // Churn: delete the two oldest live rows, insert three.
+                    let batch = UpdateBatch {
+                        inserts: (0..3u32)
+                            .map(|i| tx(&[(step + i) % 3, 3 + (step * 3 + i) % 4, 9]))
+                            .collect(),
+                        deletes: reference.live[..2].to_vec(),
+                    };
+                    match cluster.apply(batch.clone()) {
+                        Ok(_) => {
+                            reference.acknowledge(batch);
+                            None
+                        }
+                        Err(_) => Some(batch),
+                    }
+                };
+                if !fired && storage.faults_fired() > 0 {
+                    fired = true;
+                    storage.revive();
+                    cluster.kill_worker(1);
+                    cluster
+                        .restart_worker(1)
+                        .unwrap_or_else(|e| panic!("{label}: restart: {e}"));
+                    if let Some(batch) = held {
+                        cluster
+                            .commit()
+                            .unwrap_or_else(|e| panic!("{label}: held work: {e}"));
+                        reference.acknowledge(batch);
+                    }
+                    assert_eq!(
+                        workers_live(&cluster),
+                        reference.flat.len() as u64,
+                        "{label}"
+                    );
+                    assert_bit_identical(&cluster, &reference.flat, &label);
+                } else {
+                    assert!(held.is_none(), "{label}: a round failed without a fault");
+                }
+            }
+            let label = format!("tear {tear}, budget {budget}, end");
+            assert_eq!(
+                workers_live(&cluster),
+                reference.flat.len() as u64,
+                "{label}"
+            );
+            assert_bit_identical(&cluster, &reference.flat, &label);
+            cluster.shutdown();
+            if !fired {
+                // Three rounds of stage + decide (an append and a sync
+                // each) and a checkpoint's three writes: 15 operations.
+                assert_eq!(budget, 15, "tear {tear}: the sweep's reach changed");
+                break;
+            }
+        }
+    }
 }

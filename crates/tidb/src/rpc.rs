@@ -3,7 +3,7 @@
 //!
 //! The process-per-shard runtime (`fup_core::cluster`) speaks this
 //! protocol between the coordinator and its shard workers. Frames reuse
-//! the WAL's conventions exactly —
+//! the WAL's envelope —
 //!
 //! ```text
 //! [u32 le payload_len][u32 le crc32(payload)][payload]
@@ -11,12 +11,11 @@
 //!
 //! — with the payload a type byte followed by the same varint/delta
 //! [`codec`] encoding the [`wal`](crate::wal) and
-//! [`PagedStore`](crate::page::PagedStore) use. Sharing the frame format
-//! is load-bearing, not cosmetic: a shard worker's WAL records *are*
-//! protocol frames ([`Message::StageRound`] / [`Message::CommitRound`] /
-//! [`Message::AbortRound`] appended verbatim), so recovery replays the
-//! log with the same decoder that serves the wire and inherits the WAL's
-//! torn-tail prefix argument (see [`read_frames`]).
+//! [`PagedStore`](crate::page::PagedStore) use. Frames are wire-only: a
+//! shard worker persists the rounds it stages and decides as ordinary
+//! [`WalRecord`](crate::wal::WalRecord)s through the same durable log a
+//! maintenance session uses, and tids on the wire are the worker's dense
+//! local tids (see [`ShardSpec::local_tid`](crate::ShardSpec::local_tid)).
 //!
 //! Transports are deliberately dumb byte pipes: [`ChannelTransport`]
 //! pairs two in-process mpsc channels (tests, single-machine
@@ -57,19 +56,19 @@ const TAG_ERR: u8 = 19;
 
 /// One protocol message. The first group travels coordinator → worker,
 /// the second worker → coordinator; both directions share the frame
-/// format so either end can log or replay what it saw.
+/// format.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Phase 1 of a commit round: the rows this shard gains (with their
-    /// pre-assigned global tids) and the tids it loses. The worker logs
-    /// the frame to its WAL before acting and answers
-    /// [`Message::StagedOk`] with the removed rows.
+    /// Phase 1 of a commit round: the rows this shard gains (with the
+    /// local tids they will take) and the local tids it loses. The worker
+    /// logs the round before acting and answers [`Message::StagedOk`]
+    /// with the removed rows.
     StageRound {
         /// Coordinator round number (monotone per cluster session).
         round: u64,
-        /// Inserted rows routed to this shard, global tid order.
+        /// Inserted rows routed to this shard, ascending local tids.
         inserts: Vec<(Tid, Transaction)>,
-        /// Tids deleted from this shard.
+        /// Local tids deleted from this shard.
         deletes: Vec<Tid>,
     },
     /// Build/extend the worker's vertical index for this round, filtered
@@ -112,7 +111,8 @@ pub enum Message {
         /// The round being aborted.
         round: u64,
     },
-    /// Compact durable state: write a checkpoint and truncate the WAL.
+    /// Compact durable state: write the worker log's next checkpoint and
+    /// rotate its WAL.
     Checkpoint,
     /// Liveness + progress probe, answered [`Message::Health`].
     HealthProbe,
@@ -135,7 +135,8 @@ pub enum Message {
     Counts(Vec<u64>),
     /// Reply to [`Message::CountSplit`]: per-row `(base, delta)` splits.
     Splits(Vec<(u64, u64)>),
-    /// Reply to [`Message::FetchRows`]: live rows in global tid order.
+    /// Reply to [`Message::FetchRows`]: the shard's live rows under
+    /// their local tids.
     Rows(Vec<(Tid, Transaction)>),
     /// Reply to [`Message::HealthProbe`].
     Health {
@@ -416,50 +417,23 @@ impl Message {
     /// Decodes one complete frame produced by [`Message::to_frame`],
     /// verifying length and CRC.
     pub fn from_frame(frame: &[u8]) -> Result<Message> {
-        let (msg, used) = Self::from_frame_prefix(frame)?;
-        if used != frame.len() {
-            return Err(corrupt("trailing bytes after frame", used));
+        if frame.len() < FRAME_HEADER {
+            return Err(corrupt("truncated frame header", frame.len()));
         }
-        Ok(msg)
-    }
-
-    fn from_frame_prefix(bytes: &[u8]) -> Result<(Message, usize)> {
-        if bytes.len() < FRAME_HEADER {
-            return Err(corrupt("truncated frame header", bytes.len()));
+        let len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+        let payload = &frame[FRAME_HEADER..];
+        if payload.len() != len {
+            return Err(corrupt(
+                "frame length does not match its header",
+                frame.len(),
+            ));
         }
-        let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let end = FRAME_HEADER
-            .checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| corrupt("truncated frame payload", bytes.len()))?;
-        let payload = &bytes[FRAME_HEADER..end];
         if crc32(payload) != crc {
             return Err(corrupt("frame crc mismatch", FRAME_HEADER));
         }
-        Ok((Message::decode(payload)?, end))
+        Message::decode(payload)
     }
-}
-
-/// Decodes a concatenation of frames (a shard worker's WAL) with the
-/// WAL's torn-tail rule: messages are returned up to the first frame
-/// that is truncated or fails its CRC, and the byte offset of the drop
-/// (if any) is reported alongside. A valid prefix is always a
-/// consistent history because rounds become effective strictly in file
-/// order.
-pub fn read_frames(bytes: &[u8]) -> (Vec<Message>, Option<usize>) {
-    let mut messages = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        match Message::from_frame_prefix(&bytes[pos..]) {
-            Ok((msg, used)) => {
-                messages.push(msg);
-                pos += used;
-            }
-            Err(_) => return (messages, Some(pos)),
-        }
-    }
-    (messages, None)
 }
 
 // ----------------------------------------------------------- transport --
@@ -618,30 +592,6 @@ mod tests {
         let mut buf = Message::Ok.encode();
         buf.push(0);
         assert!(Message::decode(&buf).is_err());
-    }
-
-    #[test]
-    fn read_frames_applies_torn_tail_rule() {
-        let mut log = Vec::new();
-        log.extend_from_slice(&Message::CommitRound { round: 1 }.to_frame());
-        log.extend_from_slice(&Message::CommitRound { round: 2 }.to_frame());
-        let clean_len = log.len();
-        let torn = Message::CommitRound { round: 3 }.to_frame();
-        log.extend_from_slice(&torn[..torn.len() - 2]);
-
-        let (messages, dropped) = read_frames(&log);
-        assert_eq!(
-            messages,
-            vec![
-                Message::CommitRound { round: 1 },
-                Message::CommitRound { round: 2 }
-            ]
-        );
-        assert_eq!(dropped, Some(clean_len));
-
-        let (messages, dropped) = read_frames(&log[..clean_len]);
-        assert_eq!(messages.len(), 2);
-        assert_eq!(dropped, None);
     }
 
     #[test]

@@ -193,10 +193,8 @@ impl SegmentedDb {
     /// The internal staging live view is **not** updated: a sharded
     /// router maintains the single authoritative view on its own staging
     /// area (a per-shard view over a strided tid subset would misread
-    /// the gaps as tombstones). Public because the process-per-shard
-    /// cluster worker (`fup_core::cluster`) is exactly such a router,
-    /// one crate up.
-    pub fn append_pairs(&mut self, pairs: Vec<(Tid, Transaction)>) {
+    /// the gaps as tombstones).
+    pub(crate) fn append_pairs(&mut self, pairs: Vec<(Tid, Transaction)>) {
         self.live.reserve(pairs.len());
         self.by_tid.reserve(pairs.len());
         for (tid, t) in pairs {
@@ -211,8 +209,8 @@ impl SegmentedDb {
     /// primitive of the shard router. Mirrors the `swap_remove` of
     /// [`stage`](Self::stage) (including the tid-order bookkeeping) but
     /// leaves the internal staging live view alone, as with
-    /// [`append_pairs`](Self::append_pairs). Public for the same reason.
-    pub fn remove_tid(&mut self, tid: Tid) -> Option<Transaction> {
+    /// [`append_pairs`](Self::append_pairs).
+    pub(crate) fn remove_tid(&mut self, tid: Tid) -> Option<Transaction> {
         let idx = self.by_tid.remove(&tid)?;
         let (_, t) = self.live.swap_remove(idx);
         if idx < self.live.len() {

@@ -237,17 +237,45 @@ impl ShardSpec {
 
     /// The shard owning `tid`. Pure and total (given a validated spec).
     pub fn shard_of(&self, tid: Tid) -> usize {
+        self.local_tid(tid).0
+    }
+
+    /// The shard owning `tid` and `tid`'s **local tid** there: the global
+    /// tids a shard owns, taken in ascending order, are its local tids
+    /// `0, 1, 2, …`. Local tids are dense, so a shard that numbers its
+    /// rows itself gives each insert exactly the local tid of the global
+    /// tid it was routed under. [`global_tid`](Self::global_tid) is the
+    /// inverse.
+    pub fn local_tid(&self, tid: Tid) -> (usize, Tid) {
         match self {
             ShardSpec::Striped { shards, stripe } => {
-                ((tid.0 / stripe) % u64::from(*shards)) as usize
+                let band = tid.0 / stripe;
+                let shards = u64::from(*shards);
+                (
+                    (band % shards) as usize,
+                    Tid(band / shards * stripe + tid.0 % stripe),
+                )
             }
             ShardSpec::Ranges(ranges) => {
                 // Validated tilings are sorted by start; the owner is the
                 // last range starting at or below the tid.
-                ranges
+                let shard = ranges
                     .partition_point(|r| r.start <= tid.0)
-                    .saturating_sub(1)
+                    .saturating_sub(1);
+                (shard, Tid(tid.0 - ranges[shard].start))
             }
+        }
+    }
+
+    /// The global tid of local tid `local` on `shard` — the inverse of
+    /// [`local_tid`](Self::local_tid).
+    pub fn global_tid(&self, shard: usize, local: Tid) -> Tid {
+        match self {
+            ShardSpec::Striped { shards, stripe } => {
+                let band = local.0 / stripe * u64::from(*shards) + shard as u64;
+                Tid(band * stripe + local.0 % stripe)
+            }
+            ShardSpec::Ranges(ranges) => Tid(ranges[shard].start + local.0),
         }
     }
 }
@@ -953,5 +981,51 @@ mod tests {
             v
         };
         assert_eq!(collect(&sharded), collect(&flat));
+    }
+
+    /// Every tid below `n` round-trips through `local_tid`/`global_tid`,
+    /// and each shard's local tids, in global order, are exactly
+    /// `0, 1, 2, …`.
+    fn assert_dense_bijection(spec: &ShardSpec, n: u64) {
+        spec.validate().unwrap();
+        let mut next_local = vec![0u64; spec.num_shards()];
+        for tid in (0..n).map(Tid) {
+            let (shard, local) = spec.local_tid(tid);
+            assert_eq!(
+                local,
+                Tid(next_local[shard]),
+                "{spec:?} {tid:?} is not dense"
+            );
+            assert_eq!(spec.global_tid(shard, local), tid, "{spec:?}");
+            next_local[shard] += 1;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn striped_local_tids_are_a_dense_bijection(
+            shards in 1u32..6,
+            stripe in 1u64..9,
+            n in 0u64..300,
+        ) {
+            assert_dense_bijection(&ShardSpec::striped_with(shards, stripe), n);
+        }
+
+        #[test]
+        fn range_local_tids_are_a_dense_bijection(
+            widths in proptest::collection::vec(1u64..40, 0..5),
+            n in 0u64..300,
+        ) {
+            let mut ranges = Vec::new();
+            let mut start = 0;
+            for width in widths {
+                ranges.push(TidRange::new(start, start + width));
+                start += width;
+            }
+            ranges.push(TidRange::new(start, u64::MAX));
+            assert_dense_bijection(&ShardSpec::ranges(ranges), n);
+        }
     }
 }
