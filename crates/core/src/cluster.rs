@@ -16,13 +16,15 @@
 //! ## Protocol and durability
 //!
 //! Coordinator and workers speak the [`fup_tidb::rpc`] message protocol
-//! over a pluggable [`Transport`] (in-process channel pair here; the
-//! same frames travel a Unix-domain socket unchanged). A worker persists
-//! through the durable session's own log: it appends each round it
-//! stages and decides as a [`WalRecord`] keyed by the round number,
-//! checkpoints the session's image format (with no itemsets) when the
-//! coordinator says so, and recovers exactly as a session does —
-//! newest valid checkpoint chain, WAL tail, seal.
+//! over a pluggable [`Transport`] (an in-process channel pair, the only
+//! one so far). Every request to more than one worker is one
+//! scatter-gather: each worker gets its frame before the coordinator
+//! waits on any reply, so they serve it at the same time, one frame in
+//! flight each. A worker persists through the durable session's own
+//! log: it appends each round it stages and decides as a [`WalRecord`]
+//! keyed by the round number, checkpoints the session's image format
+//! (with no itemsets) when the coordinator says so, and recovers exactly
+//! as a session does — newest valid checkpoint chain, WAL tail, seal.
 //!
 //! ## Two-phase rounds
 //!
@@ -30,7 +32,8 @@
 //!
 //! 1. **Stage** — every worker WAL-logs the round and applies its
 //!    deletes (answering with the removed rows, which the coordinator
-//!    needs to count FUP2's delete side locally).
+//!    needs to count FUP2's delete side locally). If any refuses, the
+//!    rest abort it.
 //! 2. **Count** — FUP/FUP2 run on the coordinator with a
 //!    `VerticalProvider` whose splits are RPC sums; pass-1 base scans
 //!    are offloaded the same way (`count_base_items` /
@@ -47,6 +50,7 @@
 //! work in the bounded backlog (the backpressure gate); published
 //! snapshots keep serving reads throughout.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -550,31 +554,21 @@ impl<'a> ClusterProvider<'a> {
         }
     }
 
-    fn note_failure(&self, shard: usize, reason: String) {
-        let mut slot = self.failure.borrow_mut();
-        if slot.is_none() {
-            *slot = Some((shard, reason));
+    /// Sends `msg` to every worker and returns the accepted replies in
+    /// shard order; the round's first failure (the lowest failing shard)
+    /// lands in the failure flag.
+    fn broadcast<T>(
+        &self,
+        msg: &Message,
+        accept: impl FnMut(usize, Message) -> std::result::Result<T, Message>,
+    ) -> Vec<T> {
+        let all = (0..self.workers.len()).map(|s| (s, msg));
+        let gathered = scatter_gather(self.workers, all, accept);
+        let mut failure = self.failure.borrow_mut();
+        if failure.is_none() {
+            *failure = gathered.failed.into_iter().next().map(|(s, r, _)| (s, r));
         }
-    }
-
-    fn take_failure(&self) -> Option<(usize, String)> {
-        self.failure.borrow_mut().take()
-    }
-
-    /// One request/reply exchange with worker `s`; transport errors and
-    /// `Err` replies both land in the failure flag.
-    fn exchange(&self, s: usize, msg: &Message) -> Option<Message> {
-        match self.workers[s].call(msg) {
-            Ok(Message::Err(reason)) => {
-                self.note_failure(s, reason);
-                None
-            }
-            Ok(reply) => Some(reply),
-            Err(e) => {
-                self.note_failure(s, e.to_string());
-                None
-            }
-        }
+        gathered.replies.into_iter().map(|(_, v)| v).collect()
     }
 }
 
@@ -594,14 +588,7 @@ impl VerticalProvider for ClusterProvider<'_> {
             .collect();
         keep.sort_unstable();
         keep.dedup();
-        let msg = Message::Engage { keep };
-        for s in 0..self.workers.len() {
-            if let Some(reply) = self.exchange(s, &msg) {
-                if reply != Message::Ok {
-                    self.note_failure(s, format!("unexpected engage reply: {reply:?}"));
-                }
-            }
-        }
+        self.broadcast(&Message::Engage { keep }, ack);
         self.engaged = true;
     }
 
@@ -617,16 +604,13 @@ impl VerticalProvider for ClusterProvider<'_> {
             items: table.flat_items().to_vec(),
         };
         let mut totals = vec![(0u64, 0u64); table.len()];
-        for s in 0..self.workers.len() {
-            match self.exchange(s, &msg) {
-                Some(Message::Splits(v)) if v.len() == totals.len() => {
-                    for (t, x) in totals.iter_mut().zip(v) {
-                        t.0 += x.0;
-                        t.1 += x.1;
-                    }
-                }
-                Some(reply) => self.note_failure(s, format!("unexpected splits reply: {reply:?}")),
-                None => {}
+        for v in self.broadcast(&msg, |_, reply| match reply {
+            Message::Splits(v) if v.len() == table.len() => Ok(v),
+            other => Err(other),
+        }) {
+            for (t, x) in totals.iter_mut().zip(v) {
+                t.0 += x.0;
+                t.1 += x.1;
             }
         }
         totals
@@ -637,15 +621,12 @@ impl VerticalProvider for ClusterProvider<'_> {
             items: items.to_vec(),
         };
         let mut totals = vec![0u64; items.len()];
-        for s in 0..self.workers.len() {
-            match self.exchange(s, &msg) {
-                Some(Message::Counts(v)) if v.len() == totals.len() => {
-                    for (t, x) in totals.iter_mut().zip(v) {
-                        *t += x;
-                    }
-                }
-                Some(reply) => self.note_failure(s, format!("unexpected counts reply: {reply:?}")),
-                None => {}
+        for v in self.broadcast(&msg, |_, reply| match reply {
+            Message::Counts(v) if v.len() == items.len() => Ok(v),
+            other => Err(other),
+        }) {
+            for (t, x) in totals.iter_mut().zip(v) {
+                *t += x;
             }
         }
         // Always `Some`: the base source is a phantom and must never be
@@ -655,30 +636,76 @@ impl VerticalProvider for ClusterProvider<'_> {
 
     fn count_base_dense(&self, _engine: &EngineConfig) -> Option<Vec<u64>> {
         let mut totals: Vec<u64> = Vec::new();
-        for s in 0..self.workers.len() {
-            match self.exchange(s, &Message::CountDense) {
-                Some(Message::Counts(v)) => {
-                    if v.len() > totals.len() {
-                        totals.resize(v.len(), 0);
-                    }
-                    for (i, x) in v.into_iter().enumerate() {
-                        totals[i] += x;
-                    }
-                }
-                Some(reply) => self.note_failure(s, format!("unexpected counts reply: {reply:?}")),
-                None => {}
+        for v in self.broadcast(&Message::CountDense, |_, reply| match reply {
+            Message::Counts(v) => Ok(v),
+            other => Err(other),
+        }) {
+            if v.len() > totals.len() {
+                totals.resize(v.len(), 0);
+            }
+            for (i, x) in v.into_iter().enumerate() {
+                totals[i] += x;
             }
         }
         Some(totals)
     }
 
     fn finish(&mut self) {
-        if !self.engaged {
-            return;
+        if self.engaged {
+            self.broadcast(&Message::FinishRound, ack);
         }
-        for s in 0..self.workers.len() {
-            let _ = self.exchange(s, &Message::FinishRound);
+    }
+}
+
+// ===================================================== fan-out ==
+
+/// What one [`scatter_gather`] collected, each list in shard order: the
+/// accepted replies, and every failure as `(shard, reason, reached)` —
+/// `reached` is false when the transport itself failed.
+struct Gathered<T> {
+    replies: Vec<(usize, T)>,
+    failed: Vec<(usize, String, bool)>,
+}
+
+/// The one way the coordinator talks to more than one worker: it locks
+/// each target's transport (ascending shard order), sends every target
+/// its frame, and only then receives the replies in shard order, so the
+/// workers serve the request at the same time, one frame in flight each.
+/// Every sent frame's reply is drained, even after a failure. A reply
+/// `accept` hands back, an `Err` reply and a transport error all fail
+/// their shard.
+fn scatter_gather<M: Borrow<Message>, T>(
+    workers: &[WorkerHandle],
+    msgs: impl IntoIterator<Item = (usize, M)>,
+    mut accept: impl FnMut(usize, Message) -> std::result::Result<T, Message>,
+) -> Gathered<T> {
+    let sent: Vec<_> = msgs
+        .into_iter()
+        .map(|(s, msg)| {
+            let mut t = workers[s].transport.lock().expect("transport lock");
+            let sent = t.send(msg.borrow());
+            (s, t, sent)
+        })
+        .collect();
+    let (mut replies, mut failed) = (Vec::new(), Vec::new());
+    for (s, mut t, sent) in sent {
+        match sent.and_then(|()| t.recv()) {
+            Ok(Message::Err(reason)) => failed.push((s, reason, true)),
+            Ok(reply) => match accept(s, reply) {
+                Ok(v) => replies.push((s, v)),
+                Err(other) => failed.push((s, format!("unexpected reply: {other:?}"), true)),
+            },
+            Err(e) => failed.push((s, Error::Store(e).to_string(), false)),
         }
+    }
+    Gathered { replies, failed }
+}
+
+/// `accept` for requests answered [`Message::Ok`].
+fn ack(_: usize, reply: Message) -> std::result::Result<(), Message> {
+    match reply {
+        Message::Ok => Ok(()),
+        other => Err(other),
     }
 }
 
@@ -843,13 +870,13 @@ impl Cluster {
             decided: (0, false),
             retry: None,
         };
-        for s in 0..cluster.workers.len() {
-            // A worker refuses a used namespace and answers with why.
-            if let Message::Err(reason) = cluster.workers[s].call(&Message::HealthProbe)? {
-                return Err(Error::Recovery {
-                    reason: format!("shard {s}: {reason}"),
-                });
-            }
+        // A worker refuses a used namespace and answers with why.
+        let all = (0..cluster.workers.len()).map(|s| (s, Message::HealthProbe));
+        let probed = scatter_gather(&cluster.workers, all, |_, reply| Ok(reply));
+        if let Some((s, reason, _)) = probed.failed.first() {
+            return Err(Error::Recovery {
+                reason: format!("shard {s}: {reason}"),
+            });
         }
         // Initial load: the history is round 1, staged and committed with
         // no counting in between, then checkpointed, so each worker's
@@ -950,41 +977,53 @@ impl Cluster {
         Ok(())
     }
 
+    /// Marks down every worker that failed in `gathered` — or, with
+    /// `refused` false, only those its transport could not reach — and
+    /// returns the lowest failing shard as [`Error::WorkerDown`].
+    fn mark_down<T>(&mut self, gathered: &Gathered<T>, refused: bool) -> Option<Error> {
+        for &(s, _, reached) in &gathered.failed {
+            if refused || !reached {
+                self.workers[s].up = false;
+            }
+        }
+        gathered
+            .failed
+            .first()
+            .map(|(s, reason, _)| down(*s, reason))
+    }
+
     /// Phase 1: stages `routed` as `round` on every worker (empty
     /// slices included — round boundaries are lockstep). On success
-    /// returns the rows the deletes removed, in shard order. On
-    /// failure the round is aborted on the already-staged prefix and
-    /// the failing worker is marked down: a worker that did not stage
-    /// may still hold part of the round in its log (a torn append, a
-    /// failed sync), and only a restart reconciles the two.
+    /// returns the rows the deletes removed, in shard order. On failure
+    /// every failing worker is marked down and every other aborts the
+    /// round: a worker that did not stage may still hold part of the
+    /// round in its log (a torn append, a failed sync), and only a
+    /// restart reconciles the two.
     fn stage_round(&mut self, round: u64, routed: &[RoutedSlice]) -> Result<Vec<Transaction>> {
-        let mut removed = Vec::new();
-        let mut staged_on: Vec<usize> = Vec::new();
-        for (s, slice) in routed.iter().enumerate() {
+        let msgs = routed.iter().enumerate().map(|(s, slice)| {
+            let (inserts, deletes) = slice.clone();
             let msg = Message::StageRound {
                 round,
-                inserts: slice.0.clone(),
-                deletes: slice.1.clone(),
+                inserts,
+                deletes,
             };
-            let reason = match self.workers[s].call(&msg) {
-                // The removed rows must echo the routed deletes, in order.
-                Ok(Message::StagedOk {
-                    round: r,
-                    removed: rem,
-                }) if r == round && rem.iter().map(|(tid, _)| tid).eq(&slice.1) => {
-                    staged_on.push(s);
-                    removed.extend(rem.into_iter().map(|(_, t)| t));
-                    continue;
-                }
-                Ok(Message::Err(reason)) => reason,
-                Ok(other) => format!("unexpected stage reply: {other:?}"),
-                Err(e) => e.to_string(),
-            };
-            self.workers[s].up = false;
-            self.abort_round(round, staged_on);
-            return Err(down(s, reason));
+            (s, msg)
+        });
+        let staged = scatter_gather(&self.workers, msgs, |s, reply| match reply {
+            // The removed rows must echo the routed deletes, in order.
+            Message::StagedOk { round: r, removed }
+                if r == round && removed.iter().map(|(tid, _)| tid).eq(&routed[s].1) =>
+            {
+                Ok(removed)
+            }
+            other => Err(other),
+        });
+        if let Some(err) = self.mark_down(&staged, true) {
+            self.abort_round(round, staged.replies.iter().map(|&(s, _)| s));
+            return Err(err);
         }
-        Ok(removed)
+        let rows = staged.replies.into_iter().flat_map(|(_, rem)| rem);
+        Ok(rows.map(|(_, t)| t).collect())
     }
 
     /// Phase 2 (commit arm): decides `round` — `batch`, routed as
@@ -1003,17 +1042,13 @@ impl Cluster {
     ) -> Vec<Tid> {
         self.decided = (round, true);
         let msg = Message::CommitRound { round };
-        for (s, slice) in routed.iter().enumerate() {
-            match self.workers[s].call(&msg) {
-                Ok(Message::Ok) => {
-                    self.workers[s].ops += slice.0.len() as u64 + slice.1.len() as u64;
-                }
-                Ok(_) | Err(_) => {
-                    // Staged durably on the worker; resolved at rejoin.
-                    self.workers[s].up = false;
-                }
-            }
+        let all = (0..self.workers.len()).map(|s| (s, &msg));
+        let committed = scatter_gather(&self.workers, all, ack);
+        for &(s, ()) in &committed.replies {
+            self.workers[s].ops += routed[s].0.len() as u64 + routed[s].1.len() as u64;
         }
+        // A failed worker holds the round staged durably; resolved at rejoin.
+        self.mark_down(&committed, true);
         let inserted = batch.inserts.len() as u64;
         let new_tids: Vec<Tid> = (self.next_tid..self.next_tid + inserted).map(Tid).collect();
         self.staging.live_remove(batch.deletes.iter().copied());
@@ -1030,11 +1065,9 @@ impl Cluster {
     fn abort_round(&mut self, round: u64, staged_on: impl IntoIterator<Item = usize>) {
         self.decided = (round, false);
         let msg = Message::AbortRound { round };
-        for s in staged_on {
-            if self.workers[s].call(&msg).ok() != Some(Message::Ok) {
-                self.workers[s].up = false;
-            }
-        }
+        let targets = staged_on.into_iter().map(|s| (s, &msg));
+        let aborted = scatter_gather(&self.workers, targets, ack);
+        self.mark_down(&aborted, true);
     }
 
     /// Commits everything staged (plus a held retry batch, if a prior
@@ -1089,9 +1122,7 @@ impl Cluster {
             self.minsup,
             &mut provider,
         );
-        let failure = provider.take_failure();
-        drop(provider);
-        if let Some((shard, reason)) = failure {
+        if let Some((shard, reason)) = provider.failure.into_inner() {
             // Counting lost a worker mid-round: the sums are garbage.
             // Abort everywhere reachable (the dead worker resolves at
             // rejoin) and hold the batch for a re-run.
@@ -1127,23 +1158,19 @@ impl Cluster {
         routed: &[RoutedSlice],
         batch: UpdateBatch,
     ) -> Result<MaintenanceReport> {
-        let mut rows: Vec<Transaction> = Vec::new();
-        for s in 0..self.workers.len() {
-            let reason = match self.workers[s].call(&Message::FetchRows) {
-                Ok(Message::Rows(v)) => {
-                    rows.extend(v.into_iter().map(|(_, t)| t));
-                    continue;
-                }
-                Ok(other) => format!("unexpected rows reply: {other:?}"),
-                Err(e) => {
-                    self.workers[s].up = false;
-                    e.to_string()
-                }
-            };
+        let all = (0..self.workers.len()).map(|s| (s, Message::FetchRows));
+        let fetched = scatter_gather(&self.workers, all, |_, reply| match reply {
+            Message::Rows(v) => Ok(v),
+            other => Err(other),
+        });
+        if let Some(err) = self.mark_down(&fetched, false) {
             self.abort_round(round, 0..self.workers.len());
             self.park_retry(batch);
-            return Err(down(s, reason));
+            return Err(err);
         }
+        let rows: Vec<Transaction> = (fetched.replies.into_iter())
+            .flat_map(|(_, v)| v.into_iter().map(|(_, t)| t))
+            .collect();
         let (kept, inserted) = (SliceSource::new(&rows), SliceSource::new(&batch.inserts));
         let post_state = ChainSource::new(&kept, &inserted);
         let outcome = Apriori::with_config(AprioriConfig {
@@ -1308,18 +1335,10 @@ impl Cluster {
     /// heals without a restart.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.ensure_all_up()?;
-        for s in 0..self.workers.len() {
-            match self.workers[s].call(&Message::Checkpoint) {
-                Ok(Message::Ok) => {}
-                Ok(Message::Err(reason)) => return Err(down(s, reason)),
-                Ok(other) => return Err(down(s, format!("unexpected reply: {other:?}"))),
-                Err(e) => {
-                    self.workers[s].up = false;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
+        let all = (0..self.workers.len()).map(|s| (s, Message::Checkpoint));
+        let checkpointed = scatter_gather(&self.workers, all, ack);
+        // A refusal leaves the worker serving; an unreachable one is down.
+        self.mark_down(&checkpointed, false).map_or(Ok(()), Err)
     }
 
     /// Per-shard health gauges for the service's
@@ -1352,11 +1371,8 @@ impl Cluster {
     }
 
     fn shutdown_workers(&mut self) {
-        for s in 0..self.workers.len() {
-            if self.workers[s].up {
-                let _ = self.workers[s].call(&Message::Shutdown);
-            }
-        }
+        let up = (0..self.workers.len()).filter(|&s| self.workers[s].up);
+        scatter_gather(&self.workers, up.map(|s| (s, Message::Shutdown)), ack);
         self.workers.clear();
         for t in &mut self.threads {
             if let Some(t) = t.take() {

@@ -368,6 +368,176 @@ fn torn_stage_append_loses_no_later_commit() {
     c.shutdown();
 }
 
+/// Shared by every worker's [`RendezvousStorage`]: once armed, each
+/// worker's first WAL append waits (for at most five seconds) until every
+/// worker has made one. A wait that times out is a miss.
+#[derive(Debug)]
+struct Rendezvous {
+    parties: usize,
+    gate: std::sync::Mutex<Gate>,
+    arrived: std::sync::Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    armed: bool,
+    arrived: usize,
+    missed: usize,
+}
+
+impl Rendezvous {
+    fn new(parties: usize) -> Arc<Rendezvous> {
+        Arc::new(Rendezvous {
+            parties,
+            gate: std::sync::Mutex::new(Gate::default()),
+            arrived: std::sync::Condvar::new(),
+        })
+    }
+
+    fn arm(&self) {
+        self.gate.lock().unwrap().armed = true;
+    }
+
+    fn missed(&self) -> usize {
+        self.gate.lock().unwrap().missed
+    }
+
+    /// Waits for the other parties unless this storage already passed.
+    fn arrive(&self, passed: &std::sync::atomic::AtomicBool) {
+        let mut gate = self.gate.lock().unwrap();
+        if !gate.armed || passed.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            return;
+        }
+        gate.arrived += 1;
+        self.arrived.notify_all();
+        let timeout = std::time::Duration::from_secs(5);
+        let (mut gate, waited) = (self.arrived)
+            .wait_timeout_while(gate, timeout, |g| g.arrived < self.parties)
+            .unwrap();
+        if waited.timed_out() {
+            gate.missed += 1;
+        }
+    }
+}
+
+/// A worker's [`MemStorage`] behind its [`Rendezvous`].
+#[derive(Debug)]
+struct RendezvousStorage {
+    inner: MemStorage,
+    rendezvous: Arc<Rendezvous>,
+    passed: std::sync::atomic::AtomicBool,
+}
+
+impl DurableStorage for RendezvousStorage {
+    fn append(&self, file: &str, bytes: &[u8]) -> fup_tidb::Result<()> {
+        self.rendezvous.arrive(&self.passed);
+        self.inner.append(file, bytes)
+    }
+    fn sync(&self, file: &str) -> fup_tidb::Result<()> {
+        self.inner.sync(file)
+    }
+    fn write_atomic(&self, file: &str, content: &[u8]) -> fup_tidb::Result<()> {
+        self.inner.write_atomic(file, content)
+    }
+    fn read(&self, file: &str) -> fup_tidb::Result<Option<Vec<u8>>> {
+        self.inner.read(file)
+    }
+    fn list(&self) -> fup_tidb::Result<Vec<String>> {
+        self.inner.list()
+    }
+    fn remove(&self, file: &str) -> fup_tidb::Result<()> {
+        self.inner.remove(file)
+    }
+}
+
+#[test]
+fn a_round_reaches_every_worker_before_the_coordinator_waits() {
+    // Each worker's stage append waits for the other's: a coordinator
+    // that waited on worker 0's reply before asking worker 1 would leave
+    // worker 0 waiting out its timeout.
+    let rendezvous = Rendezvous::new(2);
+    let storages = (0..2)
+        .map(|_| {
+            Arc::new(RendezvousStorage {
+                inner: MemStorage::new(),
+                rendezvous: Arc::clone(&rendezvous),
+                passed: Default::default(),
+            }) as Arc<dyn DurableStorage>
+        })
+        .collect();
+    let mut c = Cluster::bootstrap(
+        ShardSpec::striped_with(2, 1),
+        storages,
+        history(),
+        MinSupport::percent(25),
+        MinConfidence::percent(60),
+        FupConfig::default(),
+    )
+    .unwrap();
+    let mut m = flat();
+    rendezvous.arm();
+    let churn = UpdateBatch {
+        inserts: vec![tx(&[1, 2, 5]), tx(&[3, 5])],
+        deletes: vec![Tid(0), Tid(1)],
+    };
+    c.apply(churn.clone()).unwrap();
+    m.apply(churn).unwrap();
+    assert_eq!(rendezvous.missed(), 0, "the stage was not scattered");
+    assert_identical(&c, &m);
+    c.shutdown();
+}
+
+#[test]
+fn a_stage_refused_by_a_lower_shard_aborts_on_the_others() {
+    let storages = mem_handles(2);
+    let mut c = cluster_on(&storages);
+    let mut m = flat();
+    // Shard 0's next mutating op is the round's stage append: kill its
+    // medium there, while shard 1 stages the round.
+    storages[0].fail_after(0, 0);
+    let held = UpdateBatch {
+        inserts: vec![tx(&[1, 2, 5]), tx(&[3, 5])],
+        deletes: vec![Tid(1), Tid(2)],
+    };
+    let round = c.decided.0 + 1;
+    let err = c.apply(held.clone()).unwrap_err();
+    assert!(matches!(err, Error::WorkerDown { shard: 0, .. }), "{err}");
+    assert!(!c.worker_up(0));
+    // Shard 1 staged the round and then aborted it: its delete of tid 1
+    // (local 0) is undone.
+    assert_eq!(
+        c.probe(1).unwrap(),
+        WorkerProbe {
+            live: 4,
+            decided_round: round,
+            staged_round: None,
+        }
+    );
+    storages[0].revive();
+    c.restart_worker(0).unwrap();
+    c.commit().unwrap();
+    m.apply(held).unwrap();
+    assert_identical(&c, &m);
+    c.shutdown();
+}
+
+#[test]
+fn checkpoint_with_a_failing_worker_still_checkpoints_the_others() {
+    let storages = mem_handles(2);
+    let mut c = cluster_on(&storages);
+    let b = UpdateBatch::insert_only(vec![tx(&[1, 2, 5]), tx(&[3, 5])]);
+    c.apply(b).unwrap();
+    let before = checkpoint_files(&storages[1]);
+    storages[0].fail_after(0, 0);
+    let err = c.checkpoint().unwrap_err();
+    assert!(matches!(err, Error::WorkerDown { shard: 0, .. }), "{err}");
+    let after = checkpoint_files(&storages[1]);
+    assert_ne!(after.last(), before.last(), "shard 1 did not checkpoint");
+    let log = durable::load_latest(storages[1].as_ref()).unwrap();
+    assert!(log.replay.is_empty(), "shard 1's WAL did not rotate");
+    c.shutdown();
+}
+
 #[test]
 fn rejoin_refuses_a_round_other_than_the_last_decided() {
     let storages = mem_handles(2);
