@@ -52,7 +52,7 @@
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use fup_mining::apriori::AprioriConfig;
@@ -682,13 +682,22 @@ fn scatter_gather<M: Borrow<Message>, T>(
     let sent: Vec<_> = msgs
         .into_iter()
         .map(|(s, msg)| {
-            let mut t = workers[s].transport.lock().expect("transport lock");
-            let sent = t.send(msg.borrow());
-            (s, t, sent)
+            let exchange = workers[s].lock_transport().map(|mut t| {
+                let sent = t.send(msg.borrow());
+                (t, sent)
+            });
+            (s, exchange)
         })
         .collect();
     let (mut replies, mut failed) = (Vec::new(), Vec::new());
-    for (s, mut t, sent) in sent {
+    for (s, exchange) in sent {
+        let (mut t, sent) = match exchange {
+            Ok(exchange) => exchange,
+            Err(reason) => {
+                failed.push((s, reason.to_string(), false));
+                continue;
+            }
+        };
         match sent.and_then(|()| t.recv()) {
             Ok(Message::Err(reason)) => failed.push((s, reason, true)),
             Ok(reply) => match accept(s, reply) {
@@ -721,8 +730,23 @@ struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    fn call(&self, msg: &Message) -> Result<Message> {
-        let mut t = self.transport.lock().expect("transport lock");
+    /// The worker's transport. This is the workspace's one lock that
+    /// fails typed instead of recovering (see `fup_tidb::sync`): a panic
+    /// mid-exchange can leave a reply unread, which the next request
+    /// would take for its own. So a poisoned transport fails its shard,
+    /// as a transport error would.
+    fn lock_transport(
+        &self,
+    ) -> std::result::Result<MutexGuard<'_, Box<dyn Transport>>, &'static str> {
+        self.transport
+            .lock()
+            .map_err(|_| "transport lock poisoned by a panic mid-exchange")
+    }
+
+    fn call(&self, shard: usize, msg: &Message) -> Result<Message> {
+        let mut t = self
+            .lock_transport()
+            .map_err(|reason| down(shard, reason))?;
         t.send(msg).map_err(Error::Store)?;
         t.recv().map_err(Error::Store)
     }
@@ -1241,7 +1265,7 @@ impl Cluster {
         if !self.workers[shard].up {
             return Err(down(shard, "worker is down"));
         }
-        match self.workers[shard].call(&Message::HealthProbe)? {
+        match self.workers[shard].call(shard, &Message::HealthProbe)? {
             Message::Health {
                 live,
                 decided_round,
@@ -1263,10 +1287,9 @@ impl Cluster {
     /// [`restart_worker`](Cluster::restart_worker) recovers from.
     pub fn kill_worker(&mut self, shard: usize) {
         let (dead, _) = ChannelTransport::pair();
-        *self.workers[shard]
-            .transport
-            .lock()
-            .expect("transport lock") = Box::new(dead);
+        // Overwriting the transport discards whatever a panicked
+        // exchange left in it, so a poisoned lock may be recovered here.
+        *fup_tidb::sync::lock(&self.workers[shard].transport) = Box::new(dead);
         self.workers[shard].up = false;
         if let Some(t) = self.threads[shard].take() {
             let _ = t.join();
@@ -1322,7 +1345,7 @@ impl Cluster {
         } else {
             Message::AbortRound { round }
         };
-        match self.workers[shard].call(&msg)? {
+        match self.workers[shard].call(shard, &msg)? {
             Message::Ok => Ok(()),
             other => Err(down(shard, format!("rejoin resolution refused: {other:?}"))),
         }

@@ -232,6 +232,40 @@ fn killed_worker_fails_fast_and_survivors_keep_serving() {
     c.shutdown();
 }
 
+#[test]
+fn a_poisoned_transport_fails_its_shard_typed() {
+    // A panic mid-exchange poisons the worker's transport lock and may
+    // leave a reply unread. The coordinator reports that shard down
+    // rather than panicking or pairing a stale reply with a new request.
+    let mut c = cluster(ShardSpec::striped_with(2, 1));
+    std::thread::scope(|scope| {
+        let transport = &c.workers[1].transport;
+        let poisoner = scope.spawn(move || {
+            let _exchange = transport.lock().unwrap();
+            panic!("panic mid-exchange");
+        });
+        assert!(poisoner.join().is_err());
+    });
+    let err = c.probe(1).unwrap_err();
+    assert!(matches!(err, Error::WorkerDown { shard: 1, .. }), "{err}");
+    c.stage(UpdateBatch::insert_only(vec![tx(&[1, 2, 3])]))
+        .unwrap();
+    let err = c.commit().unwrap_err();
+    assert!(matches!(err, Error::WorkerDown { shard: 1, .. }), "{err}");
+    assert!(!c.worker_up(1));
+    assert!(c.probe(0).is_ok());
+
+    // A restart replaces the transport, and the held work commits.
+    c.restart_worker(1).unwrap();
+    let report = c.commit().unwrap();
+    assert_eq!(report.num_transactions, history().len() as u64 + 1);
+    let mut m = flat();
+    m.apply(UpdateBatch::insert_only(vec![tx(&[1, 2, 3])]))
+        .unwrap();
+    assert_identical(&c, &m);
+    c.shutdown();
+}
+
 /// A two-worker cluster over `MemStorage`s the test keeps handles on.
 fn cluster_on(storages: &[Arc<MemStorage>]) -> Cluster {
     Cluster::bootstrap(

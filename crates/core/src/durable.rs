@@ -82,10 +82,10 @@ use fup_mining::{Itemset, LargeItemsets};
 use fup_tidb::codec::{read_varint, read_varint64, write_varint, write_varint64};
 use fup_tidb::page::{self, PagedStore};
 use fup_tidb::wal::{self, WalRecord};
-use fup_tidb::{DurableStorage, ShardedDb, StagingArea, Tid, Transaction, UpdateBatch};
+use fup_tidb::{sync, DurableStorage, ShardedDb, StagingArea, Tid, Transaction, UpdateBatch};
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Magic prefix of every checkpoint file, full image or delta.
@@ -784,10 +784,6 @@ pub enum LogState {
     Poisoned,
 }
 
-const STATE_HEALTHY: u8 = 0;
-const STATE_DEGRADED: u8 = 1;
-const STATE_POISONED: u8 = 2;
-
 #[derive(Debug)]
 struct LogInner {
     /// Sequence number of the active `ckpt`/`wal` pair.
@@ -849,7 +845,9 @@ pub(crate) struct DeltaBase<'a> {
 pub(crate) struct DurableLog {
     storage: Arc<dyn DurableStorage>,
     policy: DurabilityPolicy,
-    state: AtomicU8,
+    /// A leaf lock: nothing else is taken while it is held, and each
+    /// section reads or replaces the one value, so poison is recovered.
+    state: Mutex<LogState>,
     /// Transient-fault retries performed over the log's lifetime
     /// (successful or not) — a health gauge, not control state.
     retries: AtomicU64,
@@ -881,7 +879,7 @@ impl DurableLog {
         DurableLog {
             storage,
             policy,
-            state: AtomicU8::new(STATE_HEALTHY),
+            state: Mutex::new(LogState::Healthy),
             retries: AtomicU64::new(0),
             inner: Mutex::new(LogInner {
                 seq,
@@ -924,11 +922,7 @@ impl DurableLog {
     }
 
     pub(crate) fn state(&self) -> LogState {
-        match self.state.load(Ordering::Acquire) {
-            STATE_HEALTHY => LogState::Healthy,
-            STATE_DEGRADED => LogState::Degraded,
-            _ => LogState::Poisoned,
-        }
+        *sync::lock(&self.state)
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {
@@ -948,17 +942,20 @@ impl DurableLog {
     }
 
     fn poison(&self) {
-        self.state.store(STATE_POISONED, Ordering::Release);
+        *sync::lock(&self.state) = LogState::Poisoned;
+    }
+
+    /// Moves the log from `from` to `to`, and does nothing in any other
+    /// state (so a poisoned log is never downgraded).
+    fn shift(&self, from: LogState, to: LogState) {
+        let mut state = sync::lock(&self.state);
+        if *state == from {
+            *state = to;
+        }
     }
 
     fn degrade(&self) {
-        // Never downgrade a poisoned log.
-        let _ = self.state.compare_exchange(
-            STATE_HEALTHY,
-            STATE_DEGRADED,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        self.shift(LogState::Healthy, LogState::Degraded);
     }
 
     /// Routes a storage failure to its tier and returns it wrapped.
@@ -988,7 +985,7 @@ impl DurableLog {
         // only counters and the tracked segment length behind; the
         // tracked length is re-verified against storage before any
         // in-place retry, so recovering the guard is sound.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        sync::lock(&self.inner)
     }
 
     /// Runs one effect-free storage operation (sync, atomic write, list,
@@ -1263,12 +1260,7 @@ impl DurableLog {
             self.collect_garbage(inner)?;
         }
         // The rotation is durable and complete: a degraded log is healed.
-        let _ = self.state.compare_exchange(
-            STATE_DEGRADED,
-            STATE_HEALTHY,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        self.shift(LogState::Degraded, LogState::Healthy);
         Ok(())
     }
 

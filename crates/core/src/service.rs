@@ -1,6 +1,6 @@
 //! The concurrent ingestion service: a thread-safe layer over the
 //! [`Maintainer`] session for deployments where updates arrive from many
-//! threads and reads must never wait.
+//! threads and reads must never wait on a round.
 //!
 //! A [`MaintainerService`] splits the session's three roles across
 //! threads:
@@ -17,11 +17,10 @@
 //!   economics, and explicit [`flush`](MaintainerService::flush) — it
 //!   drains shards in global arrival order and applies them as
 //!   deterministic FUP/FUP2 rounds.
-//! * **Readers** call [`snapshot`](MaintainerService::snapshot), served
-//!   from an epoch-pinned snapshot cell: a read is a couple of atomic
-//!   operations and an `Arc` clone, never a lock — commits swap the cell
-//!   only after the round completes, so queries stay wait-free while a
-//!   round is scanning.
+//! * **Readers** call [`snapshot`](MaintainerService::snapshot): a read
+//!   holds a read lock for one `Arc` clone. The committer publishes only
+//!   after a round completes, and its write lock covers one pointer
+//!   swap, so a read is never blocked by a round in progress.
 //!
 //! ## Overload behaviour: the bounded-latency pipeline
 //!
@@ -112,7 +111,7 @@
 //!         });
 //!     }
 //! });
-//! // ...readers never block...
+//! // ...reads never wait on a round...
 //! assert_eq!(service.snapshot().version(), 0);
 //! // ...and a flush forces rounds over everything staged.
 //! let report = service.flush().unwrap();
@@ -129,11 +128,11 @@ use crate::session::{
     Maintainer, MaintainerBuilder, MaintenanceReport, RecoverySpec, RuleSnapshot, SnapshotState,
     StageHandle,
 };
-use fup_tidb::{Admission, DurableStorage, FaultKind, UpdateBatch};
+use fup_tidb::{sync, Admission, DurableStorage, FaultKind, UpdateBatch};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -576,11 +575,6 @@ pub enum HealthState {
     Failed,
 }
 
-const HEALTH_HEALTHY: u8 = 0;
-const HEALTH_DEGRADED: u8 = 1;
-const HEALTH_RESTARTING: u8 = 2;
-const HEALTH_FAILED: u8 = 3;
-
 impl HealthState {
     /// The stable lower-case name used by [`HealthReport`] renderings:
     /// `"healthy"`, `"degraded"`, `"restarting"`, or `"failed"`.
@@ -590,15 +584,6 @@ impl HealthState {
             HealthState::Degraded => "degraded",
             HealthState::Restarting => "restarting",
             HealthState::Failed => "failed",
-        }
-    }
-
-    fn decode(raw: u8) -> HealthState {
-        match raw {
-            HEALTH_HEALTHY => HealthState::Healthy,
-            HEALTH_DEGRADED => HealthState::Degraded,
-            HEALTH_RESTARTING => HealthState::Restarting,
-            _ => HealthState::Failed,
         }
     }
 }
@@ -772,186 +757,84 @@ impl fmt::Display for HealthReport {
     }
 }
 
-/// The lock-free half of the health report, plus the one mutex guarding
-/// the open degraded-time window.
-#[derive(Debug, Default)]
-struct HealthAtomics {
-    state: AtomicU8,
-    consecutive_failures: AtomicU64,
+/// The self-healing state machine behind [`MaintainerService::health`]:
+/// the condition and its counters, behind one lock (`Shared::health`)
+/// so a reader never sees a state without its degraded window.
+#[derive(Debug)]
+struct Health {
+    state: HealthState,
+    /// Failed heal probes since the service last left `Healthy`.
+    consecutive_failures: u64,
     /// Completed degraded windows, in milliseconds.
-    degraded_ms: AtomicU64,
+    degraded_ms: u64,
     /// When the current degraded window opened (`None` while healthy).
-    degraded_since: Mutex<Option<Instant>>,
-    restarts: AtomicU64,
+    degraded_since: Option<Instant>,
+    /// Committer panics survived by a supervised restart.
+    restarts: u64,
 }
 
-impl HealthAtomics {
-    fn state(&self) -> HealthState {
-        HealthState::decode(self.state.load(Ordering::SeqCst))
-    }
-
-    fn degraded_since(&self) -> MutexGuard<'_, Option<Instant>> {
-        self.degraded_since
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enters `Degraded` or `Restarting`, opening the degraded-time
-    /// window if it is not already open. `Failed` is terminal and never
-    /// downgraded. Returns the `(from, to)` pair of the transition so
-    /// the caller can notify observers (equal when nothing changed).
-    fn enter(&self, state: u8) -> (HealthState, HealthState) {
-        let prev = self
-            .state
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |current| {
-                (current != HEALTH_FAILED).then_some(state)
-            });
-        let mut since = self.degraded_since();
-        if since.is_none() {
-            *since = Some(Instant::now());
-        }
-        match prev {
-            Ok(raw) => (HealthState::decode(raw), HealthState::decode(state)),
-            Err(_) => (HealthState::Failed, HealthState::Failed),
+impl Health {
+    fn new() -> Self {
+        Health {
+            state: HealthState::Healthy,
+            consecutive_failures: 0,
+            degraded_ms: 0,
+            degraded_since: None,
+            restarts: 0,
         }
     }
 
-    /// Closes the open degraded-time window, folding it into the total.
-    fn close_window(&self) {
-        if let Some(opened) = self.degraded_since().take() {
-            self.degraded_ms
-                .fetch_add(opened.elapsed().as_millis() as u64, Ordering::Relaxed);
+    /// Enters `to` (`Degraded` or `Restarting`), opening the
+    /// degraded-time window if it is not already open. `Failed` is
+    /// terminal and never downgraded. Returns the `(from, to)` pair of
+    /// the transition (equal when nothing changed).
+    fn enter(&mut self, to: HealthState) -> (HealthState, HealthState) {
+        match self.state {
+            HealthState::Failed => (HealthState::Failed, HealthState::Failed),
+            from => {
+                self.state = to;
+                self.degraded_since.get_or_insert_with(Instant::now);
+                (from, to)
+            }
         }
     }
 
     /// Back to `Healthy` (unless terminally failed): close the window,
     /// clear the probe-failure streak. Returns the transition pair.
-    fn heal(&self) -> (HealthState, HealthState) {
-        let prev = self
-            .state
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |current| {
-                (current != HEALTH_FAILED).then_some(HEALTH_HEALTHY)
-            });
-        self.close_window();
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-        match prev {
-            Ok(raw) => (HealthState::decode(raw), HealthState::Healthy),
-            Err(_) => (HealthState::Failed, HealthState::Failed),
+    fn heal(&mut self) -> (HealthState, HealthState) {
+        match self.state {
+            HealthState::Failed => (HealthState::Failed, HealthState::Failed),
+            from => {
+                self.state = HealthState::Healthy;
+                self.close_window();
+                self.consecutive_failures = 0;
+                (from, HealthState::Healthy)
+            }
         }
     }
 
     /// Terminal failure: the window closes (degraded time measures the
     /// recoverable condition) and the state never changes again.
     /// Returns the transition pair.
-    fn fail_terminal(&self) -> (HealthState, HealthState) {
-        let raw = self.state.swap(HEALTH_FAILED, Ordering::SeqCst);
+    fn fail_terminal(&mut self) -> (HealthState, HealthState) {
+        let from = std::mem::replace(&mut self.state, HealthState::Failed);
         self.close_window();
-        (HealthState::decode(raw), HealthState::Failed)
+        (from, HealthState::Failed)
+    }
+
+    /// Folds the open degraded-time window into the total.
+    fn close_window(&mut self) {
+        if let Some(opened) = self.degraded_since.take() {
+            self.degraded_ms += opened.elapsed().as_millis() as u64;
+        }
     }
 
     /// Completed degraded milliseconds plus the currently open window.
     fn degraded_ms_now(&self) -> u64 {
         let open = self
-            .degraded_since()
+            .degraded_since
             .map_or(0, |opened| opened.elapsed().as_millis() as u64);
-        self.degraded_ms.load(Ordering::Relaxed) + open
-    }
-}
-
-/// An epoch-pinned pointer cell holding the current `Arc<SnapshotState>`.
-///
-/// Readers never lock: a load is epoch-read → pin (one `fetch_add`) →
-/// epoch re-check → pointer load → `Arc` clone → unpin. The single
-/// writer (the committer) swaps the pointer, advances the epoch, and
-/// spins until the *retired* epoch's pin count drains before dropping
-/// the old `Arc` — an RCU-style grace period that costs the writer, not
-/// the readers.
-///
-/// ## Safety argument
-///
-/// The hazard is a reader cloning from an `Arc` the writer has already
-/// dropped. All cell operations use `SeqCst`, so a total order exists.
-/// A reader only dereferences the pointer after (a) pinning parity
-/// `e & 1` and (b) re-loading the epoch and observing it still equal to
-/// `e`. Consider the writer's store #`e + 1` (the one advancing the
-/// epoch from `e`): it retires parity `e & 1` and waits for that pin
-/// count to reach zero *after* swapping in the new pointer. The reader's
-/// pin precedes its revalidating epoch load, which observed a value
-/// (`e`) older than store #`e + 1`'s increment — so the pin is ordered
-/// before the wait-loop's loads and the writer blocks until the reader
-/// unpins. The pointer the reader loaded is either the pre-swap value
-/// (freed by store #`e + 1`, which waits) or the post-swap value (freed
-/// by store #`e + 2`, which cannot *start* until store #`e + 1`
-/// completes its wait). Either way the free is ordered after the
-/// reader's unpin, which follows the clone. A reader whose revalidation
-/// fails unpins and retries without ever dereferencing.
-struct SnapshotCell {
-    ptr: AtomicPtr<SnapshotState>,
-    epoch: AtomicUsize,
-    pins: [AtomicUsize; 2],
-    /// Serialises writers (defence in depth — the committer is the only
-    /// writer by construction).
-    writer: Mutex<()>,
-}
-
-impl SnapshotCell {
-    fn new(state: Arc<SnapshotState>) -> Self {
-        SnapshotCell {
-            ptr: AtomicPtr::new(Arc::into_raw(state).cast_mut()),
-            epoch: AtomicUsize::new(0),
-            pins: [AtomicUsize::new(0), AtomicUsize::new(0)],
-            writer: Mutex::new(()),
-        }
-    }
-
-    fn load(&self) -> Arc<SnapshotState> {
-        loop {
-            let e = self.epoch.load(Ordering::SeqCst);
-            let slot = &self.pins[e & 1];
-            slot.fetch_add(1, Ordering::SeqCst);
-            if self.epoch.load(Ordering::SeqCst) == e {
-                let ptr = self.ptr.load(Ordering::SeqCst);
-                // SAFETY: the epoch-validated pin above guarantees the
-                // writer's grace period waits for this reader before the
-                // Arc behind `ptr` can be dropped (see the type docs).
-                let borrowed = unsafe { Arc::from_raw(ptr) };
-                let out = Arc::clone(&borrowed);
-                std::mem::forget(borrowed);
-                slot.fetch_sub(1, Ordering::SeqCst);
-                return out;
-            }
-            // A store completed between the epoch read and the pin; the
-            // pin may be on a retired parity no writer waits for, so it
-            // must not be used. Retry against the new epoch.
-            slot.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    fn store(&self, state: Arc<SnapshotState>) {
-        let _writer = self.writer.lock().expect("snapshot cell writer poisoned");
-        let old = self
-            .ptr
-            .swap(Arc::into_raw(state).cast_mut(), Ordering::SeqCst);
-        let retired = self.epoch.fetch_add(1, Ordering::SeqCst) & 1;
-        // Grace period: readers pinned on the retired parity may still be
-        // cloning the old Arc; their critical section is a few atomic ops
-        // long, so spin-yield until it drains.
-        while self.pins[retired].load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
-        // SAFETY: `old` came from `Arc::into_raw` (in `new` or an earlier
-        // `store`), the swap removed the cell's reference, and the grace
-        // period above ordered every borrowing reader's unpin before this
-        // point.
-        unsafe { drop(Arc::from_raw(old)) };
-    }
-}
-
-impl Drop for SnapshotCell {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; the pointer holds the cell's own
-        // reference from `new`/`store`.
-        unsafe { drop(Arc::from_raw(self.ptr.load(Ordering::SeqCst))) };
+        self.degraded_ms + open
     }
 }
 
@@ -1000,13 +883,27 @@ impl Ctl {
     }
 }
 
+/// State shared by the service handle, the committer and the
+/// supervisor.
+///
+/// Lock order: `ctl` → `health` → `handle` → the staging area's gate.
+/// A thread may take a later lock while holding an earlier one, never
+/// the reverse. Every lock recovers from poison (`fup_tidb::sync`): no
+/// critical section here can unwind between the steps of a multi-field
+/// update, so a poisoned guard still holds consistent state. A committer
+/// that panicked has recorded its death (see [`CommitterGuard`]), and
+/// producers, readers and flush waiters must keep failing typed rather
+/// than panic in sympathy.
 struct Shared {
     /// The producers' staging path. Behind an `RwLock` only because a
     /// supervised committer restart swaps in the recovered session's
     /// handle; every other access is a read.
     handle: RwLock<StageHandle>,
     policy: CommitPolicy,
-    cell: SnapshotCell,
+    /// The published rules. A reader clones the `Arc` under the read
+    /// lock; the committer swaps in a new one under the write lock after
+    /// each round (see [`publish`](Self::publish)).
+    snapshot: RwLock<Arc<SnapshotState>>,
     metrics: MetricsAtomics,
     /// Committed-round wall-clock micros, oldest first, for percentile
     /// reporting (bounded to [`LATENCY_RING`] entries).
@@ -1026,8 +923,10 @@ struct Shared {
     /// Wakes flush waiters (a round completed, or stop).
     done_cv: Condvar,
     /// The self-healing state machine: degraded/restarting/failed plus
-    /// the counters [`MaintainerService::health`] reports.
-    health: HealthAtomics,
+    /// the counters [`MaintainerService::health`] reports. Every state
+    /// change happens in [`transition`](Self::transition), together with
+    /// the admission-gate change that goes with it.
+    health: Mutex<Health>,
     /// Opt-in observer fired on every health-state transition (see
     /// [`MaintainerService::on_health_change`]). `None` until installed.
     on_health_change: RwLock<Option<HealthCallback>>,
@@ -1051,22 +950,27 @@ impl Drop for InFlightGuard<'_> {
 }
 
 impl Shared {
-    /// The control mutex, recovering from poison. A committer that
-    /// panicked mid-section has already recorded its death (see
-    /// [`CommitterGuard`]); producers and waiters must keep failing fast
-    /// with [`ServiceError::CommitterGone`], not panic in sympathy.
     fn lock_ctl(&self) -> MutexGuard<'_, Ctl> {
-        self.ctl.lock().unwrap_or_else(PoisonError::into_inner)
+        sync::lock(&self.ctl)
+    }
+
+    fn health_state(&self) -> HealthState {
+        sync::lock(&self.health).state
     }
 
     /// The current staging handle (a cheap clone — two `Arc`s and a
     /// flag). Cloned out of the lock so no caller holds the read guard
     /// across a blocking admission wait.
     fn stage_handle(&self) -> StageHandle {
-        self.handle
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        sync::read(&self.handle).clone()
+    }
+
+    /// Publishes `state` to readers. The old state is dropped after the
+    /// write lock is released, so a reader never waits on its
+    /// destruction.
+    fn publish(&self, state: Arc<SnapshotState>) {
+        let old = std::mem::replace(&mut *sync::write(&self.snapshot), state);
+        drop(old);
     }
 
     fn triggered(&self) -> bool {
@@ -1090,23 +994,61 @@ impl Shared {
         m.transient_retries = handle
             .durable_log()
             .map_or(0, |log| log.transient_retries());
-        m.degraded_ms = self.health.degraded_ms_now();
-        m.committer_restarts = self.health.restarts.load(Ordering::Relaxed);
+        let health = sync::lock(&self.health);
+        m.degraded_ms = health.degraded_ms_now();
+        m.committer_restarts = health.restarts;
         m
     }
 
-    /// The full [`ServiceHealth`] report.
+    /// The full [`ServiceHealth`] report, read under one lock.
     fn health_snapshot(&self) -> ServiceHealth {
+        let transient_retries = self
+            .stage_handle()
+            .durable_log()
+            .map_or(0, |log| log.transient_retries());
+        let health = sync::lock(&self.health);
         ServiceHealth {
-            state: self.health.state(),
-            consecutive_failures: self.health.consecutive_failures.load(Ordering::Relaxed),
-            transient_retries: self
-                .stage_handle()
-                .durable_log()
-                .map_or(0, |log| log.transient_retries()),
-            degraded_ms: self.health.degraded_ms_now(),
-            committer_restarts: self.health.restarts.load(Ordering::Relaxed),
+            state: health.state,
+            consecutive_failures: health.consecutive_failures,
+            transient_retries,
+            degraded_ms: health.degraded_ms_now(),
+            committer_restarts: health.restarts,
         }
+    }
+
+    /// Applies one health-state change (`Health::enter`, `heal` or
+    /// `fail_terminal`) and the admission-gate change that goes with it,
+    /// both under the health lock; then wakes the committer and every
+    /// flush waiter, and fires the observer.
+    ///
+    /// Doing both under one lock is what keeps state and gate in step. A
+    /// heal sets `Healthy` and only then reopens admissions (unless
+    /// shutdown or a terminal committer death got there first); every
+    /// other state closes them. A producer that degrades the service
+    /// concurrently therefore runs strictly before or after the heal,
+    /// never between its two steps, where it would leave the service
+    /// `Healthy` with admissions closed and no probe left to reopen them.
+    fn transition(&self, step: impl FnOnce(&mut Health) -> (HealthState, HealthState)) {
+        let (from, to) = {
+            let mut health = sync::lock(&self.health);
+            let (from, to) = step(&mut health);
+            let handle = self.stage_handle();
+            let open = health.state == HealthState::Healthy
+                && !self.stopping.load(Ordering::SeqCst)
+                && !self.committer_gone.load(Ordering::SeqCst);
+            if open {
+                handle.staging_area().reopen_admissions();
+            } else {
+                handle.staging_area().close_admissions();
+            }
+            (from, to)
+        };
+        {
+            let _ctl = self.lock_ctl();
+            self.work_cv.notify_all();
+            self.done_cv.notify_all();
+        }
+        self.notify_health(from, to);
     }
 
     /// Fires the opt-in health observer for a real transition. Called
@@ -1117,66 +1059,19 @@ impl Shared {
         if from == to {
             return;
         }
-        let callback = self
-            .on_health_change
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let callback = sync::read(&self.on_health_change).clone();
         if let Some(callback) = callback {
             callback(from, to);
         }
     }
 
-    /// Storage started failing transiently: close admissions (parked
-    /// producers fail typed, new ones are refused) and wake everyone so
-    /// flush waiters observe the degradation instead of blocking on
-    /// rounds that cannot commit durably.
-    fn on_degraded(&self) {
-        let (from, to) = self.health.enter(HEALTH_DEGRADED);
-        self.stage_handle().staging_area().close_admissions();
-        {
-            let _ctl = self.lock_ctl();
-            self.work_cv.notify_all();
-            self.done_cv.notify_all();
-        }
-        self.notify_health(from, to);
-    }
-
-    /// Storage answered again: reopen admissions (unless shutdown or a
-    /// terminal committer death got there first) and resume.
-    fn on_healed(&self) {
-        if !self.stopping.load(Ordering::SeqCst) && !self.committer_gone.load(Ordering::SeqCst) {
-            self.stage_handle().staging_area().reopen_admissions();
-        }
-        let (from, to) = self.health.heal();
-        {
-            let _ctl = self.lock_ctl();
-            self.work_cv.notify_all();
-            self.done_cv.notify_all();
-        }
-        self.notify_health(from, to);
-    }
-
-    /// A permanent storage fault: terminal. Admissions close for good;
-    /// snapshots keep serving.
-    fn on_failed(&self) {
-        let (from, to) = self.health.fail_terminal();
-        self.stage_handle().staging_area().close_admissions();
-        {
-            let _ctl = self.lock_ctl();
-            self.work_cv.notify_all();
-            self.done_cv.notify_all();
-        }
-        self.notify_health(from, to);
-    }
-
     /// Swaps in a freshly recovered session after a committer panic: the
     /// new staging area takes over the service's capacity gate (closed
-    /// until [`on_healed`](Self::on_healed) reopens it), the recovered
-    /// state is published, and producers are routed to the new handle.
-    /// The recovered staging area already holds the panicked round's
-    /// staged backlog under its original tickets — nothing staged is
-    /// lost, nothing acknowledged is reordered.
+    /// until the heal transition reopens it), the recovered state is
+    /// published, and producers are routed to the new handle. The
+    /// recovered staging area already holds the panicked round's staged
+    /// backlog under its original tickets — nothing staged is lost,
+    /// nothing acknowledged is reordered.
     fn adopt_recovered(&self, maintainer: &Maintainer) {
         let handle = maintainer.stage_handle();
         {
@@ -1184,10 +1079,10 @@ impl Shared {
             area.set_capacity(self.policy.max_staged_ops);
             area.close_admissions();
         }
-        self.cell.store(maintainer.state_arc());
+        self.publish(maintainer.state_arc());
         self.live_len
             .store(maintainer.len() as u64, Ordering::Relaxed);
-        *self.handle.write().unwrap_or_else(PoisonError::into_inner) = handle;
+        *sync::write(&self.handle) = handle;
     }
 }
 
@@ -1197,8 +1092,8 @@ impl Shared {
 /// service degrades instead of hanging: admissions close (producers
 /// parked on a full gate fail over to [`ServiceError::CommitterGone`]),
 /// `stop` is raised, and both condvars fire so flush waiters observe the
-/// death. Snapshots keep serving — the cell's last published state
-/// remains valid forever.
+/// death. Snapshots keep serving — the last published state remains
+/// valid forever.
 struct CommitterGuard<'a>(&'a Shared);
 
 impl Drop for CommitterGuard<'_> {
@@ -1239,9 +1134,9 @@ impl fmt::Debug for MaintainerService {
 impl MaintainerService {
     /// Validates `policy` and launches the committer thread around
     /// `maintainer`. The session's current state becomes snapshot version
-    /// 0 of the cell; [`shutdown`](Self::shutdown) hands the session
-    /// back. A [`CommitPolicy::staging_capacity`] is installed on the
-    /// session's staging area here and removed again at shutdown.
+    /// 0; [`shutdown`](Self::shutdown) hands the session back. A
+    /// [`CommitPolicy::staging_capacity`] is installed on the session's
+    /// staging area here and removed again at shutdown.
     pub fn launch(
         maintainer: Maintainer,
         policy: CommitPolicy,
@@ -1256,7 +1151,7 @@ impl MaintainerService {
         let shared = Arc::new(Shared {
             handle: RwLock::new(handle),
             policy,
-            cell: SnapshotCell::new(maintainer.state_arc()),
+            snapshot: RwLock::new(maintainer.state_arc()),
             metrics: MetricsAtomics::default(),
             latencies: Mutex::new(VecDeque::new()),
             live_len: AtomicU64::new(maintainer.len() as u64),
@@ -1266,7 +1161,7 @@ impl MaintainerService {
             ctl: Mutex::new(Ctl::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            health: HealthAtomics::default(),
+            health: Mutex::new(Health::new()),
             on_health_change: RwLock::new(None),
             kill_committer: AtomicBool::new(false),
             shard_gauges: Mutex::new(maintainer.shard_health()),
@@ -1289,7 +1184,7 @@ impl MaintainerService {
     /// it — the one-call crash-restart path for a durable serving
     /// deployment. The recovered state (including any re-queued staged
     /// batches, which the policy's triggers see immediately) is snapshot
-    /// version 0 of the cell.
+    /// version 0.
     pub fn recover(
         builder: MaintainerBuilder,
         storage: Arc<dyn DurableStorage>,
@@ -1381,16 +1276,19 @@ impl MaintainerService {
                 ServiceError::StageTimeout { pending, capacity }
             }
             // Admissions close for exactly three reasons: the committer
-            // died for good, the service degraded awaiting a heal, or
-            // shutdown began.
+            // died for good, shutdown began, or the service degraded
+            // awaiting a heal. The first two raise their flag before
+            // closing, so whatever closed the gate this producer found
+            // is decided by the flags alone — the health state may have
+            // healed since.
             Error::Store(fup_tidb::Error::StagingClosed) => {
                 if self.shared.committer_gone.load(Ordering::SeqCst) {
                     ServiceError::CommitterGone
-                } else if self.shared.health.state() != HealthState::Healthy {
+                } else if self.shared.stopping.load(Ordering::SeqCst) {
+                    ServiceError::ShutDown
+                } else {
                     m.backpressure_rejections.fetch_add(1, Ordering::Relaxed);
                     ServiceError::Degraded
-                } else {
-                    ServiceError::ShutDown
                 }
             }
             // The staging WAL write hit storage trouble the log's own
@@ -1403,7 +1301,7 @@ impl MaintainerService {
                 kind: FaultKind::Transient,
                 ..
             }) => {
-                self.shared.on_degraded();
+                self.shared.transition(|h| h.enter(HealthState::Degraded));
                 m.backpressure_rejections.fetch_add(1, Ordering::Relaxed);
                 ServiceError::Degraded
             }
@@ -1412,7 +1310,7 @@ impl MaintainerService {
                 ..
             })
             | Error::Recovery { .. } => {
-                self.shared.on_failed();
+                self.shared.transition(Health::fail_terminal);
                 m.backpressure_rejections.fetch_add(1, Ordering::Relaxed);
                 ServiceError::Degraded
             }
@@ -1423,12 +1321,13 @@ impl MaintainerService {
         }
     }
 
-    /// A wait-free, version-stamped view of the current rules — never
-    /// blocked by staging or by a commit round in progress, and valid
-    /// forever once taken. Keeps serving (the last published state) even
-    /// after [`ServiceError::CommitterGone`].
+    /// A version-stamped view of the current rules, valid forever once
+    /// taken. The read lock is held for one `Arc` clone, so a read is
+    /// never blocked by staging or by a commit round in progress. Keeps
+    /// serving (the last published state) even after
+    /// [`ServiceError::CommitterGone`].
     pub fn snapshot(&self) -> RuleSnapshot {
-        RuleSnapshot::from_state(self.shared.cell.load())
+        RuleSnapshot::from_state(Arc::clone(&sync::read(&self.shared.snapshot)))
     }
 
     /// Forces maintenance rounds over everything staged so far and
@@ -1461,7 +1360,7 @@ impl MaintainerService {
         // A degraded service cannot commit durably: fail the flush typed
         // instead of parking the waiter on rounds that will not run. The
         // staged work stays queued — a flush after the heal covers it.
-        if self.shared.health.state() != HealthState::Healthy {
+        if self.shared.health_state() != HealthState::Healthy {
             return Err(ServiceError::Degraded);
         }
         ctl.flush_requested += 1;
@@ -1498,7 +1397,7 @@ impl MaintainerService {
                 ctl.prune_outcomes();
                 return Err(ServiceError::CommitterGone);
             }
-            if self.shared.health.state() != HealthState::Healthy {
+            if self.shared.health_state() != HealthState::Healthy {
                 // The service degraded while this flush waited; its
                 // staged work stays queued for after the heal.
                 ctl.waiting.remove(&ticket);
@@ -1511,11 +1410,7 @@ impl MaintainerService {
                 return Err(ServiceError::ShutDown);
             }
             ctl = match deadline {
-                None => self
-                    .shared
-                    .done_cv
-                    .wait(ctl)
-                    .unwrap_or_else(PoisonError::into_inner),
+                None => sync::wait(&self.shared.done_cv, ctl),
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
@@ -1523,12 +1418,7 @@ impl MaintainerService {
                         ctl.prune_outcomes();
                         return Err(ServiceError::FlushTimeout);
                     }
-                    let (guard, _) = self
-                        .shared
-                        .done_cv
-                        .wait_timeout(ctl, d - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    guard
+                    sync::wait_timeout(&self.shared.done_cv, ctl, d - now)
                 }
             };
         }
@@ -1598,12 +1488,7 @@ impl MaintainerService {
         HealthReport {
             health: self.shared.health_snapshot(),
             metrics: self.shared.metrics_snapshot(),
-            shards: self
-                .shared
-                .shard_gauges
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
+            shards: sync::lock(&self.shared.shard_gauges).clone(),
         }
     }
 
@@ -1624,11 +1509,7 @@ impl MaintainerService {
     where
         F: Fn(HealthState, HealthState) + Send + Sync + 'static,
     {
-        *self
-            .shared
-            .on_health_change
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(callback));
+        *sync::write(&self.shared.on_health_change) = Some(Arc::new(callback));
     }
 
     /// Fault injection for tests and chaos harnesses: the committer's
@@ -1651,13 +1532,7 @@ impl MaintainerService {
     /// — the raw series behind p50/p99 commit-latency reporting. Bounded
     /// to the last 65 536 rounds.
     pub fn round_latencies(&self) -> Vec<u64> {
-        self.shared
-            .latencies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .copied()
-            .collect()
+        sync::lock(&self.shared.latencies).iter().copied().collect()
     }
 
     /// The active commit policy.
@@ -1684,16 +1559,21 @@ impl MaintainerService {
     }
 
     fn stop_committer(&mut self) -> std::thread::Result<Maintainer> {
-        // SeqCst to pair with `stage`'s in-flight handshake: the
-        // no-batch-misses-the-final-drain argument needs this store in
-        // the same total order as the producers' flag loads.
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        // Fail Block-mode producers parked on a full gate *before* the
-        // committer waits out `in_flight`: a parked producer holds an
-        // in-flight registration, and the final drain may never free the
-        // space it is waiting for — without this, shutdown and the
-        // sleeper deadlock.
-        self.shared.stage_handle().staging_area().close_admissions();
+        {
+            // Under the health lock, so a concurrent heal cannot reopen
+            // the gate behind this close (see `Shared::transition`).
+            let _health = sync::lock(&self.shared.health);
+            // SeqCst to pair with `stage`'s in-flight handshake: the
+            // no-batch-misses-the-final-drain argument needs this store
+            // in the same total order as the producers' flag loads.
+            self.shared.stopping.store(true, Ordering::SeqCst);
+            // Fail Block-mode producers parked on a full gate *before*
+            // the committer waits out `in_flight`: a parked producer
+            // holds an in-flight registration, and the final drain may
+            // never free the space it is waiting for — without this,
+            // shutdown and the sleeper deadlock.
+            self.shared.stage_handle().staging_area().close_admissions();
+        }
         {
             let mut ctl = self.shared.lock_ctl();
             ctl.stop = true;
@@ -1744,15 +1624,8 @@ fn test_kill_requested(shared: &Shared) -> bool {
 /// everyone so parked producers and flush waiters fail typed.
 fn give_up(shared: &Shared) {
     shared.committer_gone.store(true, Ordering::SeqCst);
-    let (from, to) = shared.health.fail_terminal();
-    shared.stage_handle().staging_area().close_admissions();
-    {
-        let mut ctl = shared.lock_ctl();
-        ctl.stop = true;
-        shared.work_cv.notify_all();
-        shared.done_cv.notify_all();
-    }
-    shared.notify_health(from, to);
+    shared.lock_ctl().stop = true;
+    shared.transition(Health::fail_terminal);
 }
 
 /// Supervises the committer: runs [`committer_loop`] under
@@ -1790,19 +1663,15 @@ fn supervised_committer(mut maintainer: Maintainer, shared: &Shared) -> Option<M
                 // Close the dead loop's admissions immediately: parked
                 // producers fail over to `Degraded` instead of waiting on
                 // a committer that no longer drains.
-                let (from, to) = shared.health.enter(HEALTH_RESTARTING);
-                shared.stage_handle().staging_area().close_admissions();
-                {
-                    let _ctl = shared.lock_ctl();
-                    shared.done_cv.notify_all();
-                }
-                shared.notify_health(from, to);
+                shared.transition(|h| h.enter(HealthState::Restarting));
                 let spec = spec.as_ref().expect("restartable implies a recovery spec");
                 match spec.builder.clone().recover(Arc::clone(&spec.storage)) {
                     Ok((recovered, _report)) => {
                         shared.adopt_recovered(&recovered);
-                        shared.health.restarts.fetch_add(1, Ordering::Relaxed);
-                        shared.on_healed();
+                        shared.transition(|h| {
+                            h.restarts += 1;
+                            h.heal()
+                        });
                         maintainer = recovered;
                     }
                     Err(_recovery_failed) => {
@@ -1835,7 +1704,7 @@ fn committer_loop(mut maintainer: Maintainer, shared: &Shared) -> Maintainer {
                 if ctl.stop {
                     break true;
                 }
-                match shared.health.state() {
+                match shared.health_state() {
                     HealthState::Healthy
                         if ctl.flush_requested > ctl.flush_completed || shared.triggered() =>
                     {
@@ -1850,11 +1719,7 @@ fn committer_loop(mut maintainer: Maintainer, shared: &Shared) -> Maintainer {
                     // a live loop): idle until shutdown.
                     _ => {}
                 }
-                let (guard, _timeout) = shared
-                    .work_cv
-                    .wait_timeout(ctl, shared.policy.poll_interval)
-                    .unwrap_or_else(PoisonError::into_inner);
-                ctl = guard;
+                ctl = sync::wait_timeout(&shared.work_cv, ctl, shared.policy.poll_interval);
             }
         };
         if stop {
@@ -1868,30 +1733,27 @@ fn committer_loop(mut maintainer: Maintainer, shared: &Shared) -> Maintainer {
             }
             // A degraded service gets one last heal attempt before the
             // final drain.
-            if shared.health.state() == HealthState::Degraded && maintainer.try_heal().is_ok() {
-                shared.on_healed();
+            if shared.health_state() == HealthState::Degraded && maintainer.try_heal().is_ok() {
+                shared.transition(Health::heal);
             }
-        } else if shared.health.state() == HealthState::Degraded {
+        } else if shared.health_state() == HealthState::Degraded {
             // The due probe: a successful heal re-checkpoints (state and
             // staged backlog together) and reopens admissions; a failure
             // backs the next probe off exponentially so dead storage is
             // not hammered.
             match maintainer.try_heal() {
                 Ok(_) => {
-                    shared.on_healed();
+                    shared.transition(Health::heal);
                     probe_failures = 0;
                     next_probe = None;
                 }
                 Err(_still_failing) => {
                     if maintainer.durability_state() == Some(LogState::Poisoned) {
-                        shared.on_failed();
+                        shared.transition(Health::fail_terminal);
                         next_probe = None;
                     } else {
                         probe_failures += 1;
-                        shared
-                            .health
-                            .consecutive_failures
-                            .store(u64::from(probe_failures), Ordering::Relaxed);
+                        sync::lock(&shared.health).consecutive_failures = u64::from(probe_failures);
                         let backoff = shared.policy.poll_interval
                             * 2u32.saturating_pow(probe_failures.min(6));
                         next_probe = Some(Instant::now() + backoff);
@@ -1910,7 +1772,7 @@ fn committer_loop(mut maintainer: Maintainer, shared: &Shared) -> Maintainer {
         // draining would burn staged records — already safe in the WAL —
         // into rounds whose durability cannot be acknowledged. Recovery
         // replays them instead.
-        let healthy = shared.health.state() == HealthState::Healthy;
+        let healthy = shared.health_state() == HealthState::Healthy;
         if healthy && (flush_pending || (stop && pending > 0)) {
             // A flush (or the shutdown drain) covers *everything* staged,
             // in bounded rounds.
@@ -2000,7 +1862,7 @@ fn run_round(
     let m = &shared.metrics;
     let result = match outcome {
         Ok(report) => {
-            shared.cell.store(maintainer.state_arc());
+            shared.publish(maintainer.state_arc());
             shared
                 .live_len
                 .store(maintainer.len() as u64, Ordering::Relaxed);
@@ -2018,19 +1880,13 @@ fn run_round(
             m.index_builds.store(index.builds, Ordering::Relaxed);
             m.index_extends.store(index.extends, Ordering::Relaxed);
             {
-                let mut ring = shared
-                    .latencies
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let mut ring = sync::lock(&shared.latencies);
                 if ring.len() == LATENCY_RING {
                     ring.pop_front();
                 }
                 ring.push_back(micros);
             }
-            *shared
-                .shard_gauges
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = maintainer.shard_health();
+            *sync::lock(&shared.shard_gauges) = maintainer.shard_health();
             Ok(report)
         }
         Err(e) => {
@@ -2044,8 +1900,8 @@ fn run_round(
             // producers stop feeding rounds that cannot be made durable
             // and the heal probe starts.
             match maintainer.durability_state() {
-                Some(LogState::Degraded) => shared.on_degraded(),
-                Some(LogState::Poisoned) => shared.on_failed(),
+                Some(LogState::Degraded) => shared.transition(|h| h.enter(HealthState::Degraded)),
+                Some(LogState::Poisoned) => shared.transition(Health::fail_terminal),
                 _ => {}
             }
             Err(e)
@@ -2580,35 +2436,111 @@ mod tests {
 
     #[test]
     fn snapshot_cell_survives_concurrent_readers_and_stores() {
-        // Stress the epoch protocol directly: 6 reader threads hammer
-        // load() while the writer publishes new states as fast as it can.
-        let m = session();
-        let cell = SnapshotCell::new(m.state_arc());
+        // 6 reader threads hammer snapshot() while the committer
+        // publishes a new state per flushed round, as fast as it can.
+        let service = MaintainerService::launch(session(), CommitPolicy::manual()).unwrap();
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for _ in 0..6 {
-                let (cell, stop) = (&cell, &stop);
+                let (service, stop) = (&service, &stop);
                 scope.spawn(move || {
                     let mut last = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        let s = RuleSnapshot::from_state(cell.load());
-                        // Versions move forward and states stay readable.
+                        let s = service.snapshot();
+                        // Versions move forward and states stay readable:
+                        // every round inserted exactly one row.
                         assert!(s.version() >= last);
-                        assert!(s.num_transactions() >= 5);
+                        assert_eq!(s.num_transactions(), 5 + s.version());
                         last = s.version();
                     }
                 });
             }
-            let mut writer = session();
             for _ in 0..200 {
-                writer
-                    .apply(UpdateBatch::insert_only(vec![tx(&[6, 7])]))
+                service
+                    .stage(UpdateBatch::insert_only(vec![tx(&[6, 7])]))
                     .unwrap();
-                cell.store(writer.state_arc());
+                service.flush().unwrap();
             }
             stop.store(true, Ordering::Relaxed);
         });
-        assert_eq!(RuleSnapshot::from_state(cell.load()).version(), 200);
+        assert_eq!(service.snapshot().version(), 200);
+    }
+
+    #[test]
+    fn a_heal_never_swallows_a_concurrent_degradation() {
+        // Producers stage through seeded bursts of transient append
+        // faults while the committer's heal probe races them. A burst of
+        // 4+ outlasts the stage path's retry budget and degrades the
+        // service; the probe heals it once the burst drains. The health
+        // state and the admission gate change together, so however a
+        // producer's degradation interleaves with a heal, the service
+        // never ends up healthy with admissions closed.
+        let flaky = Arc::new(FlakyStorage::new(Arc::new(MemStorage::new())));
+        let service = MaintainerService::launch(
+            durable_session(flaky.clone()),
+            CommitPolicy::manual().with_poll_interval(Duration::from_millis(1)),
+        )
+        .unwrap();
+        let degradations = Arc::new(AtomicU64::new(0));
+        let sink = Arc::clone(&degradations);
+        service.on_health_change(move |_, to| {
+            if to == HealthState::Degraded {
+                sink.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let acked = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    while !done.load(Ordering::Relaxed) {
+                        match service.stage(UpdateBatch::insert_only(vec![tx(&[6, 7])])) {
+                            Ok(()) => {
+                                acked.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(ServiceError::Degraded) => std::thread::yield_now(),
+                            Err(e) => {
+                                done.store(true, Ordering::Relaxed);
+                                panic!("a producer got {e:?} before shutdown began");
+                            }
+                        }
+                    }
+                });
+            }
+            let mut seed = 0x5EED_u64;
+            for _ in 0..40 {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                flaky.fail_next(OpClass::Append, 1 + (seed >> 33) % 8);
+                // The burst drains on producer stages and heal probes;
+                // the next one lands at a random point after it.
+                wait_for("the burst to drain", || !flaky.script_pending());
+                std::thread::sleep(Duration::from_micros((seed >> 20) % 3_000));
+            }
+            // The faults stop; let the producers run across the last heal.
+            flaky.fail_next(OpClass::Append, 0);
+            std::thread::sleep(Duration::from_millis(20));
+            done.store(true, Ordering::Relaxed);
+        });
+        assert!(
+            degradations.load(Ordering::Relaxed) > 0,
+            "no burst degraded"
+        );
+        wait_for("the last heal", || {
+            service.health().state == HealthState::Healthy
+        });
+        // Healthy means admissions are open...
+        service
+            .try_stage(UpdateBatch::insert_only(vec![tx(&[6, 7])]))
+            .unwrap();
+        let acked = acked.into_inner() + 1;
+        // ...and a final flush covers every acknowledged batch.
+        let report = service.flush().unwrap();
+        assert_eq!(report.num_transactions, 5 + acked);
+        let (maintainer, metrics) = service.shutdown();
+        assert_eq!(metrics.committed_inserts, acked);
+        maintainer.verify_consistency().unwrap();
     }
 
     #[test]

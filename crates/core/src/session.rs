@@ -25,8 +25,8 @@
 //! * [`crate::service::MaintainerService`] goes further and owns the
 //!   commit side too: a background committer drains the staged batches
 //!   into rounds under a [`CommitPolicy`](crate::service::CommitPolicy),
-//!   and snapshot reads become wait-free through its epoch-pinned
-//!   snapshot cell.
+//!   and a snapshot read holds a read lock for one `Arc` clone, so it is
+//!   never blocked by a round in progress.
 //!
 //! ```
 //! use fup_core::Maintainer;
@@ -193,7 +193,7 @@ pub struct RuleSnapshot {
 }
 
 impl RuleSnapshot {
-    /// Wraps a shared state — used by the service layer's snapshot cell.
+    /// Wraps a shared state — used by the service layer's snapshot reads.
     pub(crate) fn from_state(inner: Arc<SnapshotState>) -> Self {
         RuleSnapshot { inner }
     }
@@ -1253,8 +1253,8 @@ impl Maintainer {
         }
     }
 
-    /// The current shared state — the service layer publishes this into
-    /// its wait-free snapshot cell after each commit.
+    /// The current shared state — the service layer publishes this to
+    /// its readers after each commit.
     pub(crate) fn state_arc(&self) -> Arc<SnapshotState> {
         Arc::clone(&self.state)
     }

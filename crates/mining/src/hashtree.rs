@@ -50,6 +50,9 @@ use fup_tidb::transaction::contains_sorted;
 use fup_tidb::{ItemId, TransactionSource};
 
 /// Best-effort read prefetch; a no-op on architectures without one.
+/// The workspace's one exception to `deny(unsafe_code)`: a prefetch
+/// hint never faults, whatever address it is given.
+#[allow(unsafe_code)]
 #[inline(always)]
 fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]

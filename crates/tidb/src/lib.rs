@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod chunk;
 pub mod codec;
@@ -71,6 +72,7 @@ pub mod source;
 pub mod staging;
 pub mod stats;
 pub mod storage;
+pub mod sync;
 pub mod transaction;
 pub mod wal;
 

@@ -34,11 +34,10 @@
 
 use crate::error::{Error, Result};
 use crate::segment::{Tid, UpdateBatch};
+use crate::sync;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Condvar, Mutex, RwLock};
 use std::time::Instant;
 
 /// Default shard count — enough stripes that a handful of producer
@@ -186,40 +185,16 @@ impl Default for StagingArea {
 impl StagingArea {
     // ## Lock poisoning
     //
-    // Every lock acquisition below *recovers* a poisoned guard
-    // (`PoisonError::into_inner`) instead of panicking in sympathy with
-    // whatever thread died while holding it. This is sound because no
-    // critical section in this module can be interrupted between the
-    // steps of a multi-part invariant: each one either mutates a single
-    // scalar or flag (gate occupancy, the closed bit, the ticket
-    // counter), inserts/removes whole elements of one collection (a
-    // shard's queue, the claim set, the live view), or completes all
-    // validation *before* its first mutation (`claim` reads the live
-    // view and rejects before extending the claim set). The only panics
-    // that can fire inside a section are allocation failures, which
-    // abort the process outright. A poisoned guard therefore still
-    // protects consistent data, and recovering it keeps one panicking
-    // producer from cascading into a panic in every other producer —
-    // the same policy the service layer applies to its control lock.
-    fn lock_gate(&self) -> MutexGuard<'_, Gate> {
-        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_claims(&self) -> MutexGuard<'_, HashSet<Tid>> {
-        self.claims.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn read_live(&self) -> RwLockReadGuard<'_, LiveTidView> {
-        self.live.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_live(&self) -> RwLockWriteGuard<'_, LiveTidView> {
-        self.live.write().unwrap_or_else(PoisonError::into_inner)
-    }
+    // Every lock here recovers a poisoned guard (the rule in
+    // `crate::sync`). No critical section in this module can be
+    // interrupted between the steps of a multi-part invariant: each one
+    // either mutates a single scalar or flag (gate occupancy, the closed
+    // bit, the ticket counter), inserts/removes whole elements of one
+    // collection (a shard's queue, the claim set, the live view), or
+    // completes all validation *before* its first mutation (`claim`
+    // reads the live view and rejects before extending the claim set).
+    // The only panics that can fire inside a section are allocation
+    // failures, which abort the process outright.
 
     /// An empty area with `shards` lock stripes (min 1).
     pub fn with_shards(shards: usize) -> Self {
@@ -250,7 +225,7 @@ impl StagingArea {
         self.capacity.store(limit.unwrap_or(0), Ordering::Relaxed);
         // Take the gate lock so no reserver can observe the old limit
         // between its capacity check and its wait.
-        drop(self.lock_gate());
+        drop(sync::lock(&self.gate));
         self.freed.notify_all();
     }
 
@@ -265,7 +240,7 @@ impl StagingArea {
     /// Ops (inserts + deletes) currently occupying the capacity gate:
     /// admitted (or reserved by a mid-flight stage) and not yet drained.
     pub fn occupancy(&self) -> u64 {
-        self.lock_gate().occupancy
+        sync::lock(&self.gate).occupancy
     }
 
     /// Closes the area to new admissions: every subsequent (and every
@@ -274,13 +249,13 @@ impl StagingArea {
     /// claims still work — a shutdown drains the backlog after closing
     /// the door. Reopen with [`reopen_admissions`](Self::reopen_admissions).
     pub fn close_admissions(&self) {
-        self.lock_gate().closed = true;
+        sync::lock(&self.gate).closed = true;
         self.freed.notify_all();
     }
 
     /// Reopens the area after [`close_admissions`](Self::close_admissions).
     pub fn reopen_admissions(&self) {
-        self.lock_gate().closed = false;
+        sync::lock(&self.gate).closed = false;
         self.freed.notify_all();
     }
 
@@ -293,7 +268,7 @@ impl StagingArea {
     /// A batch larger than the whole capacity can never fit and is
     /// rejected immediately with [`Error::WouldBlock`] in every mode.
     pub fn reserve(&self, ops: u64, admission: Admission) -> Result<()> {
-        let mut gate = self.lock_gate();
+        let mut gate = sync::lock(&self.gate);
         loop {
             if gate.closed {
                 return Err(Error::StagingClosed);
@@ -318,10 +293,7 @@ impl StagingArea {
                     });
                 }
                 Admission::Block => {
-                    gate = self
-                        .freed
-                        .wait(gate)
-                        .unwrap_or_else(PoisonError::into_inner);
+                    gate = sync::wait(&self.freed, gate);
                 }
                 Admission::Deadline(deadline) => {
                     let now = Instant::now();
@@ -331,11 +303,7 @@ impl StagingArea {
                             capacity: limit,
                         });
                     }
-                    let (g, _) = self
-                        .freed
-                        .wait_timeout(gate, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    gate = g;
+                    gate = sync::wait_timeout(&self.freed, gate, deadline - now);
                 }
             }
         }
@@ -348,7 +316,7 @@ impl StagingArea {
         if ops == 0 {
             return;
         }
-        let mut gate = self.lock_gate();
+        let mut gate = sync::lock(&self.gate);
         gate.occupancy = gate.occupancy.saturating_sub(ops);
         drop(gate);
         self.freed.notify_all();
@@ -358,7 +326,7 @@ impl StagingArea {
     /// closed flag — recovery re-admits a checkpoint/WAL backlog that
     /// must be accepted regardless of any capacity configured later.
     pub fn reserve_restored(&self, ops: u64) {
-        self.lock_gate().occupancy += ops;
+        sync::lock(&self.gate).occupancy += ops;
     }
 
     /// Queues a batch, validating deletes at arrival: every deleted tid
@@ -415,9 +383,9 @@ impl StagingArea {
         }
         // Claim lock first, live view second — the same order the
         // store uses when it applies a round.
-        let mut claims = self.lock_claims();
+        let mut claims = sync::lock(&self.claims);
         {
-            let live = self.read_live();
+            let live = sync::read(&self.live);
             let mut seen = HashSet::new();
             for &tid in deletes {
                 if !live.contains(tid) || claims.contains(&tid) || !seen.insert(tid) {
@@ -457,7 +425,7 @@ impl StagingArea {
         self.pending_deletes
             .fetch_add(batch.deletes.len() as u64, Ordering::Relaxed);
         let shard = &self.shards[(ticket % self.shards.len() as u64) as usize];
-        Self::lock_shard(shard).push((ticket, batch));
+        sync::lock(shard).push((ticket, batch));
     }
 
     /// `(inserts, deletes)` currently queued. Snapshots of two relaxed
@@ -521,7 +489,7 @@ impl StagingArea {
         // Within a shard tickets ascend, so the global ticket-order
         // prefix is a per-shard prefix: k-way merge the shard fronts
         // until the cap is reached, then drain each shard's prefix.
-        let mut guards: Vec<_> = self.shards.iter().map(Self::lock_shard).collect();
+        let mut guards: Vec<_> = self.shards.iter().map(sync::lock).collect();
         let mut take = vec![0usize; guards.len()];
         let mut ops = 0u64;
         loop {
@@ -602,7 +570,7 @@ impl StagingArea {
     ) -> Vec<(u64, UpdateBatch)> {
         let mut entries: Vec<(u64, UpdateBatch)> = Vec::new();
         for shard in &self.shards {
-            let mut guard = Self::lock_shard(shard);
+            let mut guard = sync::lock(shard);
             entries.append(&mut take(&mut guard));
         }
         entries.sort_unstable_by_key(|&(ticket, _)| ticket);
@@ -611,7 +579,7 @@ impl StagingArea {
 
     /// Releases delete claims (round committed, aborted, or discarded).
     pub fn release_deletes(&self, tids: impl IntoIterator<Item = Tid>) {
-        let mut claims = self.lock_claims();
+        let mut claims = sync::lock(&self.claims);
         for tid in tids {
             claims.remove(&tid);
         }
@@ -620,13 +588,13 @@ impl StagingArea {
     /// A copy of the current live-tid view (watermark + tombstones) — the
     /// compact live-set the durable checkpoint format serialises.
     pub fn live_view(&self) -> LiveTidView {
-        self.read_live().clone()
+        sync::read(&self.live).clone()
     }
 
     /// Replaces the live view wholesale — used when a store is restored
     /// from a checkpoint.
     pub(crate) fn live_reset(&self, view: LiveTidView) {
-        *self.write_live() = view;
+        *sync::write(&self.live) = view;
     }
 
     /// Adds tids to the live view (the store appended transactions).
@@ -637,7 +605,7 @@ impl StagingArea {
     /// coordinator (`fup_core::cluster`), whose rows live in worker
     /// processes, one crate up.
     pub fn live_insert(&self, tids: impl IntoIterator<Item = Tid>) {
-        let mut live = self.write_live();
+        let mut live = sync::write(&self.live);
         for tid in tids {
             live.insert(tid);
         }
@@ -647,7 +615,7 @@ impl StagingArea {
     /// Public for the same routers as
     /// [`live_insert`](StagingArea::live_insert).
     pub fn live_remove(&self, tids: impl IntoIterator<Item = Tid>) {
-        let mut live = self.write_live();
+        let mut live = sync::write(&self.live);
         for tid in tids {
             live.remove(tid);
         }

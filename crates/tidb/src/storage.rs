@@ -37,11 +37,12 @@
 //! `MemStorage`'s terminal kills.
 
 use crate::error::{Error, FaultKind, Result};
+use crate::sync;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// A flat namespace of durable files: the medium under the WAL and
 /// checkpoints. See the [module docs](self) for crash semantics.
@@ -128,6 +129,9 @@ fn check_name(op: &'static str, file: &str) -> Result<()> {
 pub struct DiskStorage {
     dir: PathBuf,
     /// Cached append handles, so a WAL append is one `write` syscall.
+    /// Poison is recovered (`crate::sync`): a section inserts or removes
+    /// one whole handle, and a failed write returns an error, not a
+    /// panic.
     handles: Mutex<HashMap<String, fs::File>>,
 }
 
@@ -163,7 +167,7 @@ impl DiskStorage {
 impl DurableStorage for DiskStorage {
     fn append(&self, file: &str, bytes: &[u8]) -> Result<()> {
         check_name("append", file)?;
-        let mut handles = self.handles.lock().expect("disk handles poisoned");
+        let mut handles = sync::lock(&self.handles);
         if !handles.contains_key(file) {
             let h = fs::OpenOptions::new()
                 .create(true)
@@ -178,7 +182,7 @@ impl DurableStorage for DiskStorage {
 
     fn sync(&self, file: &str) -> Result<()> {
         check_name("sync", file)?;
-        let handles = self.handles.lock().expect("disk handles poisoned");
+        let handles = sync::lock(&self.handles);
         match handles.get(file) {
             Some(h) => h.sync_data().map_err(|e| os_err("sync", file, e)),
             // Nothing appended through us yet — nothing to make durable.
@@ -198,10 +202,7 @@ impl DurableStorage for DiskStorage {
         }
         fs::rename(&tmp, self.path(file)).map_err(|e| os_err("write_atomic", file, e))?;
         // Drop any stale append handle: the inode changed.
-        self.handles
-            .lock()
-            .expect("disk handles poisoned")
-            .remove(file);
+        sync::lock(&self.handles).remove(file);
         self.sync_dir()
     }
 
@@ -234,10 +235,7 @@ impl DurableStorage for DiskStorage {
 
     fn remove(&self, file: &str) -> Result<()> {
         check_name("remove", file)?;
-        self.handles
-            .lock()
-            .expect("disk handles poisoned")
-            .remove(file);
+        sync::lock(&self.handles).remove(file);
         match fs::remove_file(self.path(file)) {
             Ok(()) => self.sync_dir(),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -284,6 +282,8 @@ struct MemInner {
 /// recovery with [`revive`](MemStorage::revive).
 #[derive(Debug, Default)]
 pub struct MemStorage {
+    /// Poison is recovered (`crate::sync`): a section's only panics are
+    /// allocation failures, which abort, so no holder unwinds mid-change.
     inner: Mutex<MemInner>,
 }
 
@@ -314,7 +314,7 @@ impl MemStorage {
     /// payload are persisted first (a torn tail). After the fault fires,
     /// every further mutation fails until [`revive`](Self::revive).
     pub fn fail_after(&self, after: u64, tear_bytes: usize) {
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         inner.plan = Some(FaultPlan { after, tear_bytes });
     }
 
@@ -322,13 +322,13 @@ impl MemStorage {
     /// off — models an fsync error the kernel reports but the file data
     /// having been written.
     pub fn set_fail_sync(&self, fail: bool) {
-        self.inner.lock().expect("mem storage poisoned").fail_sync = fail;
+        sync::lock(&self.inner).fail_sync = fail;
     }
 
     /// Clears the dead flag and any pending fault plan: the "restarted
     /// process" sees exactly the bytes the crash left behind.
     pub fn revive(&self) {
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         inner.dead = false;
         inner.plan = None;
         inner.fail_sync = false;
@@ -336,20 +336,12 @@ impl MemStorage {
 
     /// Number of injected faults that have fired so far.
     pub fn faults_fired(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("mem storage poisoned")
-            .faults_fired
+        sync::lock(&self.inner).faults_fired
     }
 
     /// A copy of one file's bytes, if present.
     pub fn file(&self, name: &str) -> Option<Vec<u8>> {
-        self.inner
-            .lock()
-            .expect("mem storage poisoned")
-            .files
-            .get(name)
-            .cloned()
+        sync::lock(&self.inner).files.get(name).cloned()
     }
 
     /// A copy of the whole namespace (a crash image). Models a crash
@@ -358,11 +350,7 @@ impl MemStorage {
     /// power-loss image that keeps only fsynced bytes, use
     /// [`synced_files`](Self::synced_files).
     pub fn files(&self) -> HashMap<String, Vec<u8>> {
-        self.inner
-            .lock()
-            .expect("mem storage poisoned")
-            .files
-            .clone()
+        sync::lock(&self.inner).files.clone()
     }
 
     /// A power-loss crash image: every file truncated to its length at
@@ -371,7 +359,7 @@ impl MemStorage {
     /// commit's relaxed guarantee is exactly that the bytes between this
     /// image and [`files`](Self::files) may be lost.
     pub fn synced_files(&self) -> HashMap<String, Vec<u8>> {
-        let inner = self.inner.lock().expect("mem storage poisoned");
+        let inner = sync::lock(&self.inner);
         inner
             .files
             .iter()
@@ -385,13 +373,13 @@ impl MemStorage {
     /// Number of successful `sync` calls so far — the group-commit tests
     /// assert fsync cadence with this.
     pub fn sync_calls(&self) -> u64 {
-        self.inner.lock().expect("mem storage poisoned").sync_calls
+        sync::lock(&self.inner).sync_calls
     }
 
     /// Truncates `name` to `len` bytes (no-op if shorter) — simulates a
     /// torn tail after the fact.
     pub fn truncate_file(&self, name: &str, len: usize) {
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         if let Some(bytes) = inner.files.get_mut(name) {
             bytes.truncate(len);
         }
@@ -400,7 +388,7 @@ impl MemStorage {
     /// Flips every bit of byte `offset` in `name` — simulates media
     /// corruption.
     pub fn flip_byte(&self, name: &str, offset: usize) {
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         if let Some(b) = inner.files.get_mut(name).and_then(|f| f.get_mut(offset)) {
             *b = !*b;
         }
@@ -435,7 +423,7 @@ impl MemStorage {
 impl DurableStorage for MemStorage {
     fn append(&self, file: &str, bytes: &[u8]) -> Result<()> {
         check_name("append", file)?;
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         match Self::count_op(&mut inner, "append", file)? {
             Some(tear) => {
                 let keep = tear.min(bytes.len());
@@ -464,7 +452,7 @@ impl DurableStorage for MemStorage {
 
     fn sync(&self, file: &str) -> Result<()> {
         check_name("sync", file)?;
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         if inner.fail_sync {
             return Err(io_err(
                 "sync",
@@ -489,7 +477,7 @@ impl DurableStorage for MemStorage {
 
     fn write_atomic(&self, file: &str, content: &[u8]) -> Result<()> {
         check_name("write_atomic", file)?;
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         if Self::count_op(&mut inner, "write_atomic", file)?.is_some() {
             // All-or-nothing: a killed atomic write leaves the old state.
             return Err(io_err(
@@ -506,29 +494,16 @@ impl DurableStorage for MemStorage {
 
     fn read(&self, file: &str) -> Result<Option<Vec<u8>>> {
         check_name("read", file)?;
-        Ok(self
-            .inner
-            .lock()
-            .expect("mem storage poisoned")
-            .files
-            .get(file)
-            .cloned())
+        Ok(sync::lock(&self.inner).files.get(file).cloned())
     }
 
     fn list(&self) -> Result<Vec<String>> {
-        Ok(self
-            .inner
-            .lock()
-            .expect("mem storage poisoned")
-            .files
-            .keys()
-            .cloned()
-            .collect())
+        Ok(sync::lock(&self.inner).files.keys().cloned().collect())
     }
 
     fn remove(&self, file: &str) -> Result<()> {
         check_name("remove", file)?;
-        let mut inner = self.inner.lock().expect("mem storage poisoned");
+        let mut inner = sync::lock(&self.inner);
         if Self::count_op(&mut inner, "remove", file)?.is_some() {
             // Crash before the unlink: the file survives.
             return Err(io_err(
@@ -652,6 +627,9 @@ fn splitmix64(mut x: u64) -> u64 {
 #[derive(Debug)]
 pub struct FlakyStorage {
     inner: Arc<dyn DurableStorage>,
+    /// Fault bookkeeping only. Poison is recovered (`crate::sync`): a
+    /// holder updates counters and one script, none of which a panic can
+    /// leave half-written in a way that matters.
     state: Mutex<FlakyState>,
 }
 
@@ -670,7 +648,7 @@ impl FlakyStorage {
     pub fn with_fault_rate(inner: Arc<dyn DurableStorage>, seed: u64, rate_bp: u32) -> Self {
         let s = Self::new(inner);
         {
-            let mut state = s.lock_state();
+            let mut state = sync::lock(&s.state);
             state.seed = seed;
             state.rate_bp = rate_bp.min(10_000);
         }
@@ -692,30 +670,23 @@ impl FlakyStorage {
     /// `fail` transiently, then heal. Replaces any previous script for
     /// the class.
     pub fn fail_after(&self, class: OpClass, skip: u64, fail: u64) {
-        self.lock_state().scripts[class.index()] = ClassScript { skip, fail };
+        sync::lock(&self.state).scripts[class.index()] = ClassScript { skip, fail };
     }
 
     /// Number of transient faults injected so far.
     pub fn faults_injected(&self) -> u64 {
-        self.lock_state().faults_injected
+        sync::lock(&self.state).faults_injected
     }
 
     /// `true` while any class still has scripted failures pending (its
     /// blip has not healed yet).
     pub fn script_pending(&self) -> bool {
-        self.lock_state().scripts.iter().any(|s| s.fail > 0)
-    }
-
-    // The state lock guards only fault bookkeeping; a panicking holder
-    // cannot leave it inconsistent in a way that matters, so recover the
-    // guard instead of propagating the poison.
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, FlakyState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        sync::lock(&self.state).scripts.iter().any(|s| s.fail > 0)
     }
 
     /// Decides whether this op faults; returns the injected error if so.
     fn gate(&self, class: OpClass, file: &str) -> Result<()> {
-        let mut state = self.lock_state();
+        let mut state = sync::lock(&self.state);
         let op_index = state.ops;
         state.ops += 1;
         let script = &mut state.scripts[class.index()];

@@ -74,9 +74,9 @@
 //! batches concurrently through `&self` (sharded, lock-striped staging),
 //! a background committer thread applies them as one FUP/FUP2 round per
 //! [`CommitPolicy`] trigger (pending count, increment ratio, or explicit
-//! [`flush`](MaintainerService::flush)), and
-//! [`snapshot`](MaintainerService::snapshot) reads are wait-free even
-//! while a round is scanning.
+//! [`flush`](MaintainerService::flush)), and a
+//! [`snapshot`](MaintainerService::snapshot) read holds a read lock for
+//! one `Arc` clone, so it is never blocked by a round in progress.
 //!
 //! ```
 //! use fup::{CommitPolicy, Maintainer, MaintainerService};
@@ -407,6 +407,7 @@
 //! * [`datagen`] — the paper's synthetic workloads ([`fup_datagen`])
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use fup_core as core;
 pub use fup_datagen as datagen;
