@@ -280,8 +280,8 @@ fn main() {
         // first engages, even if that is deeper than the pass the bench
         // built the index on.
         let mut level_build = Duration::ZERO;
-        // Auto engagement is sticky in the miners (the index is already
-        // paid for); the bench models the same policy.
+        // Once Auto has built the index its later passes are `indexed`
+        // (the index is already paid for), as in the miners.
         let mut auto_engaged = false;
         let mut k = 2;
         while !level.is_empty() {
@@ -332,16 +332,13 @@ fn main() {
 
             // Auto pays whichever backend it resolves, including the
             // index build on the pass that first engages vertical.
-            let auto = if auto_engaged {
-                ResolvedBackend::Vertical
-            } else {
-                CountingBackend::Auto.resolve(&PassProfile {
-                    k,
-                    candidates: candidates.len(),
-                    transactions: n,
-                    residue,
-                })
-            };
+            let auto = CountingBackend::Auto.resolve(&PassProfile {
+                k,
+                candidates: candidates.len(),
+                transactions: n,
+                residue,
+                indexed: auto_engaged,
+            });
             let (auto_backend, auto_choice, auto_time) = match auto {
                 ResolvedBackend::HashTree => ("hashtree", hash_time, hash_time),
                 ResolvedBackend::Vertical => {

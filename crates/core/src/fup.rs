@@ -371,9 +371,11 @@ pub(crate) fn update_round(
     pass.candidates_after_hash = pass.candidates_generated;
     pass.candidates_checked = c1.len() as u64;
 
-    // Supports of C₁ in DB⁻. Insert-only, DB is scanned for the Lemma-2
-    // survivors alone — and not at all when there are none, FUP's
-    // headline saving.
+    // Supports of C₁ in DB⁻. Insert-only, only the Lemma-2 survivors
+    // are counted against DB — not at all when there are none, FUP's
+    // headline saving — and a warm provider reads them off its held
+    // index (a support is a list length), so DB is scanned only when no
+    // index over it is held.
     //
     // Deviation from the paper's letter, kept to its spirit: the paper
     // rewrites DB without the pruned items *during* this scan, because on
@@ -405,9 +407,8 @@ pub(crate) fn update_round(
     // whichever delta side has data stands in for the frequent-item
     // residue the miners feed `Auto` (the frequent set of DB' is not
     // known here without extra work) — an overestimate on filler-heavy
-    // data, so `Auto` may engage slightly earlier than the calibrated
-    // thresholds intend; the index itself *is* filtered to
-    // old L₁ ∪ new L₁ (see `IndexSlot::acquire`).
+    // data, so a cold `Auto` pass may engage slightly earlier than the
+    // calibrated thresholds intend.
     let residue = if d_plus > 0 {
         plus_counts.iter().sum::<u64>() as f64 / d_plus as f64
     } else {
@@ -464,23 +465,26 @@ pub(crate) fn update_round(
             continue;
         }
 
-        // Vertical arm (sticky once engaged): the provider's index (or
-        // per-shard indexes) over DB⁻ ∪ db⁺ is built lazily — DB⁻'s
-        // tid-lists materialised once, or reused from the last round, and
-        // only *extended* by db⁺'s delta scan — after which one
+        // Vertical arm: the provider's index (or per-shard indexes) over
+        // DB⁻ ∪ db⁺ — DB⁻'s tid-lists held from the last round or built
+        // here, and only *extended* by db⁺'s delta scan — after which one
         // intersection per itemset yields (support in DB⁻, support in
-        // db⁺) split at tid |DB⁻|, with no scan of either source. Only
-        // `C` can force scans of the big remainder (W is counted over the
-        // small parts either way), so backend selection weighs the
-        // candidate pool alone: the pruning usually keeps it tiny, and
-        // then the hash-tree arm is already near-optimal.
-        let use_vertical = provider.engaged()
-            || engine.backend.resolve(&PassProfile {
-                k,
-                candidates: candidates.len(),
-                transactions: n,
-                residue,
-            }) == ResolvedBackend::Vertical;
+        // db⁺) split at tid |DB⁻|, with no scan of either source. The
+        // pass is `indexed` when the provider engaged at an earlier pass
+        // or is warm (every part holds an index aligned with its base):
+        // then `Auto` takes this arm whatever the pool size, since the
+        // hash-tree arm would scan DB⁻ for survivors the index answers
+        // by intersection. Cold, only `C` can force scans of the big
+        // remainder (W is counted over the small parts either way), so
+        // the thresholds weigh the candidate pool alone: the pruning
+        // usually keeps it tiny, and then a tree pass beats a build.
+        let use_vertical = engine.backend.resolve(&PassProfile {
+            k,
+            candidates: candidates.len(),
+            transactions: n,
+            residue,
+            indexed: provider.warm() || provider.engaged(),
+        }) == ResolvedBackend::Vertical;
         let w_table = use_vertical.then(|| {
             provider.engage(old, &result, engine);
             // Trimmed working copies are never consulted again.

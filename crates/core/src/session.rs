@@ -1879,6 +1879,117 @@ mod tests {
         assert_eq!(m.index_stats().extends, extends + 1);
     }
 
+    /// `n` rows of four distinct items drawn from `0..30` (xorshift on
+    /// `seed`), each with `extra` appended.
+    fn random_rows(n: usize, seed: u64, extra: &[u32]) -> Vec<Transaction> {
+        let mut state = seed.max(1);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 30) as u32
+        };
+        (0..n)
+            .map(|_| {
+                let mut items: Vec<u32> = extra.to_vec();
+                while items.len() < extra.len() + 4 {
+                    let x = next();
+                    if !items.contains(&x) {
+                        items.push(x);
+                    }
+                }
+                Transaction::from_items(items)
+            })
+            .collect()
+    }
+
+    /// A warm `Auto` round counts `C₁` and every `k ≥ 2` pass through the
+    /// held index, extended by the delta, even when its DHP pool is far
+    /// below `AUTO_MIN_CANDIDATES`: the store is never scanned.
+    #[test]
+    fn a_warm_insert_round_reads_no_base_rows() {
+        // 5 000 rows over items 0..30 (each ≈ 13 %, every pair ≈ 1.4 %),
+        // item 41 in 239 of them: just under 5 % support. At one shard the
+        // bootstrap mine (435 C₂ pairs) goes vertical and its L₁-filtered
+        // index is adopted.
+        let mut history = random_rows(5_000, 1996, &[]);
+        for t in history.iter_mut().step_by(21) {
+            *t = Transaction::from_items(t.items().iter().map(|x| x.0).chain([41]));
+        }
+        // The warm-up round: item 40 becomes large (the adopted index's
+        // one miss and rebuild), and 300 pairs over 0..25 pass DHP, so a
+        // multi-shard session, holding no index yet, engages cold.
+        let mut warm_up: Vec<Transaction> = vec![Transaction::from_items([40u32]); 300];
+        warm_up.extend(vec![Transaction::from_items(0u32..25); 50]);
+        // Three small rounds: their k = 2 pools stay far below
+        // `AUTO_MIN_CANDIDATES`, so only the held index makes them vertical.
+        let rounds = [
+            random_rows(20, 7, &[]),
+            // Item 41 becomes large: 239 + 60 of 5 430 rows.
+            random_rows(60, 11, &[41]),
+            random_rows(20, 13, &[]),
+        ];
+
+        for shards in [1u32, 4] {
+            let builder = |backend| {
+                Maintainer::builder()
+                    .min_support(MinSupport::percent(5))
+                    .min_confidence(MinConfidence::percent(60))
+                    .backend(backend)
+                    .shards(shards)
+            };
+            let mut auto = builder(CountingBackend::Auto)
+                .build(history.clone())
+                .unwrap();
+            let mut pinned = builder(CountingBackend::HashTree)
+                .build(history.clone())
+                .unwrap();
+            if shards == 1 {
+                assert_eq!(auto.index_stats().builds, 1, "the mine's index is adopted");
+            }
+            auto.apply(UpdateBatch::insert_only(warm_up.clone()))
+                .unwrap();
+            pinned
+                .apply(UpdateBatch::insert_only(warm_up.clone()))
+                .unwrap();
+            assert!(auto.large_itemsets().contains(&s(&[40])));
+            assert_eq!(
+                auto.index_stats().builds,
+                if shards == 1 { 2 } else { u64::from(shards) },
+                "{shards} shard(s): one build per shard after the warm-up"
+            );
+
+            for (i, batch) in rounds.iter().enumerate() {
+                let scans = auto.store().metrics().full_scans();
+                let read = auto.store().metrics().transactions_read();
+                let index = auto.index_stats();
+                let report = auto.apply(UpdateBatch::insert_only(batch.clone())).unwrap();
+                pinned
+                    .apply(UpdateBatch::insert_only(batch.clone()))
+                    .unwrap();
+                let ctx = format!("{shards} shard(s), round {i}");
+                assert!(
+                    report.stats.passes[1].candidates_checked
+                        < fup_mining::vertical::AUTO_MIN_CANDIDATES as u64,
+                    "{ctx}: the k = 2 pool must stay below the cold threshold"
+                );
+                assert_eq!(auto.store().metrics().full_scans(), scans, "{ctx}");
+                assert_eq!(auto.store().metrics().transactions_read(), read, "{ctx}");
+                let after = auto.index_stats();
+                assert_eq!(after.builds, index.builds, "{ctx}: no rebuild");
+                assert_eq!(
+                    after.extends,
+                    index.extends + u64::from(shards),
+                    "{ctx}: every shard extends"
+                );
+                assert_same_session(&auto, &pinned);
+                assert_eq!(auto.large_itemsets(), pinned.large_itemsets(), "{ctx}");
+            }
+            assert!(auto.large_itemsets().contains(&s(&[41])));
+            auto.verify_consistency().unwrap();
+        }
+    }
+
     #[test]
     fn remine_bumps_version_and_resets_state() {
         let mut m = session();

@@ -17,14 +17,24 @@
 //! A [`VerticalIndex`] identifies transactions positionally (tid = scan
 //! order), so an index stored in a slot is only reusable for a later
 //! update if the update's base source replays **exactly** the transactions
-//! the index covers, in the same order, and the index's build filter still
-//! covers every item the round needs. The slot's acquire step checks both
-//! (size match + [`VerticalIndex::covers`]); when they hold it *extends*
-//! the held index with the round's delta (one scan of the small delta, no
-//! scan of the base), and otherwise it rebuilds from scratch. The
-//! [`Maintainer`](crate::Maintainer) upholds the order half of the
-//! contract by clearing the slot whenever the store mutates in a way the
-//! slot did not track (deletions reorder the live set).
+//! the index covers, in the same order, and the index covers every item
+//! the round needs. The [`Maintainer`](crate::Maintainer) upholds the
+//! order half by clearing the slot whenever the store mutates in a way
+//! the slot did not track (deletions reorder the live set); the size
+//! half is checked on every use. Every index a slot builds indexes every
+//! item, so it covers whatever the round asks about, newly large items
+//! included; only an index adopted from a mine, which is filtered to that
+//! mine's `L₁` for its pair matrix, can miss — and at its first miss
+//! ([`VerticalIndex::covers`]) it is replaced by an unfiltered build.
+//! An unfiltered index is still bounded by the rows it holds: a sparse
+//! list costs 4 B per occurrence, and a dense one is chosen only when it
+//! is smaller.
+//!
+//! A round whose every part holds an aligned index is *warm*
+//! (`VerticalProvider::warm`): it counts `C₁` and every `k ≥ 2` pass
+//! through the held index, extended by the round's delta (one scan of
+//! the small delta, no scan of the base), so an insert-only round reads
+//! no base row.
 
 use fup_mining::vertical::item_bitmap;
 use fup_mining::{EngineConfig, Itemset, ItemsetTable, LargeItemsets, VerticalIndex};
@@ -33,8 +43,11 @@ use fup_tidb::{ShardedDb, ShardedStaged, TransactionSource};
 /// Holds a [`VerticalIndex`] between FUP/FUP2 rounds so insert-only
 /// updates extend it (one delta scan) instead of rebuilding it (a full
 /// base scan). Rebuilds still happen — and are counted — when a round's
-/// base does not match what the index covers (deletions) or when a newly
-/// frequent item falls outside the build filter (dictionary growth).
+/// base does not match what the index covers (deletions). The slot's own
+/// builds index every item, so dictionary growth (a newly large item, or
+/// an item the dictionary never saw) extends like any other round; only
+/// an [`adopt`](IndexSlot::adopt)ed `L₁`-filtered index rebuilds, once,
+/// at the first item it lacks.
 ///
 /// The default slot is empty; the first round that engages the vertical
 /// backend builds into it.
@@ -75,9 +88,10 @@ impl IndexSlot {
         self.index = None;
     }
 
-    /// Seeds the slot with a freshly built index over `base`, filtered to
-    /// `keep_items` (see [`item_bitmap`]). Used at bootstrap when the
-    /// backend is pinned vertical, so even the *first* commit extends.
+    /// Seeds the slot with a freshly built index over `base`. Used at
+    /// bootstrap when the backend is pinned vertical, so even the *first*
+    /// commit extends. The index covers every item, `keep_items` (the
+    /// items the caller needs) included.
     pub fn seed<S>(
         &mut self,
         base: &S,
@@ -86,9 +100,17 @@ impl IndexSlot {
     ) where
         S: TransactionSource + ?Sized,
     {
-        let keep = item_bitmap(keep_items);
+        let _ = keep_items;
         self.builds += 1;
-        self.index = Some(VerticalIndex::build(base, Some(&keep), engine));
+        self.index = Some(VerticalIndex::build(base, None, engine));
+    }
+
+    /// The held index, if it covers exactly `rows` transactions — the
+    /// size half of the reuse contract; the caller guarantees the order.
+    fn aligned(&self, rows: u64) -> Option<&VerticalIndex> {
+        self.index
+            .as_ref()
+            .filter(|idx| idx.num_transactions() == rows)
     }
 
     /// Adopts an index built elsewhere — typically the one a bootstrap or
@@ -119,11 +141,11 @@ impl IndexSlot {
     /// then the increment; FUP2: `DB⁻` then `db⁺`).
     ///
     /// Every `W` item is in the old `L₁` and every candidate item is in
-    /// the updated `L₁` (both complete after iteration 1), so the index is
-    /// filtered to their union and skips everything else. If the slot
-    /// holds an index that already covers `base` (same transaction count —
-    /// the caller guarantees same order — and a covering item filter),
-    /// only `delta` is scanned; otherwise the index is rebuilt.
+    /// the updated `L₁` (both complete after iteration 1), so the index
+    /// must cover their union. If the slot holds an index that already
+    /// covers `base` (same transaction count — the caller guarantees same
+    /// order — and those items), only `delta` is scanned; otherwise the
+    /// index is rebuilt over every item, so later rounds never miss.
     ///
     /// The updater must [`stash`](IndexSlot::stash) the index back after a
     /// successful run so the next round can reuse it.
@@ -149,7 +171,8 @@ impl IndexSlot {
     /// explicit item list instead of the two `L₁` levels — the shape a
     /// cluster shard worker receives over the wire (the coordinator
     /// computes `old L₁ ∪ result L₁` and broadcasts just the items).
-    /// Same reuse contract, same counters.
+    /// Same reuse contract, same counters: `keep_items` is what the held
+    /// index must cover, not a build filter.
     pub(crate) fn acquire_items(
         &mut self,
         keep_items: impl IntoIterator<Item = fup_tidb::ItemId>,
@@ -166,7 +189,7 @@ impl IndexSlot {
             }
         }
         self.builds += 1;
-        let mut idx = VerticalIndex::build(base, Some(&keep), engine);
+        let mut idx = VerticalIndex::build(base, None, engine);
         idx.extend(delta, engine);
         idx
     }
@@ -199,12 +222,19 @@ impl IndexSlot {
 /// additive over disjoint tid ranges, so the summed splits equal the
 /// whole-store splits exactly.
 pub(crate) trait VerticalProvider {
-    /// `true` once [`engage`](VerticalProvider::engage) has run — the
-    /// round loops use this for the sticky once-vertical-always-vertical
-    /// decision.
+    /// `true` once [`engage`](VerticalProvider::engage) has run.
     fn engaged(&self) -> bool;
 
-    /// Materialises the round's index (or indexes), filtered to
+    /// `true` if engaging would only extend indexes already held over the
+    /// round's base rows — no base scan. With
+    /// [`engaged`](VerticalProvider::engaged) it is the round loop's
+    /// [`PassProfile::indexed`](fup_mining::PassProfile::indexed). The
+    /// default is `false`: a remote provider's rounds are priced cold.
+    fn warm(&self) -> bool {
+        false
+    }
+
+    /// Materialises the round's index (or indexes), covering at least
     /// `old L₁ ∪ result L₁`. Idempotent: a second call in the same round
     /// is a no-op.
     fn engage(&mut self, old: &LargeItemsets, result: &LargeItemsets, engine: &EngineConfig);
@@ -218,14 +248,14 @@ pub(crate) trait VerticalProvider {
     fn count_split(&self, table: &ItemsetTable, engine: &EngineConfig) -> Vec<(u64, u64)>;
 
     /// Pass-1 offload: supports of `items` in the round's **base** rows
-    /// only (FUP's `C₁`-over-`DB` scan). `None` — the default, and what
-    /// every in-process provider returns — tells the round loop to scan
-    /// its base source directly, exactly as it always has; a remote
-    /// provider whose base rows live in other processes answers
-    /// `Some(counts)` (one per item, request order) and the loop skips
-    /// the scan. Summed remote counts equal the local scan's counts (a
-    /// support is a sum over disjoint tid ranges), so results stay
-    /// bit-identical either way.
+    /// only (FUP's `C₁`-over-`DB` scan). `None` — the default — tells the
+    /// round loop to scan its base source directly; a provider that can
+    /// answer without that scan returns `Some(counts)` (one per item,
+    /// request order) and the loop skips it: a remote provider whose
+    /// base rows live in other processes, or a warm in-process one
+    /// reading list lengths off its held indexes. Summed per-part counts
+    /// equal the whole-base scan's counts (a support is a sum over
+    /// disjoint tid ranges), so results stay bit-identical either way.
     fn count_base_items(
         &self,
         items: &[fup_tidb::ItemId],
@@ -324,6 +354,12 @@ impl VerticalProvider for SlotProvider<'_> {
         self.parts.first().is_some_and(|p| p.index.is_some())
     }
 
+    fn warm(&self) -> bool {
+        self.parts
+            .iter()
+            .all(|p| p.slot.aligned(p.boundary).is_some())
+    }
+
     fn engage(&mut self, old: &LargeItemsets, result: &LargeItemsets, engine: &EngineConfig) {
         for part in &mut self.parts {
             if part.index.is_none() {
@@ -350,6 +386,28 @@ impl VerticalProvider for SlotProvider<'_> {
             }
         }
         totals
+    }
+
+    /// A `C₁` survivor's support in the base is its list length in the
+    /// held index — when every part holds an aligned index covering
+    /// `items`; otherwise `None`, and the round scans.
+    fn count_base_items(
+        &self,
+        items: &[fup_tidb::ItemId],
+        _engine: &EngineConfig,
+    ) -> Option<Vec<u64>> {
+        let needed = item_bitmap(items.iter().copied());
+        let held: Vec<&VerticalIndex> = self
+            .parts
+            .iter()
+            .map(|p| p.slot.aligned(p.boundary).filter(|idx| idx.covers(&needed)))
+            .collect::<Option<_>>()?;
+        Some(
+            items
+                .iter()
+                .map(|&item| held.iter().map(|idx| idx.support(item)).sum())
+                .collect(),
+        )
     }
 
     fn finish(&mut self) {
@@ -540,24 +598,45 @@ mod tests {
         assert_eq!(slot.builds(), 2);
     }
 
+    /// Dictionary growth: a slot's own index covers every item, so a
+    /// newly large item extends it; an adopted `L₁`-filtered mine index
+    /// rebuilds once, at the first item it lacks.
     #[test]
-    fn acquire_rebuilds_on_dictionary_growth() {
-        let base = db(&[&[1, 2], &[1, 2], &[1, 2]]);
+    fn acquire_extends_across_dictionary_growth() {
+        // Item 9 is rare in the base (not large) and large after `inc`.
+        let base = db(&[&[1, 2], &[1, 2], &[1, 2], &[1, 9]]);
+        let inc = db(&[&[9], &[2, 9]]);
+        let merged = db(&[&[1, 2], &[1, 2], &[1, 2], &[1, 9], &[9], &[2, 9]]);
         let empty = db(&[]);
         let old = mine(&base);
+        assert!(!old.contains(&Itemset::single(fup_tidb::ItemId(9))));
         let cfg = EngineConfig::serial();
-        let mut slot = IndexSlot::new();
-        let idx = slot.acquire(&old, &LargeItemsets::new(3), &base, &empty, &cfg);
-        slot.stash(idx);
 
-        // Item 9 becomes large: it is outside the held index's filter, so
-        // reuse is unsound and the slot must rebuild.
-        let mut result = LargeItemsets::new(3);
-        result.insert(Itemset::from_items([9u32]), 3);
-        let idx = slot.acquire(&old, &result, &base, &empty, &cfg);
-        assert_eq!((slot.builds(), slot.extends()), (2, 0));
-        assert_eq!(idx.support(fup_tidb::ItemId(9)), 0); // filtered but covered
-        assert!(idx.covers(&item_bitmap([fup_tidb::ItemId(9)])));
+        let mut slot = IndexSlot::new();
+        let idx = slot.acquire(&old, &LargeItemsets::new(6), &base, &inc, &cfg);
+        slot.stash(idx);
+        let grown = mine(&merged);
+        assert!(grown.contains(&Itemset::single(fup_tidb::ItemId(9))));
+        let idx = slot.acquire(&grown, &grown, &merged, &empty, &cfg);
+        assert_eq!((slot.builds(), slot.extends()), (1, 1));
+        assert_eq!(idx.support(fup_tidb::ItemId(9)), 3, "exact, not filtered");
+
+        // The same growth against an index adopted from a mine of `base`
+        // (filtered to its L₁ = {1, 2}): reuse would be unsound, so the
+        // slot rebuilds — over every item — and extends from then on.
+        let (_, mined) = fup_mining::Apriori::with_config(fup_mining::apriori::AprioriConfig {
+            engine: EngineConfig::serial().with_backend(fup_mining::CountingBackend::Vertical),
+            ..Default::default()
+        })
+        .run_with_index(&base, MinSupport::percent(30));
+        let mut adopted = IndexSlot::new();
+        adopted.adopt(mined.expect("a pinned-vertical mine builds an index"));
+        let idx = adopted.acquire(&old, &grown, &base, &inc, &cfg);
+        assert_eq!((adopted.builds(), adopted.extends()), (2, 0));
+        assert_eq!(idx.support(fup_tidb::ItemId(9)), 3);
+        adopted.stash(idx);
+        let _ = adopted.acquire(&grown, &grown, &merged, &empty, &cfg);
+        assert_eq!((adopted.builds(), adopted.extends()), (2, 1));
     }
 
     #[test]

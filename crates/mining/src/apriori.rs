@@ -96,23 +96,23 @@ impl Apriori {
 
         // Pass k ≥ 2: generate flat, count through the configured
         // backend, filter into the next flat level. The vertical index is
-        // built lazily at the first pass the backend resolves vertical
-        // and reused (sticky) from then on. When that pass is pass 2 the
-        // build scan counts C₂ itself (every pair over L₁), so the
-        // 2-candidates are never intersected.
+        // built lazily at the first pass the backend resolves vertical;
+        // every later pass is `indexed`, so `Auto` keeps counting through
+        // it. When that pass is pass 2 the build scan counts C₂ itself
+        // (every pair over L₁), so the 2-candidates are never intersected.
         let mut index: Option<VerticalIndex> = None;
         let mut k = 2;
         while !level.is_empty() && self.config.max_k.is_none_or(|m| k <= m) {
             let candidates = apriori_gen_flat(&level, &self.config.engine.gen);
             let generated = candidates.len() as u64;
             let use_vertical = !candidates.is_empty()
-                && (index.is_some()
-                    || self.config.engine.backend.resolve(&PassProfile {
-                        k,
-                        candidates: candidates.len(),
-                        transactions: n,
-                        residue,
-                    }) == ResolvedBackend::Vertical);
+                && self.config.engine.backend.resolve(&PassProfile {
+                    k,
+                    candidates: candidates.len(),
+                    transactions: n,
+                    residue,
+                    indexed: index.is_some(),
+                }) == ResolvedBackend::Vertical;
             let counts: Vec<u64> = if use_vertical {
                 // At k = 2 `level` is still L₁, one item per row.
                 let pairs = if index.is_none() && k == 2 {

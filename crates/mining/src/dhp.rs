@@ -150,17 +150,18 @@ impl Dhp {
                 break;
             }
 
-            // Backend choice (sticky once vertical). The vertical index
-            // is built over the *original* source — it holds exact
-            // supports, so trimming has nothing left to save and the
-            // working copy is simply not consulted from then on.
-            let use_vertical = index.is_some()
-                || self.config.engine.backend.resolve(&PassProfile {
-                    k,
-                    candidates: candidates.len(),
-                    transactions: n,
-                    residue,
-                }) == ResolvedBackend::Vertical;
+            // Backend choice (an index built at an earlier pass makes this
+            // one `indexed`). The vertical index is built over the
+            // *original* source — it holds exact supports, so trimming has
+            // nothing left to save and the working copy is simply not
+            // consulted from then on.
+            let use_vertical = self.config.engine.backend.resolve(&PassProfile {
+                k,
+                candidates: candidates.len(),
+                transactions: n,
+                residue,
+                indexed: index.is_some(),
+            }) == ResolvedBackend::Vertical;
             let counts: Vec<u64> = if use_vertical {
                 let idx = index.get_or_insert_with(|| {
                     VerticalIndex::build(source, Some(&keep), &self.config.engine)

@@ -44,8 +44,9 @@
 //!   [`vertical::AUTO_MIN_TRANSACTIONS`] transactions with an average
 //!   frequent-item residue of [`vertical::AUTO_MIN_RESIDUE`] or more —
 //!   thresholds measured with `bench_vertical` on the T10.I4 workload —
-//!   and stays vertical for the rest of the run (the index is already
-//!   paid for, and deep passes are where intersections win most).
+//!   and counts every `k ≥ 2` pass whose rows are already indexed
+//!   through that index (it is paid for, and deep passes are where
+//!   intersections win most), so a run stays vertical once it builds.
 //!
 //! All backends produce bit-identical [`LargeItemsets`]; only the scan
 //! schedule differs. `EngineConfig::serial()` pins `HashTree` to keep

@@ -55,16 +55,19 @@
 //! ## Backend selection
 //!
 //! [`CountingBackend`] picks the counting strategy per pass:
-//! [`CountingBackend::Auto`] (the default) stays on the hash tree for
-//! small passes and switches to the vertical index once the candidate
-//! pool, database size, and average transaction residue cross the
-//! measured thresholds ([`AUTO_MIN_CANDIDATES`],
-//! [`AUTO_MIN_TRANSACTIONS`], [`AUTO_MIN_RESIDUE`] — calibrated with
-//! `bench_vertical` on the T10.I4 workload). Once a miner run engages
-//! the vertical backend it stays engaged: the index is already paid for,
-//! and intersections only get cheaper as the pool shrinks. Both backends
-//! produce bit-identical support counts; only scan accounting differs
-//! (the index charges one scan per source, then none).
+//! [`CountingBackend::Auto`] (the default) counts every `k ≥ 2` pass
+//! through the vertical index when one over the pass's rows already
+//! exists ([`PassProfile::indexed`]): the scan is paid for, so the pass
+//! costs intersections only. A cold pass — one that would first have to
+//! build the index — stays on the hash tree until the candidate pool,
+//! database size, and average transaction residue cross the measured
+//! thresholds ([`AUTO_MIN_CANDIDATES`], [`AUTO_MIN_TRANSACTIONS`],
+//! [`AUTO_MIN_RESIDUE`] — calibrated with `bench_vertical` on the T10.I4
+//! workload). A miner run that builds the index therefore keeps it for
+//! its deeper passes, and a maintenance round whose base is already
+//! indexed counts through that index however small its pool. Both
+//! backends produce bit-identical support counts; only scan accounting
+//! differs (the index charges one scan per source, then none).
 
 use crate::engine::{self, EngineConfig};
 use crate::itemset::ItemsetTable;
@@ -132,13 +135,17 @@ pub enum CountingBackend {
 pub struct PassProfile {
     /// Candidate size `k` of the pass.
     pub k: usize,
-    /// Number of candidates to count (for FUP, `|W ∪ C|`).
+    /// Number of candidates to count (for FUP, `|C|` after the DHP
+    /// filter: `W` is counted over the small increment either way).
     pub candidates: usize,
     /// Transactions the pass would otherwise scan.
     pub transactions: u64,
     /// Average *frequent* items per transaction (the residue a scan
     /// actually walks).
     pub residue: f64,
+    /// An index over this pass's rows already exists, so counting
+    /// through it costs intersections only.
+    pub indexed: bool,
 }
 
 /// A backend decision for one concrete pass.
@@ -151,18 +158,21 @@ pub enum ResolvedBackend {
 }
 
 impl CountingBackend {
-    /// Resolves the backend for one pass. `Auto` flips to the vertical
-    /// index only when the pass is big enough on every axis (candidates,
-    /// transactions, residue); forced variants ignore the profile.
+    /// Resolves the backend for one pass. `Auto` takes the vertical
+    /// index for every `k ≥ 2` pass that is already
+    /// [`indexed`](PassProfile::indexed), and for a cold one only when it
+    /// is big enough on every axis (candidates, transactions, residue);
+    /// forced variants ignore the profile.
     pub fn resolve(&self, profile: &PassProfile) -> ResolvedBackend {
         match self {
             CountingBackend::HashTree => ResolvedBackend::HashTree,
             CountingBackend::Vertical => ResolvedBackend::Vertical,
             CountingBackend::Auto => {
                 if profile.k >= 2
-                    && profile.transactions >= AUTO_MIN_TRANSACTIONS
-                    && profile.candidates >= AUTO_MIN_CANDIDATES
-                    && profile.residue >= AUTO_MIN_RESIDUE
+                    && (profile.indexed
+                        || profile.transactions >= AUTO_MIN_TRANSACTIONS
+                            && profile.candidates >= AUTO_MIN_CANDIDATES
+                            && profile.residue >= AUTO_MIN_RESIDUE)
                 {
                     ResolvedBackend::Vertical
                 } else {
@@ -421,7 +431,9 @@ impl VerticalIndex {
     /// `num_transactions()` — the index then covers the concatenation, as
     /// if built over a [`ChainSource`](fup_tidb::source::ChainSource).
     /// Only the delta is scanned; existing lists are re-packed in memory
-    /// (re-deciding each item's representation for the new density).
+    /// (re-deciding each item's representation for the new density), one
+    /// item at a time, so the re-pack holds the old and the new arenas
+    /// but never a third, unpacked copy of every list.
     ///
     /// # Panics
     ///
@@ -439,31 +451,32 @@ impl VerticalIndex {
         assert!(new_n < u32::MAX as u64, "tid space exceeds u32");
         let delta_lists = gather_tid_lists(source, self.keep.as_deref(), offset, config);
         let items = self.entries.len().max(delta_lists.len());
-        let mut lists: Vec<Vec<u32>> = Vec::with_capacity(items);
-        for item in 0..items {
-            let old_len = self.list_len(item);
+        let keep = self.keep.take();
+        let old = &*self;
+        let lists = (0..items).map(|item| {
             let delta_list = delta_lists.get(item).map(Vec::as_slice).unwrap_or(&[]);
-            let mut list = Vec::with_capacity(old_len + delta_list.len());
-            self.for_each_tid(item, |tid| list.push(tid));
+            let mut list = Vec::with_capacity(old.list_len(item) + delta_list.len());
+            old.for_each_tid(item, |tid| list.push(tid));
             list.extend_from_slice(delta_list);
-            lists.push(list);
-        }
-        *self = Self::from_lists(new_n, lists, self.keep.take(), self.dense_factor);
+            list
+        });
+        *self = Self::from_lists(new_n, lists, keep, self.dense_factor);
     }
 
-    /// Packs raw per-item lists (sorted, distinct tids) into the arenas,
-    /// deciding each item's representation by density.
+    /// Packs raw per-item lists (sorted, distinct tids), in item order,
+    /// into the arenas, deciding each item's representation by density.
     fn from_lists(
         num_transactions: u64,
-        lists: Vec<Vec<u32>>,
+        lists: impl IntoIterator<Item = Vec<u32>>,
         keep: Option<Vec<u64>>,
         dense_factor: u32,
     ) -> Self {
         let words_per_dense = num_transactions.div_ceil(64) as usize;
-        let mut entries = Vec::with_capacity(lists.len());
+        let lists = lists.into_iter();
+        let mut entries = Vec::with_capacity(lists.size_hint().0);
         let mut sparse = Vec::new();
         let mut dense = Vec::new();
-        for list in &lists {
+        for list in lists {
             if list.is_empty() {
                 entries.push(TidListRef::Empty);
                 continue;
@@ -475,7 +488,7 @@ impl VerticalIndex {
             if is_dense {
                 let start = dense.len();
                 dense.resize(start + words_per_dense, 0u64);
-                for &tid in list {
+                for &tid in &list {
                     dense[start + (tid >> 6) as usize] |= 1u64 << (tid & 63);
                 }
                 entries.push(TidListRef::Dense {
@@ -484,7 +497,7 @@ impl VerticalIndex {
                 });
             } else {
                 let start = sparse.len();
-                sparse.extend_from_slice(list);
+                sparse.extend_from_slice(&list);
                 entries.push(TidListRef::Sparse {
                     start,
                     len: list.len(),
@@ -535,9 +548,9 @@ impl VerticalIndex {
     /// `true` if every item whose bit is set in `needed` (see
     /// [`item_bitmap`]) was indexed — i.e. the index's build filter covers
     /// the set. An unfiltered index covers everything. A persistent index
-    /// kept across maintenance rounds is reusable only while this holds;
-    /// a newly-frequent item outside the original filter ("dictionary
-    /// growth") forces a rebuild.
+    /// kept across maintenance rounds is reusable only while this holds:
+    /// a newly-frequent item outside a filtered index's filter
+    /// ("dictionary growth") forces a rebuild.
     pub fn covers(&self, needed: &[u64]) -> bool {
         match &self.keep {
             None => true,
@@ -1420,6 +1433,7 @@ mod tests {
             candidates: AUTO_MIN_CANDIDATES,
             transactions: AUTO_MIN_TRANSACTIONS,
             residue: AUTO_MIN_RESIDUE,
+            indexed: false,
         };
         assert_eq!(
             CountingBackend::Auto.resolve(&big),
@@ -1456,10 +1470,29 @@ mod tests {
             candidates: 1,
             transactions: 1,
             residue: 0.0,
+            indexed: false,
         };
         assert_eq!(
             CountingBackend::Vertical.resolve(&tiny),
             ResolvedBackend::Vertical
+        );
+        // An existing index decides every k ≥ 2 pass under Auto, however
+        // small; pass 1 and a pinned hash tree are unaffected.
+        let warm = PassProfile {
+            indexed: true,
+            ..tiny
+        };
+        assert_eq!(
+            CountingBackend::Auto.resolve(&warm),
+            ResolvedBackend::Vertical
+        );
+        assert_eq!(
+            CountingBackend::Auto.resolve(&PassProfile { k: 1, ..warm }),
+            ResolvedBackend::HashTree
+        );
+        assert_eq!(
+            CountingBackend::HashTree.resolve(&warm),
+            ResolvedBackend::HashTree
         );
     }
 
