@@ -12,6 +12,10 @@
 //!    (`GenConfig::serial()`),
 //! 3. the flat implementation at each requested thread count.
 //!
+//! Both flat rows time the same three steps: the owned `L₂` into an
+//! `ItemsetTable`, `apriori_gen_flat`, and the candidates back out as
+//! owned itemsets, so they compare like for like with the reference.
+//!
 //! All outputs are asserted identical (order included) before any number
 //! is reported.
 //!
@@ -22,7 +26,7 @@
 //! ```
 
 use fup_mining::gen::{self, apriori_gen_reference, clustered_l2, GenConfig};
-use fup_mining::Itemset;
+use fup_mining::{Itemset, ItemsetTable};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -136,7 +140,7 @@ fn main() {
 
     let (reference_time, reference_out) = best_of(opts.reps, || apriori_gen_reference(&l2));
     let (flat_time, flat_out) = best_of(opts.reps, || {
-        gen::apriori_gen_with(&l2, &GenConfig::serial())
+        gen::apriori_gen_flat(&ItemsetTable::from_itemsets(&l2), &GenConfig::serial()).to_itemsets()
     });
     assert_eq!(
         flat_out, reference_out,
@@ -148,7 +152,11 @@ fn main() {
     let mut best_parallel_speedup = 0.0f64;
     for (i, &threads) in opts.threads.iter().enumerate() {
         let (t, out) = best_of(opts.reps, || {
-            gen::apriori_gen_with(&l2, &GenConfig::with_threads(threads))
+            gen::apriori_gen_flat(
+                &ItemsetTable::from_itemsets(&l2),
+                &GenConfig::with_threads(threads),
+            )
+            .to_itemsets()
         });
         assert_eq!(out, reference_out, "{threads}-thread output diverged");
         let speedup = flat_time.as_secs_f64() / t.as_secs_f64().max(1e-9);

@@ -14,10 +14,9 @@ pub struct FupConfig {
     pub reduce_db: bool,
     /// Integrate DHP's direct hashing over the increment to thin the
     /// size-2 candidate set before it is ever counted (§3.4, last
-    /// paragraph).
+    /// paragraph). The bucket count adapts to the increment's size, up
+    /// to a fixed cap.
     pub dhp_hash: bool,
-    /// Bucket count for the pair hash table when `dhp_hash` is on.
-    pub hash_buckets: usize,
     /// Stop after this iteration. `None` runs until no itemsets remain.
     pub max_k: Option<usize>,
     /// Counting-engine settings for every scan: `threads` defaults to the
@@ -40,7 +39,6 @@ impl Default for FupConfig {
         FupConfig {
             reduce_db: true,
             dhp_hash: true,
-            hash_buckets: 1 << 20,
             max_k: None,
             engine: EngineConfig::default(),
         }
@@ -61,7 +59,6 @@ impl FupConfig {
         FupConfig {
             reduce_db: false,
             dhp_hash: false,
-            hash_buckets: 1,
             max_k: None,
             engine: EngineConfig::default(),
         }
@@ -83,7 +80,6 @@ mod tests {
         let c = FupConfig::default();
         assert!(c.reduce_db);
         assert!(c.dhp_hash);
-        assert!(c.hash_buckets > 0);
         assert_eq!(c.max_k, None);
     }
 

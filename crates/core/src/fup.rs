@@ -34,6 +34,15 @@
 //! bound. Those are the only differences; the input decides them, and the
 //! run is labelled `"fup"` without deletions and `"fup2"` with.
 //!
+//! **One candidate type.** Every set an iteration works on is a flat,
+//! sorted [`ItemsetTable`]: the old `L_k` (supports parallel to its rows),
+//! `W` and the losers as row masks over it, the previous level's losers
+//! for Lemma 3's subset lookups, and `C_k` from `apriori_gen_flat` over
+//! `L'_{k−1}`. `− L_k` is one sorted merge, the DHP filter and the
+//! Lemma-2/5 gate are row masks, and both counting arms take rows (the
+//! hash tree builds from them, the vertical index intersects them). An
+//! [`Itemset`] is built only for an itemset inserted into `L'`.
+//!
 //! **Trimming.** The `Reduce-db`/`Reduce-DB` rules of §3.4 shrink `db⁺`
 //! and `DB⁻` each iteration. The delete side is **never** trimmed —
 //! undercounting `support_{db⁻}` would inflate `support'` and could
@@ -43,11 +52,11 @@
 use crate::config::FupConfig;
 use crate::error::{Error, Result};
 use crate::reduce;
-use crate::vindex::{sorted_w_table, IndexSlot, SlotProvider, VerticalProvider};
+use crate::vindex::{IndexSlot, SlotProvider, VerticalProvider};
 use fup_mining::engine::{
     self, count_items_and_pairs, pair_bucket, ChunkedCollector, EngineConfig,
 };
-use fup_mining::gen::apriori_gen_with;
+use fup_mining::gen::apriori_gen_flat;
 use fup_mining::vertical::{PassProfile, ResolvedBackend};
 use fup_mining::{
     CountScratch, HashTree, Itemset, ItemsetTable, LargeItemsets, MinSupport, MiningStats,
@@ -56,6 +65,11 @@ use fup_mining::{
 use fup_tidb::{ItemId, Transaction, TransactionDb, TransactionSource};
 use std::collections::HashSet;
 use std::time::Instant;
+
+/// Cap on the pair-bucket table of FUP's DHP filter over `db⁺` (§3.4):
+/// the table grows with the increment, one bucket per expected pair
+/// occurrence, up to this many.
+const MAX_PAIR_BUCKETS: u64 = 1 << 20;
 
 /// Per-iteration detail beyond the common [`PassStats`] — the quantities
 /// the paper's narrative tracks (losers filtered for free, candidates
@@ -313,10 +327,10 @@ pub(crate) fn update_round(
     // DHP pair-bucket counts over db⁺ for the iteration-2 filter. Bucket
     // count adapts to the increment: ~one bucket per expected pair
     // occurrence gives strong filtering without allocating a huge table
-    // for a small `db⁺`. `config.hash_buckets` caps it.
+    // for a small `db⁺`. `MAX_PAIR_BUCKETS` caps it.
     let nbuckets = if config.dhp_hash && insert_only {
         let estimated_pairs = (d_plus.saturating_mul(64)).next_power_of_two();
-        estimated_pairs.clamp(1024, config.hash_buckets.max(1024) as u64) as usize
+        estimated_pairs.clamp(1024, MAX_PAIR_BUCKETS) as usize
     } else {
         0
     };
@@ -324,23 +338,25 @@ pub(crate) fn update_round(
     let (minus_counts, _) = count_items_and_pairs(deleted, 0, engine);
     let at = |v: &[u64], item: ItemId| v.get(item.index()).copied().unwrap_or(0);
 
-    // Winners and losers among the old L₁ (Lemma 1).
+    // Winners and losers among the old L₁ (Lemma 1). The losers' rows
+    // carry into iteration 2 for Lemma 3.
+    let (old_1, old_1_sup) = level_table(old, 1);
     let mut pass = FupPassDetail {
         k: 1,
-        old_large: old.len_at(1) as u64,
+        old_large: old_1.len() as u64,
         ..Default::default()
     };
-    let mut losers_prev: HashSet<Itemset> = HashSet::new();
-    for (x, sup_d) in old.level(1) {
-        let item = x.items()[0];
-        let sup_new = sup_d + at(&plus_counts, item) - at(&minus_counts, item);
+    let mut lost_at = Vec::new();
+    for (i, row) in old_1.rows().enumerate() {
+        let sup_new = old_1_sup[i] + at(&plus_counts, row[0]) - at(&minus_counts, row[0]);
         if minsup.is_large(sup_new, n) {
-            result.insert(x.clone(), sup_new);
+            result.insert(old_1.row_itemset(i), sup_new);
             pass.winners_from_old += 1;
         } else {
-            losers_prev.insert(x.clone());
+            lost_at.push(i);
         }
     }
+    let mut losers_prev = old_1.select_rows(&lost_at);
 
     // C₁. Deletions can promote items that never occur in db⁺, so with
     // them every item of DB⁻ is a candidate and one dense pass over DB⁻
@@ -360,7 +376,7 @@ pub(crate) fn update_round(
     for item in (0..universe as u32).map(ItemId) {
         let (plus, minus) = (at(&plus_counts, item), at(&minus_counts, item));
         let rem = rem_counts.as_ref().map_or(0, |c| at(c, item));
-        if (plus == 0 && minus == 0 && rem == 0) || old.contains(&Itemset::single(item)) {
+        if (plus == 0 && minus == 0 && rem == 0) || old_1.contains(&[item]) {
             continue;
         }
         pass.candidates_generated += 1;
@@ -417,50 +433,54 @@ pub(crate) fn update_round(
     // Trimmed working copies of db⁺ and DB⁻ (hash-tree arm only).
     let mut plus_working: Option<TransactionDb> = None;
     let mut rem_working: Option<TransactionDb> = None;
+    let mut sub: Vec<ItemId> = Vec::new();
     let mut k = 2;
     while (old.len_at(k) > 0 || result.len_at(k - 1) > 0) && config.max_k.is_none_or(|m| k <= m) {
+        let (old_k, old_sup) = level_table(old, k);
         let mut pass = FupPassDetail {
             k,
-            old_large: old.len_at(k) as u64,
+            old_large: old_k.len() as u64,
             ..Default::default()
         };
-        // Lemma 3: drop old itemsets with a losing (k−1)-subset.
-        let mut w: Vec<(Itemset, u64)> = Vec::with_capacity(old.len_at(k));
-        let mut losers_k: HashSet<Itemset> = HashSet::new();
-        for (x, sup) in old.level(k) {
-            let lost =
-                !losers_prev.is_empty() && x.proper_subsets().any(|sub| losers_prev.contains(&sub));
-            if lost {
-                pass.lemma3_losers += 1;
-                losers_k.insert(x.clone());
-            } else {
-                w.push((x.clone(), sup));
+        // Lemma 3: drop old itemsets with a losing (k−1)-subset, looked
+        // up in the previous level's sorted loser rows. `lost` masks the
+        // rows of old L_k that leave L' this pass; `W` is the rest.
+        let mut lost = vec![false; old_k.len()];
+        if !losers_prev.is_empty() {
+            for (i, row) in old_k.rows().enumerate() {
+                lost[i] = (0..k).any(|m| {
+                    sub.clear();
+                    sub.extend_from_slice(&row[..m]);
+                    sub.extend_from_slice(&row[m + 1..]);
+                    losers_prev.contains(&sub)
+                });
             }
         }
+        let w_at: Vec<usize> = (0..old_k.len()).filter(|&i| !lost[i]).collect();
+        pass.lemma3_losers = (old_k.len() - w_at.len()) as u64;
+        let w = old_k.select_rows(&w_at);
 
-        // C_k = apriori-gen(L'_{k−1}) − L_k.
-        let prev_new: Vec<Itemset> = result.level(k - 1).map(|(x, _)| x.clone()).collect();
-        let mut candidates: Vec<Itemset> = apriori_gen_with(&prev_new, &engine.gen)
-            .into_iter()
-            .filter(|x| !old.contains(x))
-            .collect();
-        pass.candidates_generated = candidates.len() as u64;
+        // C_k = apriori-gen(L'_{k−1}) − L_k: generated flat, then one
+        // sorted merge against the old level's rows.
+        let mut c = apriori_gen_flat(&level_table(&result, k - 1).0, &engine.gen);
+        c.subtract(&old_k);
+        pass.candidates_generated = c.len() as u64;
 
         // DHP hash filter for the size-2 candidates (§3.4; insert-only,
         // see `nbuckets`): a pair's bucket total bounds its db⁺ support,
         // so a light bucket proves Lemma 5's condition fails.
         if k == 2 && nbuckets > 0 {
-            candidates.retain(|c| {
-                let b = pair_bucket(c.items()[0], c.items()[1], nbuckets);
+            c.retain_rows(|row| {
+                let b = pair_bucket(row[0], row[1], nbuckets);
                 minsup.is_large(pair_buckets[b], d_plus)
             });
         }
-        pass.candidates_after_hash = candidates.len() as u64;
+        pass.candidates_after_hash = c.len() as u64;
 
-        if w.is_empty() && candidates.is_empty() {
-            // Every remaining old itemset at this level is a loser.
+        if w.is_empty() && c.is_empty() {
+            // Every old itemset at this level is a Lemma-3 loser.
             record_pass(&mut stats, &mut detail, pass);
-            losers_prev = losers_k;
+            losers_prev = old_k;
             k += 1;
             continue;
         }
@@ -480,42 +500,38 @@ pub(crate) fn update_round(
         // usually keeps it tiny, and then a tree pass beats a build.
         let use_vertical = engine.backend.resolve(&PassProfile {
             k,
-            candidates: candidates.len(),
+            candidates: c.len(),
             transactions: n,
             residue,
             indexed: provider.warm() || provider.engaged(),
         }) == ResolvedBackend::Vertical;
-        let w_table = use_vertical.then(|| {
+        if use_vertical {
             provider.engage(old, &result, engine);
             // Trimmed working copies are never consulted again.
             plus_working = None;
             rem_working = None;
-            sorted_w_table(&mut w, k)
-        });
+        }
         let w_len = w.len();
 
-        // The hash tree over W ∪ C (W first). Either arm counts the delete
-        // side through it — whole, see the module docs — and the
-        // hash-tree arm the insert side on top; only a vertical
+        // The hash tree over W ∪ C: W's rows, then C's. Either arm counts
+        // the delete side through it — whole, see the module docs — and
+        // the hash-tree arm the insert side on top; only a vertical
         // insert-only pass needs none.
-        let mut tree = (!insert_only || !use_vertical).then(|| {
-            let w_sets = w.iter().map(|(x, _)| x.clone());
-            HashTree::build(w_sets.chain(candidates.iter().cloned()).collect())
-        });
+        let mut tree = (!insert_only || !use_vertical)
+            .then(|| HashTree::build_from_rows(k, &[w.flat_items(), c.flat_items()].concat()));
         let minus_k: Vec<u64> = match &mut tree {
             Some(tree) if !insert_only => {
                 engine::count_source_into(tree, deleted, engine);
                 tree.counts().to_vec()
             }
-            _ => vec![0; w_len + candidates.len()],
+            _ => vec![0; w_len + c.len()],
         };
 
         // db⁺ supports of W ∪ C — and, on the vertical arm, the DB⁻
         // supports of all of C from the same intersections.
-        let (plus_k, c_rem): (Vec<u64>, Option<Vec<u64>>) = if let Some(w_table) = &w_table {
-            let w_splits = provider.count_split(w_table, engine);
-            let c_table = ItemsetTable::from_sorted_itemsets(&candidates);
-            let c_splits = provider.count_split(&c_table, engine);
+        let (plus_k, c_rem): (Vec<u64>, Option<Vec<u64>>) = if use_vertical {
+            let w_splits = provider.count_split(&w, engine);
+            let c_splits = provider.count_split(&c, engine);
             let plus = w_splits.iter().chain(&c_splits).map(|s| s.1).collect();
             (plus, Some(c_splits.iter().map(|s| s.0).collect()))
         } else {
@@ -529,40 +545,38 @@ pub(crate) fn update_round(
         };
 
         // Winners/losers among W, by exact delta arithmetic (Lemma 4).
-        for (i, (x, sup_d)) in w.iter().enumerate() {
-            let sup_new = sup_d + plus_k[i] - minus_k[i];
+        for (j, &i) in w_at.iter().enumerate() {
+            let sup_new = old_sup[i] + plus_k[j] - minus_k[j];
             if minsup.is_large(sup_new, n) {
-                result.insert(x.clone(), sup_new);
+                result.insert(old_k.row_itemset(i), sup_new);
                 pass.winners_from_old += 1;
             } else {
-                losers_k.insert(x.clone());
+                lost[i] = true;
             }
         }
 
-        // Lemma 5 / the FUP2 bound: prune candidates that cannot emerge.
-        // The vertical arm already holds their DB⁻ supports, but gating
-        // them all the same keeps `candidates_checked` — and the result —
-        // identical across arms.
-        let survivors: Vec<(usize, Itemset)> = candidates
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| may_emerge(minus_k[w_len + i], plus_k[w_len + i]))
+        // Lemma 5 / the FUP2 bound: prune candidates that cannot emerge,
+        // leaving a row mask over C. The vertical arm already holds every
+        // row's DB⁻ support, but gating them all the same keeps
+        // `candidates_checked` — and the result — identical across arms.
+        let survivors: Vec<usize> = (0..c.len())
+            .filter(|&i| may_emerge(minus_k[w_len + i], plus_k[w_len + i]))
             .collect();
         pass.candidates_checked = survivors.len() as u64;
 
         // DB⁻ supports of the survivors: read off the splits, or one scan
-        // of DB⁻ (skipped when nothing survived) that also applies
-        // `Reduce-DB` — no item outside `L_k ∪ C` can be in a large
-        // (k+1)-itemset.
+        // of DB⁻ through a tree over the survivors' rows (skipped when
+        // nothing survived) that also applies `Reduce-DB` — no item
+        // outside `L_k ∪ C` can be in a large (k+1)-itemset.
         let survivors_rem: Vec<u64> = match c_rem {
-            Some(all) => survivors.iter().map(|&(i, _)| all[i]).collect(),
+            Some(all) => survivors.iter().map(|&i| all[i]).collect(),
             None if survivors.is_empty() => Vec::new(),
             None => {
-                let sets = || survivors.iter().map(|(_, x)| x);
+                let rows = c.select_rows(&survivors);
                 let keep = config
                     .reduce_db
-                    .then(|| reduce::item_universe(old.level(k).map(|(x, _)| x).chain(sets())));
-                let mut ctree = HashTree::build(sets().cloned().collect());
+                    .then(|| reduce::item_universe(old_k.rows().chain(rows.rows())));
+                let mut ctree = HashTree::build_from_table(rows);
                 let src = rem_working.as_ref().map_or(remainder, |t| t);
                 if let Some(trimmed) =
                     count_base_and_trim(&mut ctree, src, keep.as_ref(), k, engine)
@@ -572,16 +586,17 @@ pub(crate) fn update_round(
                 ctree.into_counts()
             }
         };
-        for ((i, x), sup_rem) in survivors.into_iter().zip(survivors_rem) {
+        for (&i, sup_rem) in survivors.iter().zip(survivors_rem) {
             let sup_new = sup_rem + plus_k[w_len + i];
             if minsup.is_large(sup_new, n) {
-                result.insert(x, sup_new);
+                result.insert(c.row_itemset(i), sup_new);
                 pass.winners_from_new += 1;
             }
         }
 
         record_pass(&mut stats, &mut detail, pass);
-        losers_prev = losers_k;
+        let lost_at: Vec<usize> = (0..old_k.len()).filter(|&i| lost[i]).collect();
+        losers_prev = old_k.select_rows(&lost_at);
         k += 1;
     }
 
@@ -594,6 +609,19 @@ pub(crate) fn update_round(
         stats,
         detail,
     })
+}
+
+/// Level `k` of `large` as one sorted table, with the supports parallel
+/// to its rows.
+fn level_table(large: &LargeItemsets, k: usize) -> (ItemsetTable, Vec<u64>) {
+    let mut level: Vec<(&Itemset, u64)> = large.level(k).collect();
+    level.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut rows = Vec::with_capacity(level.len() * k);
+    for (x, _) in &level {
+        rows.extend_from_slice(x.items());
+    }
+    let supports = level.into_iter().map(|(_, sup)| sup).collect();
+    (ItemsetTable::from_flat_rows(k, rows), supports)
 }
 
 /// Closes a pass: its [`FupPassDetail`] and the [`PassStats`] row derived
@@ -954,6 +982,59 @@ mod tests {
         let d2 = out.detail.iter().find(|d| d.k == 2).unwrap();
         assert_eq!(d2.lemma3_losers, 1);
         assert_eq!(d2.winners_from_old, 0);
+    }
+
+    #[test]
+    fn lemma3_and_the_old_level_merge_account_exactly_at_k3() {
+        use fup_mining::CountingBackend;
+        // D = 10 at 40 % (4 rows); DB' = 15 rows (6). Old L₂ is every
+        // pair of {1,2,3,4}, old L₃ every triple, old L₄ {1,2,3,4}.
+        let mut rows: Vec<&[u32]> = vec![&[1, 2, 3, 4]; 4];
+        rows.extend([&[1, 2, 4][..], &[7], &[7], &[7], &[10], &[11]]);
+        let original = db(&rows);
+        let increment = db(&[
+            &[1, 2, 4, 7],
+            &[1, 2, 4, 7],
+            &[1, 3, 4],
+            &[1, 3, 4],
+            &[7, 8],
+        ]);
+        let minsup = MinSupport::percent(40);
+        let detail =
+            |k, old_large, lemma3, old_wins, generated, hashed, checked, new_wins| FupPassDetail {
+                k,
+                old_large,
+                lemma3_losers: lemma3,
+                winners_from_old: old_wins,
+                candidates_generated: generated,
+                candidates_after_hash: hashed,
+                candidates_checked: checked,
+                winners_from_new: new_wins,
+            };
+        let expected = vec![
+            // 1–4 stay; 7 (3 + 3) emerges; 8 fails Lemma 2.
+            detail(1, 4, 0, 4, 2, 2, 1, 1),
+            // {2,3} loses (4 < 6). apriori-gen(L'₁) yields all 10 pairs of
+            // {1,2,3,4,7}; the merge removes the 6 of old L₂, leaving the
+            // four pairs with 7, and {3,7} (no db⁺ support) fails the
+            // bucket filter.
+            detail(2, 6, 0, 5, 4, 3, 3, 0),
+            // {1,2,3} and {2,3,4} lose to {2,3} by Lemma 3; apriori-gen
+            // regenerates {1,2,4} and {1,3,4}, and the merge removes both.
+            detail(3, 4, 2, 2, 0, 0, 0, 0),
+            // {1,2,3,4} loses to {1,2,3}; nothing is generated.
+            detail(4, 1, 1, 0, 0, 0, 0, 0),
+        ];
+        for backend in [CountingBackend::HashTree, CountingBackend::Vertical] {
+            let config = FupConfig {
+                engine: EngineConfig::default().with_backend(backend),
+                ..FupConfig::full()
+            };
+            let out = assert_fup_matches_remine(&original, &increment, minsup, config);
+            assert_eq!(out.detail, expected, "{backend:?}");
+            assert_eq!(out.large.support(&s(&[1, 3, 4])), Some(6));
+            assert!(!out.large.contains(&s(&[2, 3])));
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! `Reduce-DB`: items pruned from `C₁` by Lemma 2 are removed from every
 //! transaction during the first scan of `DB`.
 
-use fup_mining::Itemset;
 use fup_tidb::{ItemId, Transaction};
 use std::collections::{HashMap, HashSet};
 
@@ -51,12 +50,13 @@ pub fn reduce_db_transaction<'a>(
     }
 }
 
-/// The item universe of a collection of itemsets — the `L_k ∪ C` keep-set
+/// The item universe of a collection of itemset rows (sorted item
+/// slices, e.g. the rows of two `ItemsetTable`s) — the `L_k ∪ C` keep-set
 /// of `Reduce-DB`.
-pub fn item_universe<'a>(sets: impl Iterator<Item = &'a Itemset>) -> HashSet<ItemId> {
+pub fn item_universe<'a>(rows: impl Iterator<Item = &'a [ItemId]>) -> HashSet<ItemId> {
     let mut keep = HashSet::new();
-    for set in sets {
-        keep.extend(set.items().iter().copied());
+    for row in rows {
+        keep.extend(row.iter().copied());
     }
     keep
 }
@@ -79,6 +79,7 @@ pub fn reduce_full_transaction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fup_mining::Itemset;
 
     fn s(items: &[u32]) -> Itemset {
         Itemset::from_items(items.iter().copied())
@@ -116,7 +117,7 @@ mod tests {
     #[test]
     fn item_universe_unions_items() {
         let sets = [s(&[1, 2]), s(&[2, 3])];
-        let u = item_universe(sets.iter());
+        let u = item_universe(sets.iter().map(|x| x.items()));
         assert_eq!(u.len(), 3);
         assert!(u.contains(&ItemId(1)));
         assert!(u.contains(&ItemId(3)));
@@ -124,7 +125,7 @@ mod tests {
 
     #[test]
     fn reduce_full_keeps_only_universe_items() {
-        let keep = item_universe([s(&[1, 2]), s(&[2, 3])].iter());
+        let keep = item_universe([s(&[1, 2]), s(&[2, 3])].iter().map(|x| x.items()));
         let out = reduce_full_transaction(&ids(&[1, 2, 3, 7, 9]), &keep, 2).unwrap();
         assert_eq!(out.items(), ids(&[1, 2, 3]).as_slice());
         // Too few survivors → dropped.

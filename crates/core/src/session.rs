@@ -837,11 +837,7 @@ impl Maintainer {
             for (s, slot) in m.slots.iter_mut().enumerate() {
                 let shard = m.store.shard(s);
                 if !shard.is_empty() {
-                    slot.seed(
-                        shard,
-                        m.state.large.level(1).map(|(x, _)| x.items()[0]),
-                        &m.config.engine,
-                    );
+                    slot.seed(shard, &m.config.engine);
                 }
             }
         }

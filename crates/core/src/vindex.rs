@@ -1,6 +1,6 @@
 //! Vertical-index plumbing for the maintenance layer: the shared bits of
-//! the FUP/FUP2 vertical counting paths (index construction and `W` table
-//! building), plus [`IndexSlot`] — the holder that lets a
+//! the FUP/FUP2 vertical counting paths (index construction and the
+//! split-count seam), plus [`IndexSlot`] — the holder that lets a
 //! [`Maintainer`](crate::Maintainer) keep one [`VerticalIndex`] alive
 //! *across* maintenance rounds instead of rebuilding it on first use every
 //! round.
@@ -37,7 +37,7 @@
 //! no base row.
 
 use fup_mining::vertical::item_bitmap;
-use fup_mining::{EngineConfig, Itemset, ItemsetTable, LargeItemsets, VerticalIndex};
+use fup_mining::{EngineConfig, ItemsetTable, LargeItemsets, VerticalIndex};
 use fup_tidb::{ShardedDb, ShardedStaged, TransactionSource};
 
 /// Holds a [`VerticalIndex`] between FUP/FUP2 rounds so insert-only
@@ -88,19 +88,13 @@ impl IndexSlot {
         self.index = None;
     }
 
-    /// Seeds the slot with a freshly built index over `base`. Used at
-    /// bootstrap when the backend is pinned vertical, so even the *first*
-    /// commit extends. The index covers every item, `keep_items` (the
-    /// items the caller needs) included.
-    pub fn seed<S>(
-        &mut self,
-        base: &S,
-        keep_items: impl IntoIterator<Item = fup_tidb::ItemId>,
-        engine: &EngineConfig,
-    ) where
+    /// Seeds the slot with a freshly built index over `base`, covering
+    /// every item. Used at bootstrap when the backend is pinned vertical,
+    /// so even the *first* commit extends.
+    pub fn seed<S>(&mut self, base: &S, engine: &EngineConfig)
+    where
         S: TransactionSource + ?Sized,
     {
-        let _ = keep_items;
         self.builds += 1;
         self.index = Some(VerticalIndex::build(base, None, engine));
     }
@@ -419,23 +413,10 @@ impl VerticalProvider for SlotProvider<'_> {
     }
 }
 
-/// Sorts `W` lexicographically (tables need sorted rows; `W` comes out
-/// of a hash map) and returns its flat level table. The caller keeps
-/// iterating `w` in the new order, so indices into parallel count
-/// vectors stay aligned.
-pub(crate) fn sorted_w_table(w: &mut [(Itemset, u64)], k: usize) -> ItemsetTable {
-    w.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut rows = Vec::with_capacity(w.len() * k);
-    for (x, _) in w.iter() {
-        rows.extend_from_slice(x.items());
-    }
-    ItemsetTable::from_flat_rows(k, rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fup_mining::{Apriori, MinSupport};
+    use fup_mining::{Apriori, Itemset, MinSupport};
     use fup_tidb::{SegmentedDb, ShardSpec, Tid, Transaction, TransactionDb, UpdateBatch};
 
     fn rows(n: u64) -> Vec<Transaction> {

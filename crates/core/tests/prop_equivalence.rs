@@ -82,7 +82,6 @@ proptest! {
         delete_seed in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
         minsup in arb_minsup(),
         reduce_db in any::<bool>(),
-        backend in arb_backend(),
     ) {
         let mut store = SegmentedDb::new();
         let tids = store.append_all(original);
@@ -99,19 +98,32 @@ proptest! {
         let staged = store
             .stage(UpdateBatch { inserts, deletes })
             .unwrap();
-        let mut config = FupConfig { reduce_db, ..FupConfig::default() };
-        config.engine.backend = backend;
-        let out = Fup2::with_config(config)
-            .update(&store, &baseline, staged.deleted(), staged.inserted(), minsup)
-            .unwrap();
-
         let updated = ChainSource::new(&store, staged.inserted());
         let remined = Apriori::new().run(&updated, minsup).large;
-        prop_assert!(
-            out.large.same_itemsets(&remined),
-            "FUP2 vs re-mine: {:?}",
-            out.large.diff(&remined)
-        );
+        // Every backend on the same case: the same itemsets as the
+        // re-mine, and the same Figure 3 accounting pass by pass (the
+        // `− L_k` merge, the gate and the tree's delete-side counts must
+        // not drift on one arm).
+        let mut first: Option<fup_core::FupOutcome> = None;
+        for backend in [CountingBackend::HashTree, CountingBackend::Vertical, CountingBackend::Auto] {
+            let mut config = FupConfig { reduce_db, ..FupConfig::default() };
+            config.engine.backend = backend;
+            let out = Fup2::with_config(config)
+                .update(&store, &baseline, staged.deleted(), staged.inserted(), minsup)
+                .unwrap();
+            prop_assert!(
+                out.large.same_itemsets(&remined),
+                "FUP2 ({:?}) vs re-mine: {:?}",
+                backend,
+                out.large.diff(&remined)
+            );
+            if let Some(first) = &first {
+                prop_assert_eq!(&out.detail, &first.detail, "{:?} vs HashTree", backend);
+                prop_assert_eq!(&out.stats.passes, &first.stats.passes, "{:?} vs HashTree", backend);
+            } else {
+                first = Some(out);
+            }
+        }
     }
 
     #[test]

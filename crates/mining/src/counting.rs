@@ -1,11 +1,13 @@
-//! Support-counting passes over a [`TransactionSource`].
+//! The first pass every miner makes over a [`TransactionSource`]:
+//! per-item support counts.
 //!
-//! Both passes route through [`crate::engine`]: pass the engine
+//! The pass routes through [`crate::engine`]: pass the engine
 //! configuration to choose the worker count ([`EngineConfig::serial`]
-//! reproduces the historical single-threaded scans exactly).
+//! reproduces the historical single-threaded scan exactly). Candidate
+//! passes (k ≥ 2) count an [`ItemsetTable`](crate::ItemsetTable) with
+//! [`engine::count_table_with`].
 
 use crate::engine::{self, EngineConfig};
-use crate::itemset::Itemset;
 use fup_tidb::{ItemId, TransactionSource};
 
 /// Per-item support counts from one full pass (the "first iteration" of
@@ -54,23 +56,10 @@ impl ItemCounts {
     }
 }
 
-/// Counts the support of `candidates` (all of one size `k`) over one full
-/// pass of `source`, returning `(candidate, count)` pairs in input order,
-/// using the default engine configuration (all available cores).
-///
-/// This is the scan step shared by every pass ≥ 2 of Apriori/DHP and by
-/// FUP's checks of `C_k` against `DB`. See
-/// [`engine::count_candidates_with`] for an explicit configuration.
-pub fn count_candidates<S: TransactionSource + ?Sized>(
-    source: &S,
-    candidates: Vec<Itemset>,
-) -> Vec<(Itemset, u64)> {
-    engine::count_candidates_with(source, candidates, &EngineConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Itemset, ItemsetTable};
     use fup_tidb::{Transaction, TransactionDb};
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
@@ -113,20 +102,20 @@ mod tests {
     }
 
     #[test]
-    fn count_candidates_counts_each_pass_once() {
+    fn count_table_counts_each_pass_once() {
         let d = db(&[&[1, 2, 3], &[1, 3], &[2, 3]]);
-        let results = count_candidates(&d, vec![s(&[1, 3]), s(&[2, 3]), s(&[1, 2])]);
-        assert_eq!(
-            results,
-            vec![(s(&[1, 3]), 2), (s(&[2, 3]), 2), (s(&[1, 2]), 1)]
-        );
+        let table = ItemsetTable::from_itemsets(&[s(&[1, 3]), s(&[2, 3]), s(&[1, 2])]);
+        let counts = engine::count_table_with(&d, &table, &EngineConfig::default());
+        // Row order is the table's sorted order: {1,2}, {1,3}, {2,3}.
+        assert_eq!(counts, vec![1, 2, 2]);
         assert_eq!(d.metrics().full_scans(), 1);
     }
 
     #[test]
-    fn count_candidates_empty_is_free() {
+    fn count_table_empty_is_free() {
         let d = db(&[&[1]]);
-        assert!(count_candidates(&d, Vec::new()).is_empty());
+        let counts = engine::count_table_with(&d, &ItemsetTable::empty(), &EngineConfig::default());
+        assert!(counts.is_empty());
         // No scan was charged for an empty candidate pool.
         assert_eq!(d.metrics().full_scans(), 0);
     }

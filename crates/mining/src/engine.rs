@@ -34,7 +34,7 @@
 use crate::counting::ItemCounts;
 use crate::gen::GenConfig;
 use crate::hashtree::HashTree;
-use crate::itemset::{Itemset, ItemsetTable};
+use crate::itemset::ItemsetTable;
 use crate::vertical::CountingBackend;
 use fup_tidb::{ChunkScratch, ItemId, TransactionSource};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,30 +234,12 @@ where
     }
 }
 
-/// Counts the support of `candidates` (all of one size `k`) over one full
-/// pass of `source`, returning `(candidate, count)` pairs in input order —
-/// the engine-backed form of [`crate::counting::count_candidates`].
-pub fn count_candidates_with<S>(
-    source: &S,
-    candidates: Vec<Itemset>,
-    config: &EngineConfig,
-) -> Vec<(Itemset, u64)>
-where
-    S: TransactionSource + ?Sized,
-{
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let mut tree = HashTree::build(candidates);
-    count_source_into(&mut tree, source, config);
-    tree.into_results()
-}
-
 /// Counts the support of every row of `table` over one full pass of
 /// `source` through a hash tree built straight from the table's row
 /// arena (one flat copy — the tree needs owned storage — and no
-/// per-candidate allocation), returning counts in row order — the flat
-/// counterpart of [`count_candidates_with`] the miners' level loops use.
+/// per-candidate allocation), returning counts in row order — the
+/// hash-tree pass the miners' level loops use. An empty table costs no
+/// scan.
 pub fn count_table_with<S>(source: &S, table: &ItemsetTable, config: &EngineConfig) -> Vec<u64>
 where
     S: TransactionSource + ?Sized,
@@ -404,6 +386,7 @@ impl<T> ChunkedCollector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::itemset::Itemset;
     use fup_tidb::transaction::contains_sorted;
     use fup_tidb::{Transaction, TransactionDb};
 
@@ -429,10 +412,14 @@ mod tests {
         out
     }
 
+    fn table() -> ItemsetTable {
+        ItemsetTable::from_itemsets(&candidates())
+    }
+
     #[test]
     fn parallel_counts_match_serial() {
         let source = db(500);
-        let serial = count_candidates_with(&source, candidates(), &EngineConfig::serial());
+        let serial = count_table_with(&source, &table(), &EngineConfig::serial());
         for threads in [2, 3, 8] {
             for chunk_size in [1, 7, 64] {
                 let cfg = EngineConfig {
@@ -440,7 +427,7 @@ mod tests {
                     chunk_size,
                     ..EngineConfig::default()
                 };
-                let parallel = count_candidates_with(&db(500), candidates(), &cfg);
+                let parallel = count_table_with(&db(500), &table(), &cfg);
                 assert_eq!(parallel, serial, "threads {threads} chunk {chunk_size}");
             }
         }
@@ -450,8 +437,8 @@ mod tests {
     fn parallel_counts_match_naive_containment() {
         let source = db(300);
         let cfg = EngineConfig::with_threads(4);
-        let counted = count_candidates_with(&source, candidates(), &cfg);
-        for (cand, count) in counted {
+        let counted = count_table_with(&source, &table(), &cfg);
+        for (cand, count) in candidates().into_iter().zip(counted) {
             let mut truth = 0u64;
             source.for_each(&mut |t| {
                 if contains_sorted(t, cand.items()) {
@@ -466,10 +453,10 @@ mod tests {
     fn scan_metrics_totals_match_serial() {
         let a = db(400);
         let b = db(400);
-        let _ = count_candidates_with(&a, candidates(), &EngineConfig::serial());
-        let _ = count_candidates_with(
+        let _ = count_table_with(&a, &table(), &EngineConfig::serial());
+        let _ = count_table_with(
             &b,
-            candidates(),
+            &table(),
             &EngineConfig {
                 threads: 4,
                 chunk_size: 33,
@@ -497,8 +484,8 @@ mod tests {
         let cfg = EngineConfig::default();
         assert!(cfg.resolved_threads() >= 1);
         // And the pass still counts correctly.
-        let counted = count_candidates_with(&db(100), candidates(), &cfg);
-        let reference = count_candidates_with(&db(100), candidates(), &EngineConfig::serial());
+        let counted = count_table_with(&db(100), &table(), &cfg);
+        let reference = count_table_with(&db(100), &table(), &EngineConfig::serial());
         assert_eq!(counted, reference);
     }
 
@@ -506,9 +493,9 @@ mod tests {
     fn empty_source_and_empty_candidates() {
         let empty = TransactionDb::new();
         let cfg = EngineConfig::with_threads(4);
-        assert!(count_candidates_with(&empty, Vec::new(), &cfg).is_empty());
-        let counted = count_candidates_with(&empty, vec![s(&[1, 2])], &cfg);
-        assert_eq!(counted, vec![(s(&[1, 2]), 0)]);
+        assert!(count_table_with(&empty, &ItemsetTable::empty(), &cfg).is_empty());
+        let counted = count_table_with(&empty, &ItemsetTable::from_itemsets(&[s(&[1, 2])]), &cfg);
+        assert_eq!(counted, vec![0]);
         let items = count_items_with(&empty, &cfg);
         assert_eq!(items.capacity(), 0);
     }
@@ -520,7 +507,7 @@ mod tests {
             .map(|i| Transaction::from_items([i % 7, 7 + (i % 5), 12 + (i % 11), 23 + (i % 3)]))
             .collect();
         let flat = TransactionDb::from_transactions(rows.clone());
-        let serial = count_candidates_with(&flat, candidates(), &EngineConfig::serial());
+        let serial = count_table_with(&flat, &table(), &EngineConfig::serial());
         // Shard counts both below and above the worker count, with chunk
         // sizes that leave short seam chunks inside partitions.
         for shards in [1u32, 2, 3, 8] {
@@ -533,7 +520,7 @@ mod tests {
                     chunk_size: 33,
                     ..EngineConfig::default()
                 };
-                let counted = count_candidates_with(&sharded, candidates(), &cfg);
+                let counted = count_table_with(&sharded, &table(), &cfg);
                 assert_eq!(counted, serial, "shards {shards} threads {threads}");
             }
         }

@@ -27,7 +27,7 @@
 //!
 //! ## Parallelism
 //!
-//! [`apriori_gen_with`] chops the join into batches of left-row segments
+//! [`apriori_gen_flat`] chops the join into batches of left-row segments
 //! carrying a fixed pair budget — a single giant run (all of `L₁` shares
 //! the empty prefix, so `C₂` generation is *one* run) is split across
 //! batches, and many tiny runs coalesce into one — then lets
@@ -90,48 +90,23 @@ impl GenConfig {
 }
 
 /// Generates size-(k+1) candidates from the size-k large itemsets `prev`,
-/// serially — the classic `apriori-gen` signature.
+/// serially — the classic `apriori-gen` signature, a boxed wrapper over
+/// [`apriori_gen_flat`] for callers that hold owned itemsets (rule
+/// generation's consequents, tests).
 ///
 /// `prev` may be in any order; the output is sorted and duplicate-free.
 pub fn apriori_gen(prev: &[Itemset]) -> Vec<Itemset> {
-    apriori_gen_with(prev, &GenConfig::serial())
-}
-
-/// Generates size-(k+1) candidates from the size-k large itemsets `prev`,
-/// with the join+prune parallelised per `config`.
-///
-/// `prev` may be in any order; the output is sorted and duplicate-free,
-/// and identical (order included) for every thread count.
-pub fn apriori_gen_with(prev: &[Itemset], config: &GenConfig) -> Vec<Itemset> {
-    if prev.is_empty() {
-        return Vec::new();
-    }
-    apriori_gen_table(&ItemsetTable::from_itemsets(prev), config)
-}
-
-/// Like [`apriori_gen_with`], but returning the flat table form — the
-/// entry point for callers holding owned itemsets that want to stay flat
-/// downstream.
-pub fn apriori_gen_with_flat(prev: &[Itemset], config: &GenConfig) -> ItemsetTable {
-    if prev.is_empty() {
-        return ItemsetTable::empty();
-    }
-    apriori_gen_flat(&ItemsetTable::from_itemsets(prev), config)
-}
-
-/// Generates size-(k+1) candidates from an already-built flat level table
-/// as owned [`Itemset`]s — a thin wrapper over [`apriori_gen_flat`] kept
-/// for callers that need boxed candidates (FUP's mixed `W ∪ C` pools).
-pub fn apriori_gen_table(table: &ItemsetTable, config: &GenConfig) -> Vec<Itemset> {
-    apriori_gen_flat(table, config).to_itemsets()
+    apriori_gen_flat(&ItemsetTable::from_itemsets(prev), &GenConfig::serial()).to_itemsets()
 }
 
 /// Generates size-(k+1) candidates from the size-k level `table`,
 /// emitting them straight into a flat [`ItemsetTable`] — no per-candidate
-/// allocation anywhere in the join, the prune, or the output. This is the
-/// core every other `apriori-gen` entry point wraps, and the form the
-/// miners' level loop consumes (both counting backends build from the
-/// table without re-boxing).
+/// allocation anywhere in the join, the prune, or the output — with the
+/// join+prune parallelised per `config`; the output is identical (order
+/// included) for every thread count. This is the core [`apriori_gen`]
+/// wraps, and the form the miners' level loops and the maintenance round
+/// consume (both counting backends build from the table without
+/// re-boxing).
 pub fn apriori_gen_flat(table: &ItemsetTable, config: &GenConfig) -> ItemsetTable {
     if table.is_empty() {
         return ItemsetTable::empty();
@@ -539,18 +514,25 @@ mod tests {
         assert_eq!(apriori_gen(&l3), apriori_gen_reference(&l3));
     }
 
+    /// Owned itemsets into a table, flat generation at `config`'s thread
+    /// count, and the candidates back out as owned itemsets.
+    fn gen_boxed(prev: &[Itemset], config: &GenConfig) -> Vec<Itemset> {
+        apriori_gen_flat(&ItemsetTable::from_itemsets(prev), config).to_itemsets()
+    }
+
     #[test]
     fn parallel_output_identical_to_serial() {
         let l2 = clustered_l2(40, 12, 13);
-        let serial = apriori_gen_with(&l2, &GenConfig::serial());
+        let table = ItemsetTable::from_itemsets(&l2);
+        let serial = apriori_gen_flat(&table, &GenConfig::serial());
         assert!(!serial.is_empty());
         // Enough pairs to clear the serial cutoff and engage workers.
-        assert!(join_pairs(&ItemsetTable::from_itemsets(&l2)) >= PARALLEL_MIN_PAIRS);
-        for threads in [2, 3, 8] {
-            let parallel = apriori_gen_with(&l2, &GenConfig::with_threads(threads));
+        assert!(join_pairs(&table) >= PARALLEL_MIN_PAIRS);
+        for threads in [1, 2, 3, 8] {
+            let parallel = apriori_gen_flat(&table, &GenConfig::with_threads(threads));
             assert_eq!(parallel, serial, "threads {threads}");
         }
-        assert_eq!(serial, apriori_gen_reference(&l2));
+        assert_eq!(serial.to_itemsets(), apriori_gen_reference(&l2));
     }
 
     #[test]
@@ -558,18 +540,20 @@ mod tests {
         // All of L₁ is one run (the empty prefix), so C₂ generation must
         // be split by left-row segments — and still match serial exactly.
         let l1: Vec<Itemset> = (0..200u32).map(|i| s(&[i])).collect();
-        let serial = apriori_gen_with(&l1, &GenConfig::serial());
+        let l1 = ItemsetTable::from_itemsets(&l1);
+        let serial = apriori_gen_flat(&l1, &GenConfig::serial());
         assert_eq!(serial.len(), 199 * 200 / 2);
-        for threads in [2, 8] {
-            let parallel = apriori_gen_with(&l1, &GenConfig::with_threads(threads));
+        for threads in [1, 2, 8] {
+            let parallel = apriori_gen_flat(&l1, &GenConfig::with_threads(threads));
             assert_eq!(parallel, serial, "threads {threads}");
         }
         // Same for a k=2 level dominated by one long run.
         let mut l2: Vec<Itemset> = (1..200u32).map(|i| s(&[0, i])).collect();
         l2.push(s(&[1, 2]));
-        let serial = apriori_gen_with(&l2, &GenConfig::serial());
-        for threads in [2, 8] {
-            let parallel = apriori_gen_with(&l2, &GenConfig::with_threads(threads));
+        let l2 = ItemsetTable::from_itemsets(&l2);
+        let serial = apriori_gen_flat(&l2, &GenConfig::serial());
+        for threads in [1, 2, 8] {
+            let parallel = apriori_gen_flat(&l2, &GenConfig::with_threads(threads));
             assert_eq!(parallel, serial, "threads {threads}");
         }
     }
@@ -579,7 +563,7 @@ mod tests {
         // Below the work cutoff the parallel config must fall back to the
         // serial loop (and of course still be correct).
         let l2 = vec![s(&[1, 2]), s(&[1, 3]), s(&[2, 3])];
-        let out = apriori_gen_with(&l2, &GenConfig::with_threads(8));
+        let out = gen_boxed(&l2, &GenConfig::with_threads(8));
         assert_eq!(out, vec![s(&[1, 2, 3])]);
     }
 
@@ -588,22 +572,24 @@ mod tests {
         let l2 = clustered_l2(3, 8, 13);
         let table = ItemsetTable::from_itemsets(&l2);
         assert_eq!(
-            apriori_gen_table(&table, &GenConfig::serial()),
+            apriori_gen_flat(&table, &GenConfig::serial()).to_itemsets(),
             apriori_gen(&l2)
         );
     }
 
     #[test]
     fn flat_output_matches_boxed_output() {
-        // The flat table form must hold exactly the boxed candidates, row
-        // for row, at every thread count (including the split giant run).
+        // The flat table form must hold exactly the boxed wrapper's
+        // candidates, row for row, at every thread count (including the
+        // split giant run).
         for l in [
             clustered_l2(12, 10, 7),
             (0..80u32).map(|i| s(&[i])).collect(),
         ] {
-            let boxed = apriori_gen_with(&l, &GenConfig::serial());
+            let boxed = apriori_gen(&l);
+            let table = ItemsetTable::from_itemsets(&l);
             for threads in [1, 2, 8] {
-                let flat = apriori_gen_with_flat(&l, &GenConfig::with_threads(threads));
+                let flat = apriori_gen_flat(&table, &GenConfig::with_threads(threads));
                 assert_eq!(flat.to_itemsets(), boxed, "threads {threads}");
             }
         }
@@ -614,8 +600,8 @@ mod tests {
         let l2 = clustered_l2(10, 10, 13);
         assert!(GenConfig::default().resolved_threads() >= 1);
         assert_eq!(
-            apriori_gen_with(&l2, &GenConfig::default()),
-            apriori_gen_with(&l2, &GenConfig::serial())
+            gen_boxed(&l2, &GenConfig::default()),
+            gen_boxed(&l2, &GenConfig::serial())
         );
     }
 }

@@ -107,9 +107,10 @@ enum Node {
 /// Candidates are stored flat — one k-strided item arena in build order,
 /// no per-candidate allocation. [`HashTree::build_from_table`] moves an
 /// [`ItemsetTable`]'s arena straight in, so a level generated flat is
-/// counted flat end to end; [`HashTree::build`] flattens owned
-/// [`Itemset`]s for callers that need arbitrary candidate order (FUP's
-/// `W ∪ C` pools).
+/// counted flat end to end, and [`HashTree::build_from_rows`] copies a
+/// row arena in any order (the maintenance round's `W ∪ C` pool is `W`'s
+/// rows then `C`'s). [`HashTree::build`] is a short adapter that flattens
+/// owned [`Itemset`]s in their input order, for tests and kernel benches.
 #[derive(Debug)]
 pub struct HashTree {
     k: usize,
@@ -377,21 +378,10 @@ impl HashTree {
         &self.scratch.counts
     }
 
-    /// Consumes the tree, yielding the support counts in build order —
-    /// the allocation-free form of [`HashTree::into_results`] for callers
-    /// that still hold the candidate rows.
+    /// Consumes the tree, yielding the support counts in build order,
+    /// parallel to the candidate rows the caller built it from.
     pub fn into_counts(self) -> Vec<u64> {
         self.scratch.counts
-    }
-
-    /// Consumes the tree, yielding `(candidate, count)` pairs.
-    pub fn into_results(self) -> Vec<(Itemset, u64)> {
-        let k = self.k;
-        self.cand_items
-            .chunks_exact(k)
-            .map(|row| Itemset::from_sorted_vec(row.to_vec()))
-            .zip(self.scratch.counts)
-            .collect()
     }
 }
 
@@ -771,11 +761,14 @@ mod tests {
     }
 
     #[test]
-    fn into_results_pairs_candidates_with_counts() {
-        let mut tree = HashTree::build(vec![s(&[7, 9])]);
+    fn into_counts_follow_build_order() {
+        // Rows in any order (here: not sorted) keep their positions.
+        let rows: Vec<ItemId> = [7u32, 9, 1, 2].map(ItemId).to_vec();
+        let mut tree = HashTree::build_from_rows(2, &rows);
+        assert_eq!(tree.candidate(0), &rows[..2]);
         tree.add_transaction(&tx(&[7, 8, 9]));
-        let results = tree.into_results();
-        assert_eq!(results, vec![(s(&[7, 9]), 1)]);
+        tree.add_transaction(&tx(&[1, 2, 7, 9]));
+        assert_eq!(tree.into_counts(), vec![2, 1]);
     }
 
     #[test]

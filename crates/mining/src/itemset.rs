@@ -315,6 +315,45 @@ impl ItemsetTable {
         *self = Self::from_flat(k, std::mem::take(&mut self.items));
     }
 
+    /// The rows at the ascending indices `rows`, as a new table — a row
+    /// mask applied without touching `self`. The kept rows stay in order,
+    /// so the result is sorted too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range, or in debug builds if `rows`
+    /// is not strictly increasing.
+    pub fn select_rows(&self, rows: &[usize]) -> ItemsetTable {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+        let mut items = Vec::with_capacity(rows.len() * self.k);
+        for &i in rows {
+            items.extend_from_slice(self.row(i));
+        }
+        ItemsetTable::from_flat_rows(self.k, items)
+    }
+
+    /// Removes every row that is also a row of `other` (the set
+    /// difference `self − other`): one sorted merge of the two tables, no
+    /// hashing.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if both tables are non-empty and their row
+    /// widths differ.
+    pub fn subtract(&mut self, other: &ItemsetTable) {
+        if self.is_empty() || other.is_empty() {
+            return;
+        }
+        debug_assert_eq!(self.k, other.k, "tables of different widths");
+        let mut j = 0;
+        self.retain_rows(|row| {
+            while j < other.len() && other.row(j) < row {
+                j += 1;
+            }
+            j == other.len() || other.row(j) != row
+        });
+    }
+
     /// Row `i` materialised as an owned [`Itemset`].
     ///
     /// # Panics
@@ -399,9 +438,10 @@ impl ItemsetTable {
     }
 
     /// `true` if `needle` (sorted, length `k`) is a row of this table —
-    /// a binary search over the flat rows.
+    /// a binary search over the flat rows. The empty table contains
+    /// nothing.
     pub fn contains(&self, needle: &[ItemId]) -> bool {
-        debug_assert_eq!(needle.len(), self.k);
+        debug_assert!(self.is_empty() || needle.len() == self.k);
         let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -663,6 +703,44 @@ mod tests {
         t.retain_rows(|_| false);
         assert!(t.is_empty());
         assert_eq!(t, ItemsetTable::empty());
+    }
+
+    #[test]
+    fn select_rows_keeps_the_masked_rows_in_order() {
+        let sets = vec![s(&[1, 2]), s(&[1, 3]), s(&[2, 3]), s(&[2, 5])];
+        let t = ItemsetTable::from_itemsets(&sets);
+        let picked = t.select_rows(&[0, 2, 3]);
+        assert_eq!(
+            picked,
+            ItemsetTable::from_sorted_itemsets(&[s(&[1, 2]), s(&[2, 3]), s(&[2, 5])])
+        );
+        assert_eq!(picked.num_runs(), 2);
+        assert!(t.select_rows(&[]).is_empty());
+        assert!(ItemsetTable::empty().select_rows(&[]).is_empty());
+    }
+
+    #[test]
+    fn subtract_is_a_sorted_set_difference() {
+        let sets = vec![s(&[1, 2]), s(&[1, 3]), s(&[2, 3]), s(&[2, 5]), s(&[4, 6])];
+        let other = ItemsetTable::from_itemsets(&[s(&[0, 9]), s(&[1, 3]), s(&[2, 5]), s(&[7, 8])]);
+        let mut t = ItemsetTable::from_itemsets(&sets);
+        t.subtract(&other);
+        assert_eq!(
+            t,
+            ItemsetTable::from_sorted_itemsets(&[s(&[1, 2]), s(&[2, 3]), s(&[4, 6])])
+        );
+        // Subtracting the empty table, or from it, changes nothing.
+        t.subtract(&ItemsetTable::empty());
+        assert_eq!(t.len(), 3);
+        let mut empty = ItemsetTable::empty();
+        empty.subtract(&other);
+        assert!(empty.is_empty());
+        // Subtracting a table from itself empties it.
+        let mut all = ItemsetTable::from_itemsets(&sets);
+        all.subtract(&ItemsetTable::from_itemsets(&sets));
+        assert_eq!(all, ItemsetTable::empty());
+        // The empty table contains nothing, whatever the needle's width.
+        assert!(!ItemsetTable::empty().contains(&[ItemId(1)]));
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!   `Subset(C, T)`, with SoA leaf arenas,
 //! * [`apriori_gen`](gen::apriori_gen) — candidate generation (join +
 //!   subset-prune) over the flat table, parallelised per [`GenConfig`],
-//! * [`counting`] — support-counting passes over any
+//! * [`counting`] — per-item support counts over any
 //!   [`TransactionSource`](fup_tidb::TransactionSource),
-//! * [`engine`] — the parallel chunked counting engine those passes run
-//!   on ([`EngineConfig`] picks the worker count; `threads = 1` is the
-//!   exact historical serial path),
+//! * [`engine`] — the parallel chunked counting engine every pass runs
+//!   on, item counts and candidate tables alike ([`EngineConfig`] picks
+//!   the worker count; `threads = 1` is the exact historical serial
+//!   path),
 //! * [`vertical`] — the vertical tid-list counting backend: one scan
 //!   materialises per-item tid-lists ([`VerticalIndex`], dense bitset or
 //!   sorted run per item by density), after which every pass is pure

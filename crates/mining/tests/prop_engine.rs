@@ -4,7 +4,7 @@
 //! {1, 2, 8} and chunk sizes {1, 7, 1024}.
 
 use fup_mining::engine::{self, EngineConfig};
-use fup_mining::{EngineConfig as ReexportedEngineConfig, Itemset};
+use fup_mining::{EngineConfig as ReexportedEngineConfig, Itemset, ItemsetTable};
 use fup_tidb::transaction::contains_sorted;
 use fup_tidb::{Transaction, TransactionDb, TransactionSource};
 use proptest::prelude::*;
@@ -28,7 +28,8 @@ proptest! {
         candidates in proptest::collection::hash_set(arb_itemset(40, 3), 1..40),
         transactions in proptest::collection::vec(arb_transaction(40, 12), 0..120),
     ) {
-        let candidates: Vec<Itemset> = candidates.into_iter().collect();
+        let table = ItemsetTable::from_itemsets(&candidates.into_iter().collect::<Vec<_>>());
+        let candidates = table.to_itemsets();
         let naive: Vec<u64> = candidates
             .iter()
             .map(|c| {
@@ -42,12 +43,8 @@ proptest! {
         // The serial reference path (threads = 1 short-circuits to the
         // classic for_each loop).
         let serial_db = TransactionDb::from_transactions(transactions.clone());
-        let serial = engine::count_candidates_with(
-            &serial_db,
-            candidates.clone(),
-            &EngineConfig::serial(),
-        );
-        for ((cand, count), truth) in serial.iter().zip(&naive) {
+        let serial = engine::count_table_with(&serial_db, &table, &EngineConfig::serial());
+        for ((cand, count), truth) in candidates.iter().zip(&serial).zip(&naive) {
             prop_assert_eq!(count, truth, "serial disagrees with naive on {:?}", cand);
         }
 
@@ -59,8 +56,7 @@ proptest! {
                     ..EngineConfig::default()
                 };
                 let db = TransactionDb::from_transactions(transactions.clone());
-                let counted =
-                    engine::count_candidates_with(&db, candidates.clone(), &cfg);
+                let counted = engine::count_table_with(&db, &table, &cfg);
                 prop_assert_eq!(
                     &counted,
                     &serial,
@@ -89,7 +85,8 @@ proptest! {
         // The SoA leaf arena must count bit-identically to direct
         // containment over the owned itemsets, across every chunk size
         // (chunking changes which worker walks which leaf ranges).
-        let candidates: Vec<Itemset> = candidates.into_iter().collect();
+        let table = ItemsetTable::from_itemsets(&candidates.into_iter().collect::<Vec<_>>());
+        let candidates = table.to_itemsets();
         let truth: Vec<u64> = candidates
             .iter()
             .map(|c| {
@@ -106,8 +103,7 @@ proptest! {
                 ..EngineConfig::default()
             };
             let db = TransactionDb::from_transactions(transactions.clone());
-            let counted = engine::count_candidates_with(&db, candidates.clone(), &cfg);
-            let counts: Vec<u64> = counted.into_iter().map(|(_, c)| c).collect();
+            let counts = engine::count_table_with(&db, &table, &cfg);
             prop_assert_eq!(&counts, &truth, "chunk_size {}", chunk_size);
         }
     }

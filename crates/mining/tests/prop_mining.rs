@@ -5,12 +5,12 @@ use fup_datagen::{corpus, QuestGenerator};
 use fup_mining::apriori::{mine_naive, AprioriConfig};
 use fup_mining::engine::EngineConfig;
 use fup_mining::gen::{
-    apriori_gen, apriori_gen_naive, apriori_gen_reference, apriori_gen_with, clustered_l2,
+    apriori_gen, apriori_gen_flat, apriori_gen_naive, apriori_gen_reference, clustered_l2,
     GenConfig,
 };
 use fup_mining::rules::{generate_rules, generate_rules_naive, MinConfidence};
 use fup_mining::vertical::{item_bitmap, CountingBackend, VerticalIndex};
-use fup_mining::{Apriori, Dhp, HashTree, Itemset, MinSupport};
+use fup_mining::{Apriori, Dhp, HashTree, Itemset, ItemsetTable, MinSupport};
 use fup_tidb::transaction::contains_sorted;
 use fup_tidb::{ItemId, Transaction, TransactionDb};
 use proptest::prelude::*;
@@ -91,7 +91,11 @@ proptest! {
             .collect();
         let naive = apriori_gen_naive(&level);
         for threads in [1usize, 2, 8] {
-            let fast = apriori_gen_with(&level, &GenConfig::with_threads(threads));
+            let fast = apriori_gen_flat(
+                &ItemsetTable::from_itemsets(&level),
+                &GenConfig::with_threads(threads),
+            )
+            .to_itemsets();
             prop_assert_eq!(&fast, &naive, "threads {}", threads);
         }
     }
@@ -186,7 +190,11 @@ fn apriori_gen_ten_thousand_sets_identical_across_threads() {
     let reference = apriori_gen_reference(&l2);
     assert!(!reference.is_empty());
     for threads in [1usize, 2, 8] {
-        let fast = apriori_gen_with(&l2, &GenConfig::with_threads(threads));
+        let fast = apriori_gen_flat(
+            &ItemsetTable::from_itemsets(&l2),
+            &GenConfig::with_threads(threads),
+        )
+        .to_itemsets();
         assert_eq!(fast, reference, "threads {threads}");
     }
 }
