@@ -76,4 +76,25 @@ mod tests {
         );
         assert!(render(&rows).to_string().contains("FUP/DHP"));
     }
+
+    /// The `experiments fig3 --scale 100` candidate counts, exact, at
+    /// each Figure 2 support level: `(minsup_bp, |C| FUP, |C| DHP,
+    /// |C| Apriori)`.
+    #[test]
+    fn scale_100_candidate_counts_are_pinned() {
+        let got: Vec<[u64; 4]> = run(100, 1996)
+            .iter()
+            .map(|r| [r.minsup_bp, r.cand_fup, r.cand_dhp, r.cand_apriori])
+            .collect();
+        assert_eq!(
+            got,
+            [
+                [600, 80, 940, 940],
+                [400, 80, 1045, 1045],
+                [200, 111, 9728, 9728],
+                [100, 251, 74452, 74452],
+                [75, 361, 140085, 140085],
+            ]
+        );
+    }
 }

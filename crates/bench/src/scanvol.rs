@@ -153,4 +153,34 @@ mod tests {
         assert!(last.fup_transactions < last.apriori_transactions);
         assert_eq!(render(&rows).len(), 5);
     }
+
+    /// The `experiments scanvol --scale 100` volumes, exact: every FUP
+    /// scan of `DB` and `db` (Reduce-DB's trimmed copies excluded), and
+    /// the re-runs beside them, at each Figure 2 support level.
+    #[test]
+    fn scale_100_volumes_are_pinned() {
+        let got: Vec<[u64; 6]> = run(100, 1996)
+            .iter()
+            .map(|r| {
+                [
+                    r.minsup_bp,
+                    r.fup_transactions,
+                    r.dhp_transactions,
+                    r.apriori_transactions,
+                    r.fup_items,
+                    r.apriori_items,
+                ]
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                [600, 1010, 1010, 1010, 10418, 10418],
+                [400, 2020, 2020, 2020, 20836, 20836],
+                [200, 2020, 2020, 3030, 20836, 31254],
+                [100, 2020, 2020, 7070, 20836, 72926],
+                [75, 2020, 2020, 9090, 20836, 93762],
+            ]
+        );
+    }
 }

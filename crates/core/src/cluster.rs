@@ -34,11 +34,11 @@
 //!    deletes (answering with the removed rows, which the coordinator
 //!    needs to count FUP2's delete side locally). If any refuses, the
 //!    rest abort it.
-//! 2. **Count** — FUP/FUP2 run on the coordinator with a
-//!    `VerticalProvider` whose splits are RPC sums; pass-1 base scans
-//!    are offloaded the same way (`count_base_items` /
-//!    `count_base_dense`), so no base row ever travels to the
-//!    coordinator.
+//! 2. **Count** — the FUP/FUP2 round runs on the coordinator with
+//!    nothing but `|DB⁻|` of the base: its support provider counts the
+//!    small parts locally and asks the workers for every base count
+//!    (index splits, and pass 1's item counts), summing their answers,
+//!    so no base row ever travels to the coordinator.
 //! 3. **Decide** — `CommitRound` (or `AbortRound`) is WAL-logged and
 //!    applied on every worker.
 //!
@@ -58,16 +58,14 @@ use std::thread::JoinHandle;
 use fup_mining::apriori::AprioriConfig;
 use fup_mining::rules::generate_rules;
 use fup_mining::{
-    Apriori, CountingBackend, EngineConfig, ItemsetTable, LargeItemsets, MinConfidence, MinSupport,
-    MiningStats,
+    Apriori, EngineConfig, ItemsetTable, LargeItemsets, MinConfidence, MinSupport, MiningStats,
 };
 use fup_tidb::rpc::{ChannelTransport, Message, Transport};
 use fup_tidb::source::ChainSource;
 use fup_tidb::wal::WalRecord;
 use fup_tidb::{
-    Admission, ChunkScratch, DurableStorage, ItemId, ScanMetrics, ShardSpec, ShardedDb,
-    ShardedStaged, SliceSource, StagingArea, Tid, Transaction, TransactionDb, TransactionSource,
-    TxChunk, UpdateBatch,
+    Admission, DurableStorage, ItemId, ShardSpec, ShardedDb, ShardedStaged, SliceSource,
+    StagingArea, Tid, Transaction, TransactionDb, TransactionSource, UpdateBatch,
 };
 
 use crate::config::FupConfig;
@@ -78,7 +76,8 @@ use crate::fup::update_round;
 use crate::policy::UpdatePolicy;
 use crate::service::ShardHealth;
 use crate::session::{MaintenanceReport, RuleSnapshot, SnapshotState};
-use crate::vindex::{IndexSlot, VerticalProvider};
+use crate::supports::{Sides, Supports};
+use crate::vindex::IndexSlot;
 
 /// One shard's routed slice of a batch: inserts with the local tids they
 /// will take, and local delete tids.
@@ -251,7 +250,7 @@ impl ShardWorker {
                 };
                 if self.round_index.is_none() {
                     let boundary = TransactionSource::num_transactions(&self.db);
-                    let idx = self.slot.acquire_items(
+                    let idx = self.slot.acquire(
                         keep.iter().copied(),
                         &self.db,
                         st.staged.inserted(),
@@ -484,72 +483,32 @@ impl ShardWorker {
     }
 }
 
-// ==================================================== phantom base ==
-
-/// A [`TransactionSource`] standing in for base rows that live in the
-/// shard workers: it knows its size (the algorithms' `|DB|` / `|DB⁻|`
-/// arithmetic needs it) but panics on any scan — with the engine pinned
-/// to [`CountingBackend::Vertical`] and the provider answering the
-/// pass-1 hooks, no code path should ever scan it, and a panic here is
-/// a provider regression, not a recoverable condition.
-struct PhantomSource {
-    n: u64,
-    metrics: ScanMetrics,
-}
-
-impl PhantomSource {
-    fn new(n: u64) -> Self {
-        PhantomSource {
-            n,
-            metrics: ScanMetrics::new(),
-        }
-    }
-}
-
-impl TransactionSource for PhantomSource {
-    fn num_transactions(&self) -> u64 {
-        self.n
-    }
-
-    fn for_each(&self, _f: &mut dyn FnMut(&[ItemId])) {
-        panic!("cluster base rows live in shard workers; local scan is a provider regression");
-    }
-
-    fn metrics(&self) -> &ScanMetrics {
-        &self.metrics
-    }
-
-    fn chunk<'s>(
-        &'s self,
-        _chunk_size: usize,
-        _index: u64,
-        _scratch: &'s mut ChunkScratch,
-    ) -> TxChunk<'s> {
-        panic!("cluster base rows live in shard workers; local scan is a provider regression");
-    }
-}
-
 // ======================================================= provider ==
 
-/// The cluster's [`VerticalProvider`]: every split request is broadcast
-/// to the workers and the per-shard answers are summed element-wise —
-/// supports are additive over disjoint tid ranges, so the sums equal a
-/// flat index's splits bit for bit. Worker failures cannot surface as
-/// `Err` through the provider seam (the round loops treat counts as
-/// infallible), so they are recorded in a failure flag the coordinator
-/// checks after the run; counts returned after a failure are garbage
-/// and the round is aborted without looking at them.
+/// The cluster's [`Supports`] provider: `db⁻` and `db⁺` are counted on
+/// the coordinator, every base request (`Engage`, `CountSplit`,
+/// `CountItems`, `CountDense`) is broadcast to the workers and their
+/// answers summed — supports are additive over disjoint tid ranges — and
+/// `delta` keeps `C`'s base halves for `base`. Worker failures cannot
+/// surface as `Err` through the provider, so they land in a failure flag
+/// the coordinator checks after the run; counts returned after a failure
+/// are garbage and the round is aborted without looking at them.
 struct ClusterProvider<'a> {
     workers: &'a [WorkerHandle],
+    sides: Sides<'a>,
     engaged: bool,
+    /// The `DB⁻` supports of the last `delta`'s `C`, row order.
+    c_base: Vec<u64>,
     failure: std::cell::RefCell<Option<(usize, String)>>,
 }
 
 impl<'a> ClusterProvider<'a> {
-    fn new(workers: &'a [WorkerHandle]) -> Self {
+    fn new(workers: &'a [WorkerHandle], sides: Sides<'a>) -> Self {
         ClusterProvider {
             workers,
+            sides,
             engaged: false,
+            c_base: Vec::new(),
             failure: std::cell::RefCell::new(None),
         }
     }
@@ -570,29 +529,8 @@ impl<'a> ClusterProvider<'a> {
         }
         gathered.replies.into_iter().map(|(_, v)| v).collect()
     }
-}
 
-impl VerticalProvider for ClusterProvider<'_> {
-    fn engaged(&self) -> bool {
-        self.engaged
-    }
-
-    fn engage(&mut self, old: &LargeItemsets, result: &LargeItemsets, _engine: &EngineConfig) {
-        if self.engaged {
-            return;
-        }
-        let mut keep: Vec<ItemId> = old
-            .level(1)
-            .chain(result.level(1))
-            .map(|(x, _)| x.items()[0])
-            .collect();
-        keep.sort_unstable();
-        keep.dedup();
-        self.broadcast(&Message::Engage { keep }, ack);
-        self.engaged = true;
-    }
-
-    fn count_split(&self, table: &ItemsetTable, _engine: &EngineConfig) -> Vec<(u64, u64)> {
+    fn count_split(&self, table: &ItemsetTable) -> Vec<(u64, u64)> {
         if table.is_empty() {
             // An empty table has nothing to count — and would encode as
             // a zero-strided `CountSplit`, which workers reject as
@@ -615,8 +553,14 @@ impl VerticalProvider for ClusterProvider<'_> {
         }
         totals
     }
+}
 
-    fn count_base_items(&self, items: &[ItemId], _engine: &EngineConfig) -> Option<Vec<u64>> {
+impl Supports for ClusterProvider<'_> {
+    fn sides(&self) -> &Sides<'_> {
+        &self.sides
+    }
+
+    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
         let msg = Message::CountItems {
             items: items.to_vec(),
         };
@@ -629,12 +573,10 @@ impl VerticalProvider for ClusterProvider<'_> {
                 *t += x;
             }
         }
-        // Always `Some`: the base source is a phantom and must never be
-        // scanned, even on a failed round (the coordinator aborts it).
-        Some(totals)
+        totals
     }
 
-    fn count_base_dense(&self, _engine: &EngineConfig) -> Option<Vec<u64>> {
+    fn base_dense(&mut self) -> Vec<u64> {
         let mut totals: Vec<u64> = Vec::new();
         for v in self.broadcast(&Message::CountDense, |_, reply| match reply {
             Message::Counts(v) => Ok(v),
@@ -647,7 +589,23 @@ impl VerticalProvider for ClusterProvider<'_> {
                 totals[i] += x;
             }
         }
-        Some(totals)
+        totals
+    }
+
+    fn delta(&mut self, l1: &[ItemId], w: &ItemsetTable, c: &ItemsetTable) -> Vec<(u64, u64)> {
+        if !self.engaged {
+            self.broadcast(&Message::Engage { keep: l1.to_vec() }, ack);
+            self.engaged = true;
+        }
+        let minus = self.sides.minus(w, c);
+        let (w_splits, c_splits) = (self.count_split(w), self.count_split(c));
+        self.c_base = c_splits.iter().map(|s| s.0).collect();
+        let plus = w_splits.iter().chain(&c_splits).map(|s| s.1);
+        minus.into_iter().zip(plus).collect()
+    }
+
+    fn base(&mut self, _old: &ItemsetTable, _c: &ItemsetTable, survivors: &[usize]) -> Vec<u64> {
+        survivors.iter().map(|&i| self.c_base[i]).collect()
     }
 
     fn finish(&mut self) {
@@ -828,19 +786,20 @@ impl Cluster {
     /// stage/commit round followed by a checkpoint, so every shard
     /// starts from a full image of its history and an empty WAL.
     ///
-    /// The engine backend is pinned to [`CountingBackend::Vertical`]:
-    /// every k ≥ 2 pass counts through the per-shard indexes (summed
-    /// splits), and pass 1 goes through the count hooks — no base row
-    /// ever travels to the coordinator. Storages must be empty (worker
-    /// recovery into an existing namespace is
-    /// [`restart_worker`](Cluster::restart_worker)'s job).
+    /// Whatever `config`'s backend, every round counts through the
+    /// per-shard indexes (summed splits) and pass 1 through the workers'
+    /// histograms, so no base row ever travels to the coordinator; the
+    /// backend picks only how the coordinator's own mines (bootstrap and
+    /// re-mine) count. Storages must be empty (worker recovery into an
+    /// existing namespace is [`restart_worker`](Cluster::restart_worker)'s
+    /// job).
     pub fn bootstrap(
         spec: ShardSpec,
         storages: Vec<Arc<dyn DurableStorage>>,
         history: Vec<Transaction>,
         minsup: MinSupport,
         minconf: MinConfidence,
-        mut config: FupConfig,
+        config: FupConfig,
     ) -> Result<Cluster> {
         spec.validate()
             .map_err(|e| Error::Config(crate::error::BuildError::InvalidShardSpec(e)))?;
@@ -853,7 +812,6 @@ impl Cluster {
                 ),
             });
         }
-        config.engine.backend = CountingBackend::Vertical;
         // The history moves on to the workers below; mine it where it is.
         let outcome = Apriori::with_config(AprioriConfig {
             max_k: config.max_k,
@@ -1135,17 +1093,14 @@ impl Cluster {
         let deleted_db = TransactionDb::from_transactions(removed);
         let inserted_db = TransactionDb::from_transactions(batch.inserts.iter().cloned());
         let state = Arc::clone(&self.state);
-        let mut provider = ClusterProvider::new(&self.workers);
-        let remainder = PhantomSource::new(self.total_live - d_minus);
-        let outcome = update_round(
-            &self.config,
-            &remainder,
-            state.large(),
-            &deleted_db,
-            &inserted_db,
-            self.minsup,
-            &mut provider,
-        );
+        let sides = Sides {
+            remainder: self.total_live - d_minus,
+            deleted: &deleted_db,
+            inserted: &inserted_db,
+            engine: &self.config.engine,
+        };
+        let mut provider = ClusterProvider::new(&self.workers, sides);
+        let outcome = update_round(&self.config, state.large(), self.minsup, &mut provider);
         if let Some((shard, reason)) = provider.failure.into_inner() {
             // Counting lost a worker mid-round: the sums are garbage.
             // Abort everywhere reachable (the dead worker resolves at

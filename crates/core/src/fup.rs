@@ -4,15 +4,15 @@
 //! One update turns `DB` into `DB' = (DB − db⁻) ∪ db⁺` (a modification is
 //! a delete plus an insert); `DB⁻ = DB − db⁻` is the *remainder*. Each
 //! iteration `k` of `update_round` — the only round loop in the crate,
-//! behind both [`Fup`] and [`Fup2`] and every session commit
-//! — scans the small parts for everything and `DB⁻` for as little as
+//! behind both [`Fup`] and [`Fup2`] and every session and cluster commit
+//! — counts the small parts for everything and `DB⁻` for as little as
 //! possible:
 //!
 //! 1. **Filter the old large itemsets.** `W = L_k` minus the Lemma-3
-//!    losers (supersets of (k−1)-losers need no scan at all). For
+//!    losers (supersets of (k−1)-losers need no count at all). For
 //!    `X ∈ W` the new support is exact arithmetic over the small parts:
 //!    `X.support' = X.support_D − X.support_{db⁻} + X.support_{db⁺}` — no
-//!    scan of `DB⁻` — and Lemma 1/4 decides winners and losers exactly.
+//!    count in `DB⁻` — and Lemma 1/4 decides winners and losers exactly.
 //! 2. **Find the new large itemsets.** A candidate
 //!    `X ∈ C_k = apriori-gen(L'_{k−1}) − L_k` was small in `DB`, so only
 //!    the bound `X.support_D ≤ ⌈s×D⌉ − 1` is known, and `X` can be large
@@ -25,45 +25,31 @@
 //! tightens to Lemma 2/5 — `X.support_{db⁺} ≥ s×d⁺`, a new itemset must
 //! be large inside the increment — which is applied in its place; only
 //! items that occur in `db⁺` can be new 1-candidates, so iteration 1
-//! counts `db⁺` first and scans `DB` for the Lemma-2 survivors alone (not
-//! at all when there are none), where a round with deletions needs the
-//! full item histogram of `DB⁻` because a deletion can promote an item
-//! that `db⁺` never mentions; and DHP-style pair hashing over the
-//! increment (§3.4) thins `C₂` before it is ever counted — a bucket total
-//! bounds `support_{db⁺}`, which says nothing once `db⁻` also moves the
-//! bound. Those are the only differences; the input decides them, and the
-//! run is labelled `"fup"` without deletions and `"fup2"` with.
+//! counts `db⁺` first and `DB` for the Lemma-2 survivors alone (not at
+//! all when there are none), where a round with deletions needs the full
+//! item histogram of `DB⁻` because a deletion can promote an item that
+//! `db⁺` never mentions; and DHP-style pair hashing over the increment
+//! (§3.4) thins `C₂` before it is ever counted — a bucket total bounds
+//! `support_{db⁺}`, which says nothing once `db⁻` also moves the bound.
+//! Those are the only differences; the input decides them, and the run
+//! is labelled `"fup"` without deletions and `"fup2"` with.
 //!
-//! **One candidate type.** Every set an iteration works on is a flat,
-//! sorted [`ItemsetTable`]: the old `L_k` (supports parallel to its rows),
-//! `W` and the losers as row masks over it, the previous level's losers
-//! for Lemma 3's subset lookups, and `C_k` from `apriori_gen_flat` over
-//! `L'_{k−1}`. `− L_k` is one sorted merge, the DHP filter and the
-//! Lemma-2/5 gate are row masks, and both counting arms take rows (the
-//! hash tree builds from them, the vertical index intersects them). An
-//! [`Itemset`] is built only for an itemset inserted into `L'`.
-//!
-//! **Trimming.** The `Reduce-db`/`Reduce-DB` rules of §3.4 shrink `db⁺`
-//! and `DB⁻` each iteration. The delete side is **never** trimmed —
-//! undercounting `support_{db⁻}` would inflate `support'` and could
-//! fabricate winners — so `db⁻` is always scanned whole (it is small by
-//! assumption).
+//! **One support oracle.** Every level an iteration works on is a flat,
+//! sorted [`ItemsetTable`] (`W` and the losers are row masks over the old
+//! `L_k`), and every count comes from one provider, asked in the paper's
+//! order: `delta(W ∪ C)`, then `base(survivors)` (see `crate::supports`;
+//! the caller's [`CountingBackend`] picks the provider once).
 
 use crate::config::FupConfig;
 use crate::error::{Error, Result};
-use crate::reduce;
-use crate::vindex::{IndexSlot, SlotProvider, VerticalProvider};
-use fup_mining::engine::{
-    self, count_items_and_pairs, pair_bucket, ChunkedCollector, EngineConfig,
-};
+use crate::supports::{AutoSupports, Sides, Supports};
+use crate::vindex::{IndexSlot, SlotProvider};
+use fup_mining::engine::pair_bucket;
 use fup_mining::gen::apriori_gen_flat;
-use fup_mining::vertical::{PassProfile, ResolvedBackend};
 use fup_mining::{
-    CountScratch, HashTree, Itemset, ItemsetTable, LargeItemsets, MinSupport, MiningStats,
-    PassStats,
+    CountingBackend, Itemset, ItemsetTable, LargeItemsets, MinSupport, MiningStats, PassStats,
 };
-use fup_tidb::{ItemId, Transaction, TransactionDb, TransactionSource};
-use std::collections::HashSet;
+use fup_tidb::{ItemId, TransactionDb, TransactionSource};
 use std::time::Instant;
 
 /// Cap on the pair-bucket table of FUP's DHP filter over `db⁺` (§3.4):
@@ -162,17 +148,8 @@ impl Fup {
         minsup: MinSupport,
         slot: &mut IndexSlot,
     ) -> Result<FupOutcome> {
-        let mut provider = SlotProvider::new([(slot, db, increment)]);
-        let nothing = TransactionDb::new();
-        update_round(
-            &self.config,
-            db,
-            old,
-            &nothing,
-            increment,
-            minsup,
-            &mut provider,
-        )
+        let fup2 = Fup2::with_config(self.config.clone());
+        fup2.update_with_index(db, old, &TransactionDb::new(), increment, minsup, slot)
     }
 }
 
@@ -240,45 +217,50 @@ impl Fup2 {
         minsup: MinSupport,
         slot: &mut IndexSlot,
     ) -> Result<FupOutcome> {
-        let mut provider = SlotProvider::new([(slot, remainder, inserted)]);
-        update_round(
-            &self.config,
-            remainder,
-            old,
+        let sides = Sides {
+            remainder: remainder.num_transactions(),
             deleted,
             inserted,
-            minsup,
-            &mut provider,
-        )
+            engine: &self.config.engine,
+        };
+        let slots = SlotProvider::new(remainder, sides, [(slot, remainder, inserted)]);
+        update_local(&self.config, old, minsup, slots)
     }
 }
 
+/// An in-process round over `slots`' sources: the configured backend
+/// picks the provider once — [`ScanSupports`](crate::supports::ScanSupports)
+/// for `HashTree`, the slots for `Vertical`, and [`AutoSupports`] over
+/// both for `Auto`.
+pub(crate) fn update_local(
+    config: &FupConfig,
+    old: &LargeItemsets,
+    minsup: MinSupport,
+    slots: SlotProvider<'_>,
+) -> Result<FupOutcome> {
+    let mut supports: Box<dyn Supports + '_> = match config.engine.backend {
+        CountingBackend::HashTree => Box::new(slots.scan(config.reduce_db)),
+        CountingBackend::Vertical => Box::new(slots),
+        CountingBackend::Auto => Box::new(AutoSupports::new(slots, config.reduce_db)),
+    };
+    update_round(config, old, minsup, supports.as_mut())
+}
+
 /// One maintenance round: `L'`, the large itemsets of
-/// `DB' = remainder ∪ inserted`, from `old` — the large itemsets of
-/// `DB = remainder ∪ deleted` with their support counts (see the
-/// [module docs](self) for the algorithm).
-///
-/// `provider` is the source of vertical splits once that backend
-/// engages: the session and the one-shot fronts pass a [`SlotProvider`]
-/// (one index per tid-range part — per shard for a session, one over
-/// `remainder` for the fronts), the cluster a provider whose rows live
-/// in its workers. Splits merge by summation and every threshold
-/// decision is made on the sums, so the result is provider-independent.
-/// The delete side is never indexed — it is counted whole either way.
+/// `DB' = DB⁻ ∪ db⁺`, from `old` — the large itemsets of
+/// `DB = DB⁻ ∪ db⁻` with their support counts (see the
+/// [module docs](self) for the algorithm). Every count comes from
+/// `supports`, which also knows the round's sizes; every threshold
+/// decision is made here, on its sums, so the result does not depend on
+/// the provider.
 pub(crate) fn update_round(
     config: &FupConfig,
-    remainder: &dyn TransactionSource,
     old: &LargeItemsets,
-    deleted: &dyn TransactionSource,
-    inserted: &dyn TransactionSource,
     minsup: MinSupport,
-    provider: &mut dyn VerticalProvider,
+    supports: &mut dyn Supports,
 ) -> Result<FupOutcome> {
     let start = Instant::now();
-    let engine = &config.engine;
-    let d_rem = remainder.num_transactions();
-    let d_minus = deleted.num_transactions();
-    let d_plus = inserted.num_transactions();
+    let (d_rem, d_minus, d_plus) = supports.sides().sizes();
     let d_orig = d_rem + d_minus;
     if old.num_transactions() != d_orig {
         return Err(Error::StaleBaseline {
@@ -296,10 +278,9 @@ pub(crate) fn update_round(
     let unchanged = insert_only && d_plus == 0;
     if unchanged || n == 0 {
         stats.elapsed = start.elapsed();
-        let large = if unchanged {
-            old.clone()
-        } else {
-            LargeItemsets::new(0)
+        let large = match unchanged {
+            true => old.clone(),
+            false => LargeItemsets::new(0),
         };
         return Ok(FupOutcome {
             large,
@@ -323,29 +304,19 @@ pub(crate) fn update_round(
     };
 
     // ------------------------- Iteration 1 -------------------------
-    // One scan of each small part: per-item counts, plus — insert-only —
-    // DHP pair-bucket counts over db⁺ for the iteration-2 filter. Bucket
-    // count adapts to the increment: ~one bucket per expected pair
-    // occurrence gives strong filtering without allocating a huge table
-    // for a small `db⁺`. `MAX_PAIR_BUCKETS` caps it.
-    let nbuckets = if config.dhp_hash && insert_only {
-        let estimated_pairs = (d_plus.saturating_mul(64)).next_power_of_two();
-        estimated_pairs.clamp(1024, MAX_PAIR_BUCKETS) as usize
-    } else {
-        0
-    };
-    let (plus_counts, pair_buckets) = count_items_and_pairs(inserted, nbuckets, engine);
-    let (minus_counts, _) = count_items_and_pairs(deleted, 0, engine);
+    // Item counts of the small parts, and (insert-only) DHP pair buckets
+    // over db⁺, about one per expected pair, up to `MAX_PAIR_BUCKETS`.
+    let nbuckets = (config.dhp_hash && insert_only)
+        .then(|| d_plus.saturating_mul(64).next_power_of_two())
+        .map_or(0, |pairs| pairs.clamp(1024, MAX_PAIR_BUCKETS) as usize);
+    let (plus_counts, pair_buckets, minus_counts) = supports.delta_items(nbuckets);
     let at = |v: &[u64], item: ItemId| v.get(item.index()).copied().unwrap_or(0);
 
     // Winners and losers among the old L₁ (Lemma 1). The losers' rows
     // carry into iteration 2 for Lemma 3.
     let (old_1, old_1_sup) = level_table(old, 1);
-    let mut pass = FupPassDetail {
-        k: 1,
-        old_large: old_1.len() as u64,
-        ..Default::default()
-    };
+    let mut pass = FupPassDetail::default();
+    (pass.k, pass.old_large) = (1, old_1.len() as u64);
     let mut lost_at = Vec::new();
     for (i, row) in old_1.rows().enumerate() {
         let sup_new = old_1_sup[i] + at(&plus_counts, row[0]) - at(&minus_counts, row[0]);
@@ -358,15 +329,11 @@ pub(crate) fn update_round(
     }
     let mut losers_prev = old_1.select_rows(&lost_at);
 
-    // C₁. Deletions can promote items that never occur in db⁺, so with
-    // them every item of DB⁻ is a candidate and one dense pass over DB⁻
-    // (histogrammed where the rows live, if the provider is remote)
-    // counts them all; without, only db⁺'s items are.
-    let rem_counts: Option<Vec<u64>> = (!insert_only).then(|| {
-        provider
-            .count_base_dense(engine)
-            .unwrap_or_else(|| count_items_and_pairs(remainder, 0, engine).0)
-    });
+    // C₁. A deletion can promote an item db⁺ never mentions, so with
+    // deletions every item of DB⁻ is a candidate (one dense pass);
+    // without, only db⁺'s items are, and only the Lemma-2 survivors are
+    // counted in DB⁻ — not at all when none survive.
+    let rem_counts = (!insert_only).then(|| supports.base_dense());
     let universe = rem_counts
         .as_ref()
         .map_or(0, Vec::len)
@@ -386,28 +353,10 @@ pub(crate) fn update_round(
     }
     pass.candidates_after_hash = pass.candidates_generated;
     pass.candidates_checked = c1.len() as u64;
-
-    // Supports of C₁ in DB⁻. Insert-only, only the Lemma-2 survivors
-    // are counted against DB — not at all when there are none, FUP's
-    // headline saving — and a warm provider reads them off its held
-    // index (a support is a list length), so DB is scanned only when no
-    // index over it is held.
-    //
-    // Deviation from the paper's letter, kept to its spirit: the paper
-    // rewrites DB without the pruned items *during* this scan, because on
-    // disk the rewrite rides along for free. In memory a copy is pure
-    // overhead, and the `Reduce-DB` keep-set applied at iteration 2
-    // (items of `L₂ ∪ C₂` only) strictly subsumes that removal, so the
-    // first trimmed copy is built there instead.
     let c1_rem: Vec<u64> = match &rem_counts {
         Some(counts) => c1.iter().map(|&(item, _)| at(counts, item)).collect(),
         None if c1.is_empty() => Vec::new(),
-        None => {
-            let items: Vec<ItemId> = c1.iter().map(|&(item, _)| item).collect();
-            provider
-                .count_base_items(&items, engine)
-                .unwrap_or_else(|| count_listed_items(remainder, &items, engine))
-        }
+        None => supports.base_items(&c1.iter().map(|&(item, _)| item).collect::<Vec<_>>()),
     };
     for (&(item, plus), rem) in c1.iter().zip(c1_rem) {
         let sup_new = rem + plus;
@@ -419,50 +368,27 @@ pub(crate) fn update_round(
     record_pass(&mut stats, &mut detail, pass);
 
     // --------------------- Iterations k ≥ 2 ------------------------
-    // Backend selection input: the raw average transaction length of
-    // whichever delta side has data stands in for the frequent-item
-    // residue the miners feed `Auto` (the frequent set of DB' is not
-    // known here without extra work) — an overestimate on filler-heavy
-    // data, so a cold `Auto` pass may engage slightly earlier than the
-    // calibrated thresholds intend.
-    let residue = if d_plus > 0 {
-        plus_counts.iter().sum::<u64>() as f64 / d_plus as f64
-    } else {
-        minus_counts.iter().sum::<u64>() as f64 / d_minus as f64
-    };
-    // Trimmed working copies of db⁺ and DB⁻ (hash-tree arm only).
-    let mut plus_working: Option<TransactionDb> = None;
-    let mut rem_working: Option<TransactionDb> = None;
-    let mut sub: Vec<ItemId> = Vec::new();
+    // Old L₁ ∪ L'₁: every item a row of W or of C_k can hold.
+    let mut l1: Vec<ItemId> = (old.level(1).chain(result.level(1)))
+        .map(|(x, _)| x.items()[0])
+        .collect();
+    l1.sort_unstable();
+    l1.dedup();
     let mut k = 2;
     while (old.len_at(k) > 0 || result.len_at(k - 1) > 0) && config.max_k.is_none_or(|m| k <= m) {
         let (old_k, old_sup) = level_table(old, k);
-        let mut pass = FupPassDetail {
-            k,
-            old_large: old_k.len() as u64,
-            ..Default::default()
-        };
-        // Lemma 3: drop old itemsets with a losing (k−1)-subset, looked
-        // up in the previous level's sorted loser rows. `lost` masks the
-        // rows of old L_k that leave L' this pass; `W` is the rest.
-        let mut lost = vec![false; old_k.len()];
-        if !losers_prev.is_empty() {
-            for (i, row) in old_k.rows().enumerate() {
-                lost[i] = (0..k).any(|m| {
-                    sub.clear();
-                    sub.extend_from_slice(&row[..m]);
-                    sub.extend_from_slice(&row[m + 1..]);
-                    losers_prev.contains(&sub)
-                });
-            }
-        }
+        let mut pass = FupPassDetail::default();
+        (pass.k, pass.old_large) = (k, old_k.len() as u64);
+        // `lost` masks the rows of old L_k that leave L' this pass, the
+        // Lemma-3 losers first; `W` is the rest.
+        let mut lost = lemma3_losers(&old_k, &losers_prev);
         let w_at: Vec<usize> = (0..old_k.len()).filter(|&i| !lost[i]).collect();
         pass.lemma3_losers = (old_k.len() - w_at.len()) as u64;
         let w = old_k.select_rows(&w_at);
 
         // C_k = apriori-gen(L'_{k−1}) − L_k: generated flat, then one
         // sorted merge against the old level's rows.
-        let mut c = apriori_gen_flat(&level_table(&result, k - 1).0, &engine.gen);
+        let mut c = apriori_gen_flat(&level_table(&result, k - 1).0, &config.engine.gen);
         c.subtract(&old_k);
         pass.candidates_generated = c.len() as u64;
 
@@ -477,76 +403,17 @@ pub(crate) fn update_round(
         }
         pass.candidates_after_hash = c.len() as u64;
 
-        if w.is_empty() && c.is_empty() {
-            // Every old itemset at this level is a Lemma-3 loser.
-            record_pass(&mut stats, &mut detail, pass);
-            losers_prev = old_k;
-            k += 1;
-            continue;
-        }
-
-        // Vertical arm: the provider's index (or per-shard indexes) over
-        // DB⁻ ∪ db⁺ — DB⁻'s tid-lists held from the last round or built
-        // here, and only *extended* by db⁺'s delta scan — after which one
-        // intersection per itemset yields (support in DB⁻, support in
-        // db⁺) split at tid |DB⁻|, with no scan of either source. The
-        // pass is `indexed` when the provider engaged at an earlier pass
-        // or is warm (every part holds an index aligned with its base):
-        // then `Auto` takes this arm whatever the pool size, since the
-        // hash-tree arm would scan DB⁻ for survivors the index answers
-        // by intersection. Cold, only `C` can force scans of the big
-        // remainder (W is counted over the small parts either way), so
-        // the thresholds weigh the candidate pool alone: the pruning
-        // usually keeps it tiny, and then a tree pass beats a build.
-        let use_vertical = engine.backend.resolve(&PassProfile {
-            k,
-            candidates: c.len(),
-            transactions: n,
-            residue,
-            indexed: provider.warm() || provider.engaged(),
-        }) == ResolvedBackend::Vertical;
-        if use_vertical {
-            provider.engage(old, &result, engine);
-            // Trimmed working copies are never consulted again.
-            plus_working = None;
-            rem_working = None;
-        }
+        // (support in db⁻, support in db⁺) of every row of W, then of C;
+        // nothing to count when every old itemset here is a Lemma-3 loser.
+        let delta = match w.is_empty() && c.is_empty() {
+            true => Vec::new(),
+            false => supports.delta(&l1, &w, &c),
+        };
         let w_len = w.len();
-
-        // The hash tree over W ∪ C: W's rows, then C's. Either arm counts
-        // the delete side through it — whole, see the module docs — and
-        // the hash-tree arm the insert side on top; only a vertical
-        // insert-only pass needs none.
-        let mut tree = (!insert_only || !use_vertical)
-            .then(|| HashTree::build_from_rows(k, &[w.flat_items(), c.flat_items()].concat()));
-        let minus_k: Vec<u64> = match &mut tree {
-            Some(tree) if !insert_only => {
-                engine::count_source_into(tree, deleted, engine);
-                tree.counts().to_vec()
-            }
-            _ => vec![0; w_len + c.len()],
-        };
-
-        // db⁺ supports of W ∪ C — and, on the vertical arm, the DB⁻
-        // supports of all of C from the same intersections.
-        let (plus_k, c_rem): (Vec<u64>, Option<Vec<u64>>) = if use_vertical {
-            let w_splits = provider.count_split(&w, engine);
-            let c_splits = provider.count_split(&c, engine);
-            let plus = w_splits.iter().chain(&c_splits).map(|s| s.1).collect();
-            (plus, Some(c_splits.iter().map(|s| s.0).collect()))
-        } else {
-            let tree = tree.as_mut().expect("the hash-tree arm builds W ∪ C");
-            let src = plus_working.as_ref().map_or(inserted, |t| t);
-            if let Some(trimmed) = count_delta_and_trim(tree, src, k, config) {
-                plus_working = Some(trimmed);
-            }
-            let totals = tree.counts().iter().zip(&minus_k);
-            (totals.map(|(total, minus)| total - minus).collect(), None)
-        };
 
         // Winners/losers among W, by exact delta arithmetic (Lemma 4).
         for (j, &i) in w_at.iter().enumerate() {
-            let sup_new = old_sup[i] + plus_k[j] - minus_k[j];
+            let sup_new = old_sup[i] + delta[j].1 - delta[j].0;
             if minsup.is_large(sup_new, n) {
                 result.insert(old_k.row_itemset(i), sup_new);
                 pass.winners_from_old += 1;
@@ -555,42 +422,20 @@ pub(crate) fn update_round(
             }
         }
 
-        // Lemma 5 / the FUP2 bound: prune candidates that cannot emerge,
-        // leaving a row mask over C. The vertical arm already holds every
-        // row's DB⁻ support, but gating them all the same keeps
-        // `candidates_checked` — and the result — identical across arms.
+        // Lemma 5 / the FUP2 bound prunes the candidates that cannot
+        // emerge; only the survivors are counted in DB⁻.
         let survivors: Vec<usize> = (0..c.len())
-            .filter(|&i| may_emerge(minus_k[w_len + i], plus_k[w_len + i]))
+            .filter(|&i| may_emerge(delta[w_len + i].0, delta[w_len + i].1))
             .collect();
         pass.candidates_checked = survivors.len() as u64;
-
-        // DB⁻ supports of the survivors: read off the splits, or one scan
-        // of DB⁻ through a tree over the survivors' rows (skipped when
-        // nothing survived) that also applies `Reduce-DB` — no item
-        // outside `L_k ∪ C` can be in a large (k+1)-itemset.
-        let survivors_rem: Vec<u64> = match c_rem {
-            Some(all) => survivors.iter().map(|&i| all[i]).collect(),
-            None if survivors.is_empty() => Vec::new(),
-            None => {
-                let rows = c.select_rows(&survivors);
-                let keep = config
-                    .reduce_db
-                    .then(|| reduce::item_universe(old_k.rows().chain(rows.rows())));
-                let mut ctree = HashTree::build_from_table(rows);
-                let src = rem_working.as_ref().map_or(remainder, |t| t);
-                if let Some(trimmed) =
-                    count_base_and_trim(&mut ctree, src, keep.as_ref(), k, engine)
-                {
-                    rem_working = Some(trimmed);
+        if !survivors.is_empty() {
+            let base = supports.base(&old_k, &c, &survivors);
+            for (&i, sup_rem) in survivors.iter().zip(base) {
+                let sup_new = sup_rem + delta[w_len + i].1;
+                if minsup.is_large(sup_new, n) {
+                    result.insert(c.row_itemset(i), sup_new);
+                    pass.winners_from_new += 1;
                 }
-                ctree.into_counts()
-            }
-        };
-        for (&i, sup_rem) in survivors.iter().zip(survivors_rem) {
-            let sup_new = sup_rem + plus_k[w_len + i];
-            if minsup.is_large(sup_new, n) {
-                result.insert(c.row_itemset(i), sup_new);
-                pass.winners_from_new += 1;
             }
         }
 
@@ -600,9 +445,7 @@ pub(crate) fn update_round(
         k += 1;
     }
 
-    // The provider's index(es) now cover DB⁻ ∪ db⁺ — exactly the
-    // database after this update commits; the next round can extend.
-    provider.finish();
+    supports.finish();
     stats.elapsed = start.elapsed();
     Ok(FupOutcome {
         large: result,
@@ -624,6 +467,23 @@ fn level_table(large: &LargeItemsets, k: usize) -> (ItemsetTable, Vec<u64>) {
     (ItemsetTable::from_flat_rows(k, rows), supports)
 }
 
+/// Lemma 3: `true` for each row of `old_k` with a (k−1)-subset among
+/// `losers`, the previous level's sorted loser rows.
+fn lemma3_losers(old_k: &ItemsetTable, losers: &ItemsetTable) -> Vec<bool> {
+    let mut sub = Vec::new();
+    (old_k.rows())
+        .map(|row| {
+            !losers.is_empty()
+                && (0..row.len()).any(|m| {
+                    sub.clear();
+                    sub.extend_from_slice(&row[..m]);
+                    sub.extend_from_slice(&row[m + 1..]);
+                    losers.contains(&sub)
+                })
+        })
+        .collect()
+}
+
 /// Closes a pass: its [`FupPassDetail`] and the [`PassStats`] row derived
 /// from it.
 fn record_pass(stats: &mut MiningStats, detail: &mut Vec<FupPassDetail>, pass: FupPassDetail) {
@@ -636,128 +496,25 @@ fn record_pass(stats: &mut MiningStats, detail: &mut Vec<FupPassDetail>, pass: F
     detail.push(pass);
 }
 
-/// Supports of `items` over one scan of `db`, in `items` order.
-fn count_listed_items(
-    db: &dyn TransactionSource,
-    items: &[ItemId],
-    engine: &EngineConfig,
-) -> Vec<u64> {
-    // Items are dense, so the candidate index is a flat array
-    // (u32::MAX = not a candidate) — no hashing in the hot loop.
-    let max_item = items.iter().map(|i| i.index()).max().unwrap_or(0);
-    let mut index_of: Vec<u32> = vec![u32::MAX; max_item + 1];
-    for (idx, item) in items.iter().enumerate() {
-        index_of[item.index()] = idx as u32;
-    }
-    engine::merge_dense(engine::scan_fold(
-        db,
-        engine,
-        || vec![0u64; items.len()],
-        |counts: &mut Vec<u64>, _chunk, t| {
-            for &item in t {
-                if let Some(&idx) = index_of.get(item.index()) {
-                    if idx != u32::MAX {
-                        counts[idx as usize] += 1;
-                    }
-                }
-            }
-        },
-    ))
-}
-
-/// One engine pass of `tree` (`W ∪ C`) over the insert side, adding into
-/// the tree's counts. Under `Reduce-db` it also returns the trimmed
-/// working copy the next iteration scans instead — kept per chunk, so
-/// the copy is deterministic at any thread count.
-fn count_delta_and_trim(
-    tree: &mut HashTree,
-    src: &dyn TransactionSource,
-    k: usize,
-    config: &FupConfig,
-) -> Option<TransactionDb> {
-    let reduce = config.reduce_db;
-    let view = tree.view();
-    let folds = engine::scan_fold(
-        src,
-        &config.engine,
-        || (tree.new_scratch(), ChunkedCollector::new()),
-        |(scratch, kept), chunk, t| {
-            if reduce {
-                let mut matched: Vec<usize> = Vec::new();
-                view.count_with(t, scratch, &mut |i| matched.push(i));
-                let matched = matched.iter().map(|&i| view.candidate(i));
-                if let Some(reduced) = reduce::reduce_db_transaction(t, matched, k) {
-                    kept.push(chunk, reduced);
-                }
-            } else {
-                view.count(t, scratch);
-            }
-        },
-    );
-    absorb_and_collect(tree, folds, reduce)
-}
-
-/// One engine pass of `tree` (the surviving candidates) over `DB⁻`.
-/// With a `Reduce-DB` keep-set it also returns the trimmed working copy
-/// the next iteration scans instead.
-fn count_base_and_trim(
-    tree: &mut HashTree,
-    src: &dyn TransactionSource,
-    keep: Option<&HashSet<ItemId>>,
-    k: usize,
-    engine: &EngineConfig,
-) -> Option<TransactionDb> {
-    let view = tree.view();
-    let folds = engine::scan_fold(
-        src,
-        engine,
-        || (tree.new_scratch(), ChunkedCollector::new()),
-        |(scratch, kept), chunk, t| {
-            view.count(t, scratch);
-            if let Some(reduced) = keep.and_then(|keep| reduce::reduce_full_transaction(t, keep, k))
-            {
-                kept.push(chunk, reduced);
-            }
-        },
-    );
-    absorb_and_collect(tree, folds, keep.is_some())
-}
-
-/// Folds the per-worker scratches of one pass into `tree`; when the pass
-/// trimmed, merges the kept transactions (chunk-ordered) into the next
-/// iteration's working copy.
-fn absorb_and_collect(
-    tree: &mut HashTree,
-    folds: Vec<(CountScratch, ChunkedCollector<Transaction>)>,
-    trimmed: bool,
-) -> Option<TransactionDb> {
-    let mut collectors = Vec::with_capacity(folds.len());
-    for (scratch, kept) in folds {
-        tree.absorb(scratch);
-        collectors.push(kept);
-    }
-    trimmed.then(|| TransactionDb::from_transactions(ChunkedCollector::merge(collectors)))
-}
-
-/// Convenience: mines the baseline with Apriori, then maintains it with
-/// FUP — used pervasively in tests and examples.
-pub fn mine_then_update(
-    db: &dyn TransactionSource,
-    increment: &dyn TransactionSource,
-    minsup: MinSupport,
-    config: FupConfig,
-) -> Result<FupOutcome> {
-    let baseline = fup_mining::Apriori::new().run(db, minsup).large;
-    Fup::with_config(config).update(db, &baseline, increment, minsup)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fup_mining::apriori::mine_naive;
     use fup_mining::Apriori;
+    use fup_mining::EngineConfig;
     use fup_tidb::source::ChainSource;
     use fup_tidb::{SegmentedDb, Transaction, TransactionDb, UpdateBatch};
+
+    /// Mines the baseline with Apriori, then maintains it with FUP.
+    fn mine_then_update(
+        db: &dyn TransactionSource,
+        increment: &dyn TransactionSource,
+        minsup: MinSupport,
+        config: FupConfig,
+    ) -> Result<FupOutcome> {
+        let baseline = Apriori::new().run(db, minsup).large;
+        Fup::with_config(config).update(db, &baseline, increment, minsup)
+    }
 
     fn db(rows: &[&[u32]]) -> TransactionDb {
         TransactionDb::from_transactions(
@@ -1399,5 +1156,135 @@ mod tests {
             MinSupport::percent(30),
             FupConfig::full(),
         );
+    }
+
+    /// Plants, for each `(kept, deleted, inserted)` group `g`, that many
+    /// rows holding exactly the triple `{3g, 3g+1, 3g+2}` in `DB⁻`, `db⁻`
+    /// and `db⁺`, so the triple, its pairs and its items share one
+    /// support per part, and pads each part to `sizes` with rows of
+    /// distinct filler items. Returns `DB` (`DB⁻`, then `db⁻`), the
+    /// indices of `db⁻` in it, and `db⁺`.
+    fn planted(
+        groups: &[(usize, usize, usize)],
+        sizes: (usize, usize, usize),
+    ) -> (Vec<Transaction>, Vec<usize>, Vec<Transaction>) {
+        let mut parts: [Vec<Transaction>; 3] = Default::default();
+        for (g, &(kept, deleted, inserted)) in groups.iter().enumerate() {
+            let g = 3 * g as u32;
+            for (part, n) in parts.iter_mut().zip([kept, deleted, inserted]) {
+                part.extend((0..n).map(|_| tx(&[g, g + 1, g + 2])));
+            }
+        }
+        let mut filler = 500u32..;
+        for (part, size) in parts.iter_mut().zip([sizes.0, sizes.1, sizes.2]) {
+            assert!(part.len() <= size);
+            part.resize_with(size, || tx(&[filler.next().unwrap()]));
+        }
+        let [mut db, deleted, inserted] = parts;
+        let deletes = (db.len()..db.len() + deleted.len()).collect();
+        db.extend(deleted);
+        (db, deletes, inserted)
+    }
+
+    /// [`check_fup2`] (≡ an Apriori re-mine of `DB'`) under `HashTree`,
+    /// `Vertical` and `Auto`; `detail` and `stats.passes` must agree.
+    fn across_backends(
+        (db, deletes, inserts): (Vec<Transaction>, Vec<usize>, Vec<Transaction>),
+        minsup: MinSupport,
+    ) -> FupOutcome {
+        use fup_mining::CountingBackend::{Auto, HashTree, Vertical};
+        let outs = [HashTree, Vertical, Auto].map(|backend| {
+            let config = FupConfig {
+                engine: EngineConfig::default().with_backend(backend),
+                ..FupConfig::full()
+            };
+            check_fup2(db.clone(), &deletes, inserts.clone(), minsup, config)
+        });
+        for out in &outs[1..] {
+            assert_eq!(out.detail, outs[0].detail);
+            assert_eq!(out.stats.passes, outs[0].stats.passes);
+        }
+        outs.into_iter().next().unwrap()
+    }
+
+    /// FUP2 on the thresholds. |DB| = 100 and |DB'| = 100 at 10 %, so
+    /// `required = 10` on both sides and `old_cap = 9`; a candidate
+    /// survives the bound iff `sup_d⁺ − sup_d⁻ ≥ 1`. Each group's triple,
+    /// pairs and items sit at one boundary at every level k = 1, 2, 3.
+    #[test]
+    fn fup2_bound_and_support_thresholds_are_exact() {
+        let groups = [
+            (9, 1, 0),  // old large (10), ends at required − 1: a loser
+            (9, 1, 1),  // old large, ends exactly at required
+            (10, 0, 1), // old large, ends at required + 1
+            (9, 0, 1),  // small (9): the bound holds with equality, ends at required
+            (8, 0, 1),  // small (8): the bound holds with equality, ends at required − 1
+            (8, 1, 1),  // small (9): misses the bound by 1 (pruned), ends at 9
+            (9, 0, 0),  // small (9), no delta: misses by 1, ends at 9
+            (9, 0, 2),  // small (9): the bound holds with 1 to spare, ends at required + 1
+        ];
+        let out = across_backends(planted(&groups, (90, 10, 10)), MinSupport::percent(10));
+        let triple = |g: u32| s(&[3 * g, 3 * g + 1, 3 * g + 2]);
+        let supports: Vec<Option<u64>> = (0..8).map(|g| out.large.support(&triple(g))).collect();
+        let expected = [
+            None,
+            Some(10),
+            Some(11),
+            Some(10),
+            None,
+            None,
+            None,
+            Some(11),
+        ];
+        assert_eq!(supports, expected);
+        let detail = |k, old_large, lemma3, old_wins, generated, checked, new_wins| FupPassDetail {
+            k,
+            old_large,
+            lemma3_losers: lemma3,
+            winners_from_old: old_wins,
+            candidates_generated: generated,
+            candidates_after_hash: generated,
+            candidates_checked: checked,
+            winners_from_new: new_wins,
+        };
+        assert_eq!(
+            out.detail,
+            [
+                // 9 old items, 3 of them losers; 15 planted candidate items
+                // and 29 fillers, of which the 9 on or over the bound and
+                // the 3 inserted fillers are checked.
+                detail(1, 9, 0, 6, 44, 12, 6),
+                // The 60 pairs over L'₁ outside old L₂: only the 6 inside
+                // the two emerging triples pass the bound.
+                detail(2, 9, 3, 6, 60, 6, 6),
+                detail(3, 3, 1, 2, 2, 2, 2),
+                detail(4, 0, 0, 0, 0, 0, 0),
+            ]
+        );
+    }
+
+    /// FUP on the thresholds. |DB| = 100 and |db⁺| = 30 at 10 %:
+    /// `required(DB') = 13`, and Lemma 5 keeps a candidate iff its `db⁺`
+    /// support is at least 3.
+    #[test]
+    fn fup_lemma5_and_support_thresholds_are_exact() {
+        let groups = [
+            (10, 0, 2), // old large, ends at required − 1: a loser
+            (10, 0, 3), // old large, ends exactly at required
+            (11, 0, 3), // old large, ends at required + 1
+            (9, 0, 4),  // small: passes Lemma 5, ends exactly at required
+            (9, 0, 3),  // small: meets Lemma 5 with equality, ends at required − 1
+            (9, 0, 2),  // small: misses Lemma 5 by 1 (pruned), ends at 11
+            (9, 0, 5),  // small: passes Lemma 5, ends at required + 1
+        ];
+        let out = across_backends(planted(&groups, (100, 0, 30)), MinSupport::percent(10));
+        let triple = |g: u32| s(&[3 * g, 3 * g + 1, 3 * g + 2]);
+        let supports: Vec<Option<u64>> = (0..7).map(|g| out.large.support(&triple(g))).collect();
+        let expected = [None, Some(13), Some(14), Some(13), None, None, Some(14)];
+        assert_eq!(supports, expected);
+        // Iteration 1 checks exactly the items of the three candidates at
+        // or over the Lemma-5 line; fillers never reach it.
+        assert_eq!(out.detail[0].candidates_checked, 9);
+        assert_eq!(out.stats.algorithm, "fup");
     }
 }

@@ -75,6 +75,7 @@ pub mod policy;
 pub mod reduce;
 pub mod service;
 pub mod session;
+mod supports;
 pub mod vindex;
 
 pub use cluster::{Cluster, ShardWorker, WorkerProbe};

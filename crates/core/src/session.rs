@@ -61,7 +61,7 @@ use crate::config::FupConfig;
 use crate::diff::{ItemsetDiff, RuleDiff};
 use crate::durable::{self, DeltaBase, DurabilityPolicy, DurableLog, RecoveryReport};
 use crate::error::{BuildError, Error, Result};
-use crate::fup::update_round;
+use crate::fup::update_local;
 use crate::policy::UpdatePolicy;
 use crate::service::ShardHealth;
 use crate::vindex::{IndexSlot, SlotProvider};
@@ -1090,16 +1090,9 @@ impl Maintainer {
         // Shard-parallel counting: one persistent index slot per shard,
         // per-shard supports merged by summation inside the provider —
         // every threshold decision gates on the same global sums.
-        let mut provider = SlotProvider::per_shard(&self.store, &staged, &mut self.slots);
-        let outcome = update_round(
-            &self.config,
-            &self.store,
-            &self.state.large,
-            staged.deleted(),
-            staged.inserted(),
-            self.minsup,
-            &mut provider,
-        );
+        let slots =
+            SlotProvider::per_shard(&self.store, &staged, &mut self.slots, &self.config.engine);
+        let outcome = update_local(&self.config, &self.state.large, self.minsup, slots);
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {

@@ -1,16 +1,13 @@
-//! Vertical-index plumbing for the maintenance layer: the shared bits of
-//! the FUP/FUP2 vertical counting paths (index construction and the
-//! split-count seam), plus [`IndexSlot`] — the holder that lets a
-//! [`Maintainer`](crate::Maintainer) keep one [`VerticalIndex`] alive
-//! *across* maintenance rounds instead of rebuilding it on first use every
-//! round.
-//!
-//! One provider serves every in-process round: a `SlotProvider` over one
-//! slot per tid-range part. A session passes one part per shard (an
-//! unsharded session is the one-shard case); the one-shot
-//! [`Fup`](crate::Fup) / [`Fup2`](crate::Fup2) fronts pass one part over
-//! their own sources. Supports are additive over disjoint parts, so the
-//! summed splits are the whole-store splits.
+//! Vertical-index plumbing for the maintenance layer: [`IndexSlot`], the
+//! holder that lets a [`Maintainer`](crate::Maintainer) keep one
+//! [`VerticalIndex`] alive *across* maintenance rounds instead of
+//! rebuilding it on first use every round, and `SlotProvider`, the
+//! in-process support provider that counts through one slot per
+//! tid-range part. A session passes one part per shard (an unsharded
+//! session is the one-shard case); the one-shot [`Fup`](crate::Fup) /
+//! [`Fup2`](crate::Fup2) fronts pass one part over their own sources.
+//! Supports are additive over disjoint parts, so the summed splits are
+//! the whole-store splits.
 //!
 //! ## The persistent-index contract
 //!
@@ -31,14 +28,15 @@
 //! is smaller.
 //!
 //! A round whose every part holds an aligned index is *warm*
-//! (`VerticalProvider::warm`): it counts `C₁` and every `k ≥ 2` pass
+//! (`SlotProvider::warm`): it counts `C₁` and every `k ≥ 2` pass
 //! through the held index, extended by the round's delta (one scan of
 //! the small delta, no scan of the base), so an insert-only round reads
 //! no base row.
 
+use crate::supports::{ScanSupports, Sides, Supports};
 use fup_mining::vertical::item_bitmap;
-use fup_mining::{EngineConfig, ItemsetTable, LargeItemsets, VerticalIndex};
-use fup_tidb::{ShardedDb, ShardedStaged, TransactionSource};
+use fup_mining::{EngineConfig, ItemsetTable, VerticalIndex};
+use fup_tidb::{ItemId, ShardedDb, ShardedStaged, TransactionSource};
 
 /// Holds a [`VerticalIndex`] between FUP/FUP2 rounds so insert-only
 /// updates extend it (one delta scan) instead of rebuilding it (a full
@@ -134,9 +132,10 @@ impl IndexSlot {
     /// source's tid-lists extended by the `delta` source's scan (FUP: `DB`
     /// then the increment; FUP2: `DB⁻` then `db⁺`).
     ///
-    /// Every `W` item is in the old `L₁` and every candidate item is in
-    /// the updated `L₁` (both complete after iteration 1), so the index
-    /// must cover their union. If the slot holds an index that already
+    /// `keep_items` is what the held index must cover: old `L₁ ∪ L'₁`,
+    /// which holds every item of `W` and of every candidate (both
+    /// complete after iteration 1), and which a cluster shard worker
+    /// receives over the wire. If the slot holds an index that already
     /// covers `base` (same transaction count — the caller guarantees same
     /// order — and those items), only `delta` is scanned; otherwise the
     /// index is rebuilt over every item, so later rounds never miss.
@@ -145,31 +144,7 @@ impl IndexSlot {
     /// successful run so the next round can reuse it.
     pub(crate) fn acquire(
         &mut self,
-        old: &LargeItemsets,
-        result: &LargeItemsets,
-        base: &dyn TransactionSource,
-        delta: &dyn TransactionSource,
-        engine: &EngineConfig,
-    ) -> VerticalIndex {
-        self.acquire_items(
-            old.level(1)
-                .chain(result.level(1))
-                .map(|(x, _)| x.items()[0]),
-            base,
-            delta,
-            engine,
-        )
-    }
-
-    /// [`acquire`](IndexSlot::acquire) with the keep filter given as an
-    /// explicit item list instead of the two `L₁` levels — the shape a
-    /// cluster shard worker receives over the wire (the coordinator
-    /// computes `old L₁ ∪ result L₁` and broadcasts just the items).
-    /// Same reuse contract, same counters: `keep_items` is what the held
-    /// index must cover, not a build filter.
-    pub(crate) fn acquire_items(
-        &mut self,
-        keep_items: impl IntoIterator<Item = fup_tidb::ItemId>,
+        keep_items: impl IntoIterator<Item = ItemId>,
         base: &dyn TransactionSource,
         delta: &dyn TransactionSource,
         engine: &EngineConfig,
@@ -205,76 +180,6 @@ impl IndexSlot {
     }
 }
 
-/// The vertical-counting seam of the FUP/FUP2 round loops: where the
-/// per-pass `(support in base, support in delta)` splits come from once
-/// the vertical backend engages. In-process callers hand the loops a
-/// [`SlotProvider`] — one persistent index per tid-range part (one part
-/// per session shard, or one part over the one-shot fronts' own
-/// sources) — that merges local splits by summation (count
-/// distribution); the cluster hands them a provider whose parts live in
-/// its workers. The loops cannot tell the difference: supports are
-/// additive over disjoint tid ranges, so the summed splits equal the
-/// whole-store splits exactly.
-pub(crate) trait VerticalProvider {
-    /// `true` once [`engage`](VerticalProvider::engage) has run.
-    fn engaged(&self) -> bool;
-
-    /// `true` if engaging would only extend indexes already held over the
-    /// round's base rows — no base scan. With
-    /// [`engaged`](VerticalProvider::engaged) it is the round loop's
-    /// [`PassProfile::indexed`](fup_mining::PassProfile::indexed). The
-    /// default is `false`: a remote provider's rounds are priced cold.
-    fn warm(&self) -> bool {
-        false
-    }
-
-    /// Materialises the round's index (or indexes), covering at least
-    /// `old L₁ ∪ result L₁`. Idempotent: a second call in the same round
-    /// is a no-op.
-    fn engage(&mut self, old: &LargeItemsets, result: &LargeItemsets, engine: &EngineConfig);
-
-    /// `(support in base, support in delta)` for every row of `table`,
-    /// in row order.
-    ///
-    /// # Panics
-    ///
-    /// May panic if [`engage`](VerticalProvider::engage) has not run.
-    fn count_split(&self, table: &ItemsetTable, engine: &EngineConfig) -> Vec<(u64, u64)>;
-
-    /// Pass-1 offload: supports of `items` in the round's **base** rows
-    /// only (FUP's `C₁`-over-`DB` scan). `None` — the default — tells the
-    /// round loop to scan its base source directly; a provider that can
-    /// answer without that scan returns `Some(counts)` (one per item,
-    /// request order) and the loop skips it: a remote provider whose
-    /// base rows live in other processes, or a warm in-process one
-    /// reading list lengths off its held indexes. Summed per-part counts
-    /// equal the whole-base scan's counts (a support is a sum over
-    /// disjoint tid ranges), so results stay bit-identical either way.
-    fn count_base_items(
-        &self,
-        items: &[fup_tidb::ItemId],
-        engine: &EngineConfig,
-    ) -> Option<Vec<u64>> {
-        let _ = (items, engine);
-        None
-    }
-
-    /// Pass-1 offload, dense flavour: the full item histogram of the
-    /// round's base rows (FUP2's all-items pass over `DB⁻`). Same
-    /// contract as [`count_base_items`](VerticalProvider::count_base_items):
-    /// `None` means "scan it yourself"; `Some(counts)` has `counts[i]`
-    /// counting `ItemId(i)` and may be shorter than the dictionary
-    /// (missing tail = zero occurrences).
-    fn count_base_dense(&self, engine: &EngineConfig) -> Option<Vec<u64>> {
-        let _ = engine;
-        None
-    }
-
-    /// Returns the round's index (or indexes) to their slot(s) after a
-    /// successful run. A no-op when the round never engaged.
-    fn finish(&mut self);
-}
-
 /// One part of a [`SlotProvider`]: a persistent slot, the base rows its
 /// index covers (`DB` for FUP, `DB⁻` for FUP2 — after staging, a shard
 /// *is* its remainder), the delta rows extending it, and the boundary
@@ -288,21 +193,27 @@ struct Part<'a> {
     index: Option<VerticalIndex>,
 }
 
-/// The in-process [`VerticalProvider`]: one [`IndexSlot`] per disjoint
-/// tid-range part, local splits merged by summation. Engaging acquires
-/// every part's index from its slot; finishing stashes them back.
-///
-/// Each part's slot is acquired independently, and the acquire step's
-/// size check (base row count vs. index coverage) rebuilds exactly the
-/// parts whose live set changed — a session shard no deletion touched
-/// reuses its index and scans only its delta slice.
+/// The in-process index provider: one [`IndexSlot`] per disjoint
+/// tid-range part, local splits summed. The first
+/// [`delta`](Supports::delta) acquires each part's index from its slot
+/// (a shard no deletion touched extends its index), `finish` stashes
+/// them back. `delta` splits every row of `W ∪ C` and keeps `C`'s `DB⁻`
+/// halves for [`base`](Supports::base). `C₁`'s base supports are list
+/// lengths when the round is [`warm`](SlotProvider::warm), a scan else.
 pub(crate) struct SlotProvider<'a> {
+    base: &'a dyn TransactionSource,
+    sides: Sides<'a>,
     parts: Vec<Part<'a>>,
+    /// The `DB⁻` supports of the last `delta`'s `C`, row order.
+    c_base: Vec<u64>,
 }
 
 impl<'a> SlotProvider<'a> {
-    /// A provider over `(slot, base, delta)` parts, in scan order.
+    /// A provider over `base` (`DB⁻`) and `sides`, whose rows are the
+    /// `(slot, base, delta)` parts, in scan order.
     pub(crate) fn new(
+        base: &'a dyn TransactionSource,
+        sides: Sides<'a>,
         parts: impl IntoIterator<
             Item = (
                 &'a mut IndexSlot,
@@ -321,7 +232,12 @@ impl<'a> SlotProvider<'a> {
                 index: None,
             })
             .collect();
-        SlotProvider { parts }
+        SlotProvider {
+            base,
+            sides,
+            parts,
+            c_base: Vec::new(),
+        }
     }
 
     /// One part per shard of a staged `store`: shard `s`'s remainder and
@@ -330,47 +246,57 @@ impl<'a> SlotProvider<'a> {
         store: &'a ShardedDb,
         staged: &'a ShardedStaged,
         slots: &'a mut [IndexSlot],
+        engine: &'a EngineConfig,
     ) -> Self {
-        Self::new(slots.iter_mut().enumerate().map(|(s, slot)| {
-            (
-                slot,
-                store.shard(s) as &dyn TransactionSource,
-                staged.shard_inserted(s) as &dyn TransactionSource,
-            )
-        }))
+        let sides = Sides {
+            remainder: store.num_transactions(),
+            deleted: staged.deleted(),
+            inserted: staged.inserted(),
+            engine,
+        };
+        Self::new(
+            store,
+            sides,
+            slots.iter_mut().enumerate().map(|(s, slot)| {
+                (
+                    slot,
+                    store.shard(s) as &dyn TransactionSource,
+                    staged.shard_inserted(s) as &dyn TransactionSource,
+                )
+            }),
+        )
     }
-}
 
-impl VerticalProvider for SlotProvider<'_> {
-    fn engaged(&self) -> bool {
-        // Parts engage together (one loop in `engage`), so the first
-        // part speaks for all of them.
-        self.parts.first().is_some_and(|p| p.index.is_some())
+    /// The hash-tree arm over the same sources.
+    pub(crate) fn scan(&self, reduce_db: bool) -> ScanSupports<'a> {
+        ScanSupports::new(self.base, self.sides, reduce_db)
     }
 
-    fn warm(&self) -> bool {
+    /// `true` if every part's slot holds an index aligned with its base,
+    /// so counting through them extends and never scans a base row.
+    pub(crate) fn warm(&self) -> bool {
         self.parts
             .iter()
             .all(|p| p.slot.aligned(p.boundary).is_some())
     }
 
-    fn engage(&mut self, old: &LargeItemsets, result: &LargeItemsets, engine: &EngineConfig) {
-        for part in &mut self.parts {
-            if part.index.is_none() {
-                part.index = Some(
-                    part.slot
-                        .acquire(old, result, part.base, part.delta, engine),
-                );
-            }
+    /// Acquires every part's index, covering `l1`, once per round.
+    fn engage(&mut self, l1: &[ItemId]) {
+        let engine = self.sides.engine;
+        for part in self.parts.iter_mut().filter(|p| p.index.is_none()) {
+            let keep = l1.iter().copied();
+            part.index = Some(part.slot.acquire(keep, part.base, part.delta, engine));
         }
     }
 
-    fn count_split(&self, table: &ItemsetTable, engine: &EngineConfig) -> Vec<(u64, u64)> {
+    /// `(support in base, support in delta)` for every row of `table`,
+    /// summed over the parts.
+    fn count_split(&self, table: &ItemsetTable) -> Vec<(u64, u64)> {
         let mut splits = self.parts.iter().map(|part| {
             part.index
                 .as_ref()
                 .expect("engage() before count_split()")
-                .count_rows_split(table, part.boundary, engine)
+                .count_rows_split(table, part.boundary, self.sides.engine)
         });
         let mut totals = splits.next().unwrap_or_else(|| vec![(0, 0); table.len()]);
         for local in splits {
@@ -381,27 +307,43 @@ impl VerticalProvider for SlotProvider<'_> {
         }
         totals
     }
+}
 
-    /// A `C₁` survivor's support in the base is its list length in the
-    /// held index — when every part holds an aligned index covering
-    /// `items`; otherwise `None`, and the round scans.
-    fn count_base_items(
-        &self,
-        items: &[fup_tidb::ItemId],
-        _engine: &EngineConfig,
-    ) -> Option<Vec<u64>> {
+impl Supports for SlotProvider<'_> {
+    fn sides(&self) -> &Sides<'_> {
+        &self.sides
+    }
+
+    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
         let needed = item_bitmap(items.iter().copied());
-        let held: Vec<&VerticalIndex> = self
+        let held: Option<Vec<&VerticalIndex>> = self
             .parts
             .iter()
             .map(|p| p.slot.aligned(p.boundary).filter(|idx| idx.covers(&needed)))
-            .collect::<Option<_>>()?;
-        Some(
-            items
-                .iter()
+            .collect();
+        match held {
+            Some(held) => (items.iter())
                 .map(|&item| held.iter().map(|idx| idx.support(item)).sum())
                 .collect(),
-        )
+            None => self.scan(false).base_items(items),
+        }
+    }
+
+    fn base_dense(&mut self) -> Vec<u64> {
+        self.scan(false).base_dense()
+    }
+
+    fn delta(&mut self, l1: &[ItemId], w: &ItemsetTable, c: &ItemsetTable) -> Vec<(u64, u64)> {
+        self.engage(l1);
+        let minus = self.sides.minus(w, c);
+        let (w_splits, c_splits) = (self.count_split(w), self.count_split(c));
+        self.c_base = c_splits.iter().map(|s| s.0).collect();
+        let plus = w_splits.iter().chain(&c_splits).map(|s| s.1);
+        minus.into_iter().zip(plus).collect()
+    }
+
+    fn base(&mut self, _old: &ItemsetTable, _c: &ItemsetTable, survivors: &[usize]) -> Vec<u64> {
+        survivors.iter().map(|&i| self.c_base[i]).collect()
     }
 
     fn finish(&mut self) {
@@ -416,8 +358,13 @@ impl VerticalProvider for SlotProvider<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fup_mining::{Apriori, Itemset, MinSupport};
+    use fup_mining::{Apriori, Itemset, LargeItemsets, MinSupport};
     use fup_tidb::{SegmentedDb, ShardSpec, Tid, Transaction, TransactionDb, UpdateBatch};
+
+    /// The items of `large`'s level 1.
+    fn l1(large: &LargeItemsets) -> Vec<ItemId> {
+        large.level(1).map(|(x, _)| x.items()[0]).collect()
+    }
 
     fn rows(n: u64) -> Vec<Transaction> {
         (0..n)
@@ -449,11 +396,21 @@ mod tests {
         let old = Apriori::new().run(&flat, minsup).large;
         let fs = flat.stage(batch.clone()).unwrap();
         let mut flat_slot = IndexSlot::new();
-        let mut flat_provider = SlotProvider::new([(
-            &mut flat_slot,
-            &flat as &dyn TransactionSource,
-            fs.inserted() as &dyn TransactionSource,
-        )]);
+        let sides = Sides {
+            remainder: flat.num_transactions(),
+            deleted: fs.deleted(),
+            inserted: fs.inserted(),
+            engine: &engine,
+        };
+        let mut flat_provider = SlotProvider::new(
+            &flat,
+            sides,
+            [(
+                &mut flat_slot,
+                &flat as &dyn TransactionSource,
+                fs.inserted() as &dyn TransactionSource,
+            )],
+        );
 
         // One part per shard, several shard counts.
         for shards in [1u32, 2, 3, 8] {
@@ -462,13 +419,10 @@ mod tests {
                     .unwrap();
             let ss = sharded.stage(batch.clone()).unwrap();
             let mut slots: Vec<IndexSlot> = (0..shards).map(|_| IndexSlot::new()).collect();
-            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots);
+            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots, &engine);
 
-            let result = LargeItemsets::new(50);
-            assert!(!provider.engaged());
-            flat_provider.engage(&old, &result, &engine);
-            provider.engage(&old, &result, &engine);
-            assert!(provider.engaged());
+            flat_provider.engage(&l1(&old));
+            provider.engage(&l1(&old));
 
             let sets: Vec<Itemset> = vec![
                 Itemset::from_items([0u32, 10]),
@@ -477,14 +431,12 @@ mod tests {
             ];
             let table = ItemsetTable::from_sorted_itemsets(&sets);
             assert_eq!(
-                provider.count_split(&table, &engine),
-                flat_provider.count_split(&table, &engine),
+                provider.count_split(&table),
+                flat_provider.count_split(&table),
                 "{shards} shard(s)"
             );
             // Empty tables stay empty through the summation.
-            assert!(provider
-                .count_split(&ItemsetTable::empty(), &engine)
-                .is_empty());
+            assert!(provider.count_split(&ItemsetTable::empty()).is_empty());
 
             provider.finish();
             for slot in &slots {
@@ -508,8 +460,8 @@ mod tests {
         // Round 1: insert-only — both shards build.
         let ss = sharded.stage(UpdateBatch::insert_only(rows(6))).unwrap();
         {
-            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots);
-            provider.engage(&old, &LargeItemsets::new(30), &engine);
+            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots, &engine);
+            provider.engage(&l1(&old));
             provider.finish();
         }
         sharded.commit(ss);
@@ -525,8 +477,8 @@ mod tests {
             })
             .unwrap();
         {
-            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots);
-            provider.engage(&old2, &LargeItemsets::new(33), &engine);
+            let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots, &engine);
+            provider.engage(&l1(&old2));
             provider.finish();
         }
         sharded.commit(ss);
@@ -556,7 +508,7 @@ mod tests {
 
         let mut slot = IndexSlot::new();
         assert!(!slot.has_index());
-        let idx = slot.acquire(&old, &LargeItemsets::new(6), &base, &inc1, &cfg);
+        let idx = slot.acquire(l1(&old), &base, &inc1, &cfg);
         assert_eq!((slot.builds(), slot.extends()), (1, 0));
         assert_eq!(idx.num_transactions(), 6);
         slot.stash(idx);
@@ -568,14 +520,14 @@ mod tests {
         let merged = db(&[&[1, 2], &[1, 2], &[2, 3], &[1, 3], &[1, 2], &[2, 3]]);
         let old2 = mine(&merged);
         let inc2 = db(&[&[1, 3]]);
-        let idx = slot.acquire(&old2, &LargeItemsets::new(7), &merged, &inc2, &cfg);
+        let idx = slot.acquire(l1(&old2), &merged, &inc2, &cfg);
         assert_eq!((slot.builds(), slot.extends()), (1, 1));
         slot.stash(idx);
 
         // A cleared slot rebuilds.
         slot.clear();
         assert!(!slot.has_index());
-        let _ = slot.acquire(&old2, &LargeItemsets::new(7), &merged, &inc2, &cfg);
+        let _ = slot.acquire(l1(&old2), &merged, &inc2, &cfg);
         assert_eq!(slot.builds(), 2);
     }
 
@@ -594,11 +546,11 @@ mod tests {
         let cfg = EngineConfig::serial();
 
         let mut slot = IndexSlot::new();
-        let idx = slot.acquire(&old, &LargeItemsets::new(6), &base, &inc, &cfg);
+        let idx = slot.acquire(l1(&old), &base, &inc, &cfg);
         slot.stash(idx);
         let grown = mine(&merged);
         assert!(grown.contains(&Itemset::single(fup_tidb::ItemId(9))));
-        let idx = slot.acquire(&grown, &grown, &merged, &empty, &cfg);
+        let idx = slot.acquire(l1(&grown), &merged, &empty, &cfg);
         assert_eq!((slot.builds(), slot.extends()), (1, 1));
         assert_eq!(idx.support(fup_tidb::ItemId(9)), 3, "exact, not filtered");
 
@@ -612,11 +564,11 @@ mod tests {
         .run_with_index(&base, MinSupport::percent(30));
         let mut adopted = IndexSlot::new();
         adopted.adopt(mined.expect("a pinned-vertical mine builds an index"));
-        let idx = adopted.acquire(&old, &grown, &base, &inc, &cfg);
+        let idx = adopted.acquire(l1(&old).into_iter().chain(l1(&grown)), &base, &inc, &cfg);
         assert_eq!((adopted.builds(), adopted.extends()), (2, 0));
         assert_eq!(idx.support(fup_tidb::ItemId(9)), 3);
         adopted.stash(idx);
-        let _ = adopted.acquire(&grown, &grown, &merged, &empty, &cfg);
+        let _ = adopted.acquire(l1(&grown), &merged, &empty, &cfg);
         assert_eq!((adopted.builds(), adopted.extends()), (2, 1));
     }
 
@@ -627,7 +579,7 @@ mod tests {
         let cfg = EngineConfig::serial();
         let mut slot = IndexSlot::new();
         let empty = db(&[]);
-        let idx = slot.acquire(&old, &LargeItemsets::new(2), &base, &empty, &cfg);
+        let idx = slot.acquire(l1(&old), &base, &empty, &cfg);
         slot.stash(idx);
         let _ = slot.take_touched();
 
