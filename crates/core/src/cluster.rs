@@ -37,10 +37,10 @@
 //! 2. **Count** — the FUP/FUP2 round runs on the coordinator with
 //!    nothing but `|DB⁻|` of the base: its support provider counts the
 //!    small parts locally and asks the workers for every base count
-//!    (index splits, and pass 1's item counts), summing their answers,
-//!    so no base row ever travels to the coordinator.
+//!    (index splits, and pass 1's item histogram), summing their
+//!    answers, so no base row ever travels to the coordinator.
 //! 3. **Decide** — `CommitRound` (or `AbortRound`) is WAL-logged and
-//!    applied on every worker.
+//!    applied on every worker, which settles its index slot with it.
 //!
 //! A worker killed between phases recovers from its own log: an
 //! undecided round at the log's tail is re-staged and reported at
@@ -51,11 +51,12 @@
 //! snapshots keep serving reads throughout.
 
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use fup_mining::apriori::AprioriConfig;
+use fup_mining::engine::{count_items_and_pairs, merge_dense};
 use fup_mining::rules::generate_rules;
 use fup_mining::{
     Apriori, EngineConfig, ItemsetTable, LargeItemsets, MinConfidence, MinSupport, MiningStats,
@@ -65,7 +66,7 @@ use fup_tidb::source::ChainSource;
 use fup_tidb::wal::WalRecord;
 use fup_tidb::{
     Admission, DurableStorage, ItemId, ShardSpec, ShardedDb, ShardedStaged, SliceSource,
-    StagingArea, Tid, Transaction, TransactionDb, TransactionSource, UpdateBatch,
+    StagingArea, Tid, Transaction, TransactionDb, UpdateBatch,
 };
 
 use crate::config::FupConfig;
@@ -76,7 +77,7 @@ use crate::fup::update_round;
 use crate::policy::UpdatePolicy;
 use crate::service::ShardHealth;
 use crate::session::{MaintenanceReport, RuleSnapshot, SnapshotState};
-use crate::supports::{Sides, Supports};
+use crate::supports::{sum_splits, Sides, SplitSupports, Splits};
 use crate::vindex::IndexSlot;
 
 /// One shard's routed slice of a batch: inserts with the local tids they
@@ -119,8 +120,6 @@ pub struct ShardWorker {
     log: DurableLog,
     decided_round: u64,
     staged: Option<StagedRound>,
-    /// The round's engaged index and its base/delta boundary.
-    round_index: Option<(fup_mining::VerticalIndex, u64)>,
 }
 
 impl ShardWorker {
@@ -209,7 +208,6 @@ impl ShardWorker {
             log,
             decided_round,
             staged: None,
-            round_index: None,
         }
     }
 
@@ -248,61 +246,21 @@ impl ShardWorker {
                 let Some(st) = &self.staged else {
                     return Ok(Message::Err("engage without a staged round".into()));
                 };
-                if self.round_index.is_none() {
-                    let boundary = TransactionSource::num_transactions(&self.db);
-                    let idx = self.slot.acquire(
-                        keep.iter().copied(),
-                        &self.db,
-                        st.staged.inserted(),
-                        &self.engine,
-                    );
-                    self.round_index = Some((idx, boundary));
-                }
+                let delta = st.staged.inserted();
+                self.slot
+                    .engage(keep.iter().copied(), &self.db, delta, &self.engine);
                 Ok(Message::Ok)
             }
             Message::CountSplit { k, items } => {
-                let Some((idx, boundary)) = &self.round_index else {
-                    return Ok(Message::Err("count before engage".into()));
-                };
                 let table = ItemsetTable::from_flat_rows(*k as usize, items.clone());
-                Ok(Message::Splits(idx.count_rows_split(
-                    &table,
-                    *boundary,
-                    &self.engine,
-                )))
+                Ok(match self.slot.count_split(&table, &self.engine) {
+                    Some(splits) => Message::Splits(splits),
+                    None => Message::Err("count before engage".into()),
+                })
             }
-            Message::CountItems { items } => {
-                let index_of: HashMap<ItemId, usize> =
-                    items.iter().enumerate().map(|(i, &x)| (x, i)).collect();
-                let mut counts = vec![0u64; items.len()];
-                TransactionSource::for_each(&self.db, &mut |tx: &[ItemId]| {
-                    for item in tx {
-                        if let Some(&i) = index_of.get(item) {
-                            counts[i] += 1;
-                        }
-                    }
-                });
-                Ok(Message::Counts(counts))
-            }
-            Message::CountDense => {
-                let mut counts: Vec<u64> = Vec::new();
-                TransactionSource::for_each(&self.db, &mut |tx: &[ItemId]| {
-                    for item in tx {
-                        let i = item.index();
-                        if i >= counts.len() {
-                            counts.resize(i + 1, 0);
-                        }
-                        counts[i] += 1;
-                    }
-                });
-                Ok(Message::Counts(counts))
-            }
-            Message::FinishRound => {
-                if let Some((idx, _)) = self.round_index.take() {
-                    self.slot.stash(idx);
-                }
-                Ok(Message::Ok)
-            }
+            Message::CountDense => Ok(Message::Counts(
+                count_items_and_pairs(&self.db, 0, &self.engine).0,
+            )),
             Message::CommitRound { round } => self.handle_decision(*round, true),
             Message::AbortRound { round } => self.handle_decision(*round, false),
             Message::Checkpoint => {
@@ -431,36 +389,20 @@ impl ShardWorker {
     }
 
     /// Applies the decision on the staged round in memory (`commit`,
-    /// else abort) — after it is logged, or when recovery replays it.
+    /// else abort), settling the index slot with it — after it is
+    /// logged, or when recovery replays it.
     fn apply_decision(&mut self, commit: bool) {
         let st = self.staged.take().expect("a round is staged");
         self.decided_round = st.round;
-        self.round_index = None;
-        let touched = self.slot.take_touched();
+        let deleted = !st.deletes.is_empty();
+        self.slot
+            .settle(commit, st.staged.inserted(), deleted, &self.engine);
         if commit {
             // The coordinator sets the checkpoint cadence; the log only
             // needs the deletions for its next delta.
             let _ = self.log.note_round(&st.deletes);
-            // Mirror the flat session's `align_index`: a round whose
-            // counting stashed the index (FinishRound) already covers
-            // base ∪ delta; otherwise insert-only rounds extend the held
-            // index, delete rounds drop it (swap_remove reordered the
-            // live set).
-            if !touched {
-                if st.deletes.is_empty() {
-                    self.slot.extend_with(st.staged.inserted(), &self.engine);
-                } else {
-                    self.slot.clear();
-                }
-            }
             self.db.commit(st.staged);
         } else {
-            // Removed rows go back at the end of the live set, exactly as
-            // the in-process abort does — which is why the slot must drop
-            // its index when rows were removed (order changed).
-            if !st.deletes.is_empty() {
-                self.slot.clear();
-            }
             self.db.abort(st.staged);
         }
     }
@@ -485,11 +427,10 @@ impl ShardWorker {
 
 // ======================================================= provider ==
 
-/// The cluster's [`Supports`] provider: `db⁻` and `db⁺` are counted on
+/// The cluster's [`Splits`] provider: `db⁻` and `db⁺` are counted on
 /// the coordinator, every base request (`Engage`, `CountSplit`,
-/// `CountItems`, `CountDense`) is broadcast to the workers and their
-/// answers summed — supports are additive over disjoint tid ranges — and
-/// `delta` keeps `C`'s base halves for `base`. Worker failures cannot
+/// `CountDense`) is broadcast to the workers and their answers summed —
+/// supports are additive over disjoint tid ranges. Worker failures cannot
 /// surface as `Err` through the provider, so they land in a failure flag
 /// the coordinator checks after the run; counts returned after a failure
 /// are garbage and the round is aborted without looking at them.
@@ -497,22 +438,10 @@ struct ClusterProvider<'a> {
     workers: &'a [WorkerHandle],
     sides: Sides<'a>,
     engaged: bool,
-    /// The `DB⁻` supports of the last `delta`'s `C`, row order.
-    c_base: Vec<u64>,
     failure: std::cell::RefCell<Option<(usize, String)>>,
 }
 
-impl<'a> ClusterProvider<'a> {
-    fn new(workers: &'a [WorkerHandle], sides: Sides<'a>) -> Self {
-        ClusterProvider {
-            workers,
-            sides,
-            engaged: false,
-            c_base: Vec::new(),
-            failure: std::cell::RefCell::new(None),
-        }
-    }
-
+impl ClusterProvider<'_> {
     /// Sends `msg` to every worker and returns the accepted replies in
     /// shard order; the round's first failure (the lowest failing shard)
     /// lands in the failure flag.
@@ -529,8 +458,30 @@ impl<'a> ClusterProvider<'a> {
         }
         gathered.replies.into_iter().map(|(_, v)| v).collect()
     }
+}
 
-    fn count_split(&self, table: &ItemsetTable) -> Vec<(u64, u64)> {
+impl Splits for ClusterProvider<'_> {
+    fn sides(&self) -> &Sides<'_> {
+        &self.sides
+    }
+
+    fn base_dense(&mut self) -> Vec<u64> {
+        merge_dense(
+            self.broadcast(&Message::CountDense, |_, reply| match reply {
+                Message::Counts(v) => Ok(v),
+                other => Err(other),
+            }),
+        )
+    }
+
+    fn engage(&mut self, l1: &[ItemId]) {
+        if !self.engaged {
+            self.broadcast(&Message::Engage { keep: l1.to_vec() }, ack);
+            self.engaged = true;
+        }
+    }
+
+    fn count_split(&mut self, table: &ItemsetTable) -> Vec<(u64, u64)> {
         if table.is_empty() {
             // An empty table has nothing to count — and would encode as
             // a zero-strided `CountSplit`, which workers reject as
@@ -541,77 +492,11 @@ impl<'a> ClusterProvider<'a> {
             k: table.k() as u32,
             items: table.flat_items().to_vec(),
         };
-        let mut totals = vec![(0u64, 0u64); table.len()];
-        for v in self.broadcast(&msg, |_, reply| match reply {
+        let splits = self.broadcast(&msg, |_, reply| match reply {
             Message::Splits(v) if v.len() == table.len() => Ok(v),
             other => Err(other),
-        }) {
-            for (t, x) in totals.iter_mut().zip(v) {
-                t.0 += x.0;
-                t.1 += x.1;
-            }
-        }
-        totals
-    }
-}
-
-impl Supports for ClusterProvider<'_> {
-    fn sides(&self) -> &Sides<'_> {
-        &self.sides
-    }
-
-    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
-        let msg = Message::CountItems {
-            items: items.to_vec(),
-        };
-        let mut totals = vec![0u64; items.len()];
-        for v in self.broadcast(&msg, |_, reply| match reply {
-            Message::Counts(v) if v.len() == items.len() => Ok(v),
-            other => Err(other),
-        }) {
-            for (t, x) in totals.iter_mut().zip(v) {
-                *t += x;
-            }
-        }
-        totals
-    }
-
-    fn base_dense(&mut self) -> Vec<u64> {
-        let mut totals: Vec<u64> = Vec::new();
-        for v in self.broadcast(&Message::CountDense, |_, reply| match reply {
-            Message::Counts(v) => Ok(v),
-            other => Err(other),
-        }) {
-            if v.len() > totals.len() {
-                totals.resize(v.len(), 0);
-            }
-            for (i, x) in v.into_iter().enumerate() {
-                totals[i] += x;
-            }
-        }
-        totals
-    }
-
-    fn delta(&mut self, l1: &[ItemId], w: &ItemsetTable, c: &ItemsetTable) -> Vec<(u64, u64)> {
-        if !self.engaged {
-            self.broadcast(&Message::Engage { keep: l1.to_vec() }, ack);
-            self.engaged = true;
-        }
-        let minus = self.sides.minus(w, c);
-        let (w_splits, c_splits) = (self.count_split(w), self.count_split(c));
-        self.c_base = c_splits.iter().map(|s| s.0).collect();
-        let plus = w_splits.iter().chain(&c_splits).map(|s| s.1);
-        minus.into_iter().zip(plus).collect()
-    }
-
-    fn base(&mut self, _old: &ItemsetTable, _c: &ItemsetTable, survivors: &[usize]) -> Vec<u64> {
-        survivors.iter().map(|&i| self.c_base[i]).collect()
-    }
-
-    fn finish(&mut self) {
-        if self.engaged {
-            self.broadcast(&Message::FinishRound, ack);
-        }
+        });
+        sum_splits(table.len(), splits)
     }
 }
 
@@ -1099,9 +984,14 @@ impl Cluster {
             inserted: &inserted_db,
             engine: &self.config.engine,
         };
-        let mut provider = ClusterProvider::new(&self.workers, sides);
+        let mut provider = SplitSupports::new(ClusterProvider {
+            workers: &self.workers,
+            sides,
+            engaged: false,
+            failure: Default::default(),
+        });
         let outcome = update_round(&self.config, state.large(), self.minsup, &mut provider);
-        if let Some((shard, reason)) = provider.failure.into_inner() {
+        if let Some((shard, reason)) = provider.parts.failure.into_inner() {
             // Counting lost a worker mid-round: the sums are garbage.
             // Abort everywhere reachable (the dead worker resolves at
             // rejoin) and hold the batch for a re-run.

@@ -905,3 +905,49 @@ fn bootstrap_validates_spec_and_storages() {
     };
     assert!(matches!(err, Error::Recovery { .. }), "{err}");
 }
+
+/// A worker that counted an insert-only round through its index and then
+/// aborted it keeps no index over rows it does not hold: its slot holds
+/// nothing, or exactly a fresh build over its rows.
+#[test]
+fn an_aborted_round_leaves_the_worker_no_stale_index() {
+    let storage: Arc<dyn DurableStorage> = Arc::new(MemStorage::new());
+    let engine = EngineConfig::serial();
+    let mut w = ShardWorker::create(0, storage, engine.clone()).unwrap();
+    let rows = history();
+    let n = rows.len() as u64;
+    let load = Message::StageRound {
+        round: 1,
+        inserts: (0..).map(Tid).zip(rows).collect(),
+        deletes: vec![],
+    };
+    assert!(matches!(w.handle(&load).unwrap(), Message::StagedOk { .. }));
+    let commit = Message::CommitRound { round: 1 };
+    assert_eq!(w.handle(&commit).unwrap(), Message::Ok);
+
+    // An insert-only round counts through the index, then aborts (as
+    // when another worker dies mid-count).
+    let stage = Message::StageRound {
+        round: 2,
+        inserts: vec![(Tid(n), tx(&[1, 2])), (Tid(n + 1), tx(&[2, 4]))],
+        deletes: vec![],
+    };
+    assert!(matches!(
+        w.handle(&stage).unwrap(),
+        Message::StagedOk { .. }
+    ));
+    let keep = (1..=5).map(ItemId).collect();
+    assert_eq!(w.handle(&Message::Engage { keep }).unwrap(), Message::Ok);
+    let count = Message::CountSplit {
+        k: 2,
+        items: vec![ItemId(1), ItemId(2)],
+    };
+    assert_eq!(w.handle(&count).unwrap(), Message::Splits(vec![(3, 1)]));
+    let abort = Message::AbortRound { round: 2 };
+    assert_eq!(w.handle(&abort).unwrap(), Message::Ok);
+
+    let drift = w.slot.drift(&w.db, &engine);
+    assert!(drift.is_empty(), "stale index after the abort: {drift:?}");
+    // Counting without an engaged round is refused, not answered.
+    assert!(matches!(w.handle(&count).unwrap(), Message::Err(_)));
+}

@@ -104,11 +104,11 @@ pub enum Error {
     /// A batch with deletions was staged on a session built with
     /// `deletions(false)` (an insert-only workload declaration).
     DeletionsDisabled,
-    /// The maintained itemsets disagree with a from-scratch re-mine —
-    /// returned by [`verify_consistency`](crate::Maintainer::verify_consistency)
+    /// The maintained state disagrees with a from-scratch one — returned
+    /// by [`verify_consistency`](crate::Maintainer::verify_consistency)
     /// with one human-readable line per divergence.
     Inconsistent {
-        /// One line per itemset whose membership or support diverged.
+        /// One line per diverging itemset, or held-index item or size.
         differences: Vec<String>,
     },
     /// Recovery from durable storage could not proceed: no usable

@@ -42,7 +42,7 @@
 
 use crate::config::FupConfig;
 use crate::error::{Error, Result};
-use crate::supports::{AutoSupports, Sides, Supports};
+use crate::supports::{AutoSupports, Sides, SplitSupports, Supports};
 use crate::vindex::{IndexSlot, SlotProvider};
 use fup_mining::engine::pair_bucket;
 use fup_mining::gen::apriori_gen_flat;
@@ -136,10 +136,10 @@ impl Fup {
     /// [`update`](Self::update) with a persistent [`IndexSlot`]: when the
     /// vertical backend engages, the slot's held index is reused (extended
     /// with the increment's delta scan — no scan of `db`) if it covers
-    /// `db`, and the round's index is stashed back on success so the next
-    /// round can extend it again. See the [`crate::vindex`] module docs
-    /// for the reuse contract; [`Fup::update`] passes a throwaway slot and
-    /// builds per round.
+    /// `db`, and after the round the slot covers `db ∪ increment` (or
+    /// holds nothing), so the next round can extend it again. See the
+    /// [`crate::vindex`] module docs for the reuse contract; [`Fup::update`]
+    /// passes a throwaway slot and builds per round.
     pub fn update_with_index(
         &self,
         db: &dyn TransactionSource,
@@ -205,9 +205,9 @@ impl Fup2 {
     /// held from a previous round is reused (extended with `inserted`'s
     /// delta scan) when it covers `remainder` — which is only the case for
     /// insert-only updates, since deletions shrink and reorder the
-    /// remainder; any mismatch rebuilds. The round's index is stashed back
-    /// on success. [`Fup2::update`] passes a throwaway slot and builds per
-    /// round.
+    /// remainder; any mismatch rebuilds. The slot is settled as the
+    /// round's decision: a successful round commits, a failed one aborts.
+    /// [`Fup2::update`] passes a throwaway slot and builds per round.
     pub fn update_with_index(
         &self,
         remainder: &dyn TransactionSource,
@@ -223,15 +223,18 @@ impl Fup2 {
             inserted,
             engine: &self.config.engine,
         };
-        let slots = SlotProvider::new(remainder, sides, [(slot, remainder, inserted)]);
-        update_local(&self.config, old, minsup, slots)
+        let slots = SlotProvider::new(remainder, sides, [(&mut *slot, remainder, inserted)]);
+        let outcome = update_local(&self.config, old, minsup, slots);
+        let engine = &self.config.engine;
+        slot.settle(outcome.is_ok(), inserted, !deleted.is_empty(), engine);
+        outcome
     }
 }
 
 /// An in-process round over `slots`' sources: the configured backend
 /// picks the provider once — [`ScanSupports`](crate::supports::ScanSupports)
 /// for `HashTree`, the slots for `Vertical`, and [`AutoSupports`] over
-/// both for `Auto`.
+/// both for `Auto`. The caller settles the slots at the round's decision.
 pub(crate) fn update_local(
     config: &FupConfig,
     old: &LargeItemsets,
@@ -240,7 +243,7 @@ pub(crate) fn update_local(
 ) -> Result<FupOutcome> {
     let mut supports: Box<dyn Supports + '_> = match config.engine.backend {
         CountingBackend::HashTree => Box::new(slots.scan(config.reduce_db)),
-        CountingBackend::Vertical => Box::new(slots),
+        CountingBackend::Vertical => Box::new(SplitSupports::new(slots)),
         CountingBackend::Auto => Box::new(AutoSupports::new(slots, config.reduce_db)),
     };
     update_round(config, old, minsup, supports.as_mut())
@@ -445,7 +448,6 @@ pub(crate) fn update_round(
         k += 1;
     }
 
-    supports.finish();
     stats.elapsed = start.elapsed();
     Ok(FupOutcome {
         large: result,

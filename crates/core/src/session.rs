@@ -11,7 +11,7 @@
 //! **application** (one incremental round, `commit`) and **serving**
 //! (snapshot reads, untouched by either), and it keeps the expensive
 //! per-round state — the vertical tid-list index — alive across rounds:
-//! insert-only commits *extend* the held [`VerticalIndex`](fup_mining::VerticalIndex)
+//! insert-only commits *extend* the held [`VerticalIndex`]
 //! with the staged delta instead of rebuilding it on first use
 //! (see [`crate::vindex`]).
 //!
@@ -69,7 +69,7 @@ use fup_mining::apriori::AprioriConfig;
 use fup_mining::rules::generate_rules;
 use fup_mining::{
     Apriori, CountingBackend, Itemset, LargeItemsets, MinConfidence, MinSupport, MiningOutcome,
-    MiningStats, Rule, RuleSet,
+    MiningStats, Rule, RuleSet, VerticalIndex,
 };
 use fup_tidb::wal::WalRecord;
 use fup_tidb::{
@@ -837,7 +837,7 @@ impl Maintainer {
             for (s, slot) in m.slots.iter_mut().enumerate() {
                 let shard = m.store.shard(s);
                 if !shard.is_empty() {
-                    slot.seed(shard, &m.config.engine);
+                    slot.adopt(VerticalIndex::build(shard, None, &m.config.engine));
                 }
             }
         }
@@ -1076,9 +1076,6 @@ impl Maintainer {
     }
 
     fn commit_batch(&mut self, batch: UpdateBatch) -> Result<MaintenanceReport> {
-        for slot in &mut self.slots {
-            let _ = slot.take_touched();
-        }
         let batch_size = batch.inserts.len() as u64 + batch.deletes.len() as u64;
         if self
             .policy
@@ -1093,17 +1090,10 @@ impl Maintainer {
         let slots =
             SlotProvider::per_shard(&self.store, &staged, &mut self.slots, &self.config.engine);
         let outcome = update_local(&self.config, &self.state.large, self.minsup, slots);
+        self.settle_slots(outcome.is_ok(), &staged);
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {
-                // Abort re-appends the deleted rows at the end of their
-                // shard's live set, so the scan order of every shard that
-                // lost a row no longer matches its held index.
-                for (s, slot) in self.slots.iter_mut().enumerate() {
-                    if !staged.shard_deleted(s).is_empty() {
-                        slot.clear();
-                    }
-                }
                 self.store.abort(staged);
                 return Err(e);
             }
@@ -1131,7 +1121,7 @@ impl Maintainer {
     /// path [`UpdatePolicy`] routes to for very large batches.
     fn commit_by_remine(&mut self, batch: UpdateBatch) -> Result<MaintenanceReport> {
         let staged = self.stage_drained(batch)?;
-        self.align_index(&staged);
+        self.settle_slots(true, &staged);
         self.note_shard_ops(&staged);
         let (_seg, inserted_tids) = self.store.commit(staged);
         let outcome = self.mine();
@@ -1143,7 +1133,8 @@ impl Maintainer {
         ))
     }
 
-    /// Commits `staged` and publishes the round's mined state.
+    /// Commits `staged` (its slots already settled) and publishes the
+    /// round's mined state.
     fn finish_commit(
         &mut self,
         staged: ShardedStaged,
@@ -1151,7 +1142,6 @@ impl Maintainer {
         algorithm: &'static str,
         stats: MiningStats,
     ) -> MaintenanceReport {
-        self.align_index(&staged);
         self.note_shard_ops(&staged);
         let (_seg, inserted_tids) = self.store.commit(staged);
         self.publish(new_large, algorithm, stats, inserted_tids)
@@ -1192,22 +1182,14 @@ impl Maintainer {
             .collect()
     }
 
-    /// Keeps the persistent index slots consistent with the store the
-    /// round is about to commit: for every slot the round's counting
-    /// never touched, a shard the round only inserted into extends its
-    /// held index with the shard's insert side — one cheap delta scan —
-    /// and a shard that lost rows, whose `swap_remove` staging reordered
-    /// its live set, drops it. A delete landing on one shard never
-    /// invalidates the others.
-    fn align_index(&mut self, staged: &ShardedStaged) {
+    /// Settles every shard's index slot at the staged round's decision
+    /// (`committed`, else aborted), before the store applies it. A delete
+    /// landing on one shard never invalidates the others.
+    fn settle_slots(&mut self, committed: bool, staged: &ShardedStaged) {
+        let engine = &self.config.engine;
         for (s, slot) in self.slots.iter_mut().enumerate() {
-            if !slot.take_touched() {
-                if staged.shard_deleted(s).is_empty() {
-                    slot.extend_with(staged.shard_inserted(s), &self.config.engine);
-                } else {
-                    slot.clear();
-                }
-            }
+            let deleted = !staged.shard_deleted(s).is_empty();
+            slot.settle(committed, staged.shard_inserted(s), deleted, engine);
         }
     }
 
@@ -1443,17 +1425,20 @@ impl Maintainer {
     }
 
     /// Verifies that the incrementally-maintained itemsets equal a full
-    /// re-mine, returning [`Error::Inconsistent`] with one line per
-    /// divergence otherwise. Intended for tests and audits; scans the
-    /// whole store.
+    /// re-mine and that every shard's held index equals a fresh build
+    /// over that shard's rows, returning [`Error::Inconsistent`] with one
+    /// line per divergence otherwise. Intended for tests and audits;
+    /// scans the whole store, and each indexed shard twice more.
     pub fn verify_consistency(&self) -> Result<()> {
         let fresh = self.miner().run(&self.store, self.minsup).large;
-        if self.state.large.same_itemsets(&fresh) {
-            Ok(())
-        } else {
-            Err(Error::Inconsistent {
-                differences: self.state.large.diff(&fresh),
-            })
+        let mut differences = self.state.large.diff(&fresh);
+        for (s, slot) in self.slots.iter().enumerate() {
+            let drift = slot.drift(self.store.shard(s), &self.config.engine);
+            differences.extend(drift.into_iter().map(|d| format!("shard {s} index: {d}")));
+        }
+        match differences.is_empty() {
+            true => Ok(()),
+            false => Err(Error::Inconsistent { differences }),
         }
     }
 }

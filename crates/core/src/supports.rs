@@ -17,6 +17,11 @@
 //! * [`AutoSupports`] (`Auto`): both of the above, switching once.
 //! * The cluster's provider sums its workers' index splits.
 //!
+//! The two split providers implement [`Splits`], and one
+//! [`SplitSupports`] turns their summed splits into `delta` and `base`.
+//! No provider closes the round: the caller settles every index slot at
+//! the round's decision (`IndexSlot::settle`).
+//!
 //! Every provider counts `db⁻` whole through a hash tree: it is never
 //! trimmed, because undercounting it would inflate `support'` and could
 //! fabricate winners. The loop makes every threshold decision on the
@@ -92,7 +97,9 @@ pub(crate) trait Supports {
     }
 
     /// `DB⁻` supports of `items` (FUP's `C₁` survivors), request order.
-    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64>;
+    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
+        pick_items(&self.base_dense(), items)
+    }
 
     /// The item histogram of `DB⁻` (FUP2's `C₁`): `counts[i]` counts
     /// `ItemId(i)`, and a missing tail counts zero.
@@ -107,10 +114,92 @@ pub(crate) trait Supports {
     /// the `c` of this pass's [`delta`](Supports::delta); `old` is the
     /// old level `L_k`.
     fn base(&mut self, old: &ItemsetTable, c: &ItemsetTable, survivors: &[usize]) -> Vec<u64>;
+}
 
-    /// Closes a successful round: an index provider stashes its
-    /// index(es), which now cover `DB⁻ ∪ db⁺`.
-    fn finish(&mut self) {}
+/// The counts of `items` in a dense histogram (a missing tail counts
+/// zero), request order.
+pub(crate) fn pick_items(counts: &[u64], items: &[ItemId]) -> Vec<u64> {
+    (items.iter())
+        .map(|i| counts.get(i.index()).copied().unwrap_or(0))
+        .collect()
+}
+
+/// The element-wise sum of per-part `(base, delta)` splits of a
+/// `rows`-row table.
+pub(crate) fn sum_splits(
+    rows: usize,
+    parts: impl IntoIterator<Item = Vec<(u64, u64)>>,
+) -> Vec<(u64, u64)> {
+    let mut totals = vec![(0, 0); rows];
+    for part in parts {
+        for (acc, (b, d)) in totals.iter_mut().zip(part) {
+            acc.0 += b;
+            acc.1 += d;
+        }
+    }
+    totals
+}
+
+/// A provider whose `k ≥ 2` supports are tid-list splits at `|DB⁻|`,
+/// one per tid-range part and summed: the slots' and the cluster's.
+pub(crate) trait Splits {
+    fn sides(&self) -> &Sides<'_>;
+    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
+        pick_items(&self.base_dense(), items)
+    }
+    fn base_dense(&mut self) -> Vec<u64>;
+
+    /// Engages every part's index for the round, covering `l1` (see
+    /// [`Supports::delta`]); only the first call of a round does work.
+    fn engage(&mut self, l1: &[ItemId]);
+
+    /// `(support in DB⁻, support in db⁺)` of every row of `table`,
+    /// summed over the parts.
+    fn count_split(&mut self, table: &ItemsetTable) -> Vec<(u64, u64)>;
+}
+
+/// [`Supports`] over [`Splits`]: `delta` splits every row of `W ∪ C` and
+/// keeps `C`'s `DB⁻` halves, which `base` reads for the survivors.
+pub(crate) struct SplitSupports<P> {
+    pub(crate) parts: P,
+    /// The `DB⁻` supports of the last `delta`'s `C`, row order.
+    c_base: Vec<u64>,
+}
+
+impl<P> SplitSupports<P> {
+    pub(crate) fn new(parts: P) -> Self {
+        SplitSupports {
+            parts,
+            c_base: Vec::new(),
+        }
+    }
+}
+
+impl<P: Splits> Supports for SplitSupports<P> {
+    fn sides(&self) -> &Sides<'_> {
+        self.parts.sides()
+    }
+
+    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
+        self.parts.base_items(items)
+    }
+
+    fn base_dense(&mut self) -> Vec<u64> {
+        self.parts.base_dense()
+    }
+
+    fn delta(&mut self, l1: &[ItemId], w: &ItemsetTable, c: &ItemsetTable) -> Vec<(u64, u64)> {
+        self.parts.engage(l1);
+        let minus = self.parts.sides().minus(w, c);
+        let (w_splits, c_splits) = (self.parts.count_split(w), self.parts.count_split(c));
+        self.c_base = c_splits.iter().map(|s| s.0).collect();
+        let plus = w_splits.iter().chain(&c_splits).map(|s| s.1);
+        minus.into_iter().zip(plus).collect()
+    }
+
+    fn base(&mut self, _old: &ItemsetTable, _c: &ItemsetTable, survivors: &[usize]) -> Vec<u64> {
+        survivors.iter().map(|&i| self.c_base[i]).collect()
+    }
 }
 
 /// A hash tree over the rows of `w`, then of `c`.
@@ -152,13 +241,6 @@ impl Supports for ScanSupports<'_> {
     /// pruned items: in memory the copy is pure overhead, and the
     /// `Reduce-DB` keep-set of iteration 2 (items of `L₂ ∪ C₂`) subsumes
     /// that removal, so the first trimmed copy is built there.
-    fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
-        let counts = self.base_dense();
-        (items.iter())
-            .map(|i| counts.get(i.index()).copied().unwrap_or(0))
-            .collect()
-    }
-
     fn base_dense(&mut self) -> Vec<u64> {
         count_items_and_pairs(self.base, 0, self.sides.engine).0
     }
@@ -207,7 +289,7 @@ impl Supports for ScanSupports<'_> {
 /// priced by its pool size, `|DB'|` and `residue`.
 pub(crate) struct AutoSupports<'a> {
     scan: ScanSupports<'a>,
-    slots: SlotProvider<'a>,
+    slots: SplitSupports<SlotProvider<'a>>,
     /// The average row length of `db⁺` (of `db⁻` without inserts), from
     /// iteration 1's histograms. It stands in for the frequent-item
     /// residue the miners feed `Auto`: an overestimate on filler-heavy
@@ -222,7 +304,7 @@ impl<'a> AutoSupports<'a> {
     pub(crate) fn new(slots: SlotProvider<'a>, reduce_db: bool) -> Self {
         AutoSupports {
             scan: slots.scan(reduce_db),
-            slots,
+            slots: SplitSupports::new(slots),
             residue: 0.0,
             engaged: false,
         }
@@ -262,7 +344,7 @@ impl Supports for AutoSupports<'_> {
                 candidates: c.len(),
                 transactions: sides.remainder + sides.inserted.num_transactions(),
                 residue: self.residue,
-                indexed: self.slots.warm(),
+                indexed: self.slots.parts.warm(),
             }) == ResolvedBackend::Vertical;
         if self.engaged {
             // The scan's trimmed copies are never read again.
@@ -279,10 +361,6 @@ impl Supports for AutoSupports<'_> {
         } else {
             self.scan.base(old, c, survivors)
         }
-    }
-
-    fn finish(&mut self) {
-        self.slots.finish();
     }
 }
 
@@ -392,9 +470,6 @@ mod tests {
     impl Supports for Recorder<'_> {
         fn sides(&self) -> &Sides<'_> {
             self.scan.sides()
-        }
-        fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
-            self.scan.base_items(items)
         }
         fn base_dense(&mut self) -> Vec<u64> {
             self.scan.base_dense()
@@ -556,9 +631,9 @@ mod tests {
         // extend under Auto; a pinned index extends at pass 2 instead.
         assert_eq!((auto_inc_scans, vertical_inc_scans), (3, 2));
         assert_eq!((slot.builds(), slot.extends()), (1, 0));
-        assert!(slot.has_index(), "finish stashes the index");
+        assert!(slot.has_index(), "the committed round keeps its index");
 
-        // The next round is warm: it extends the stashed index.
+        // The next round is warm: it extends the kept index.
         let inc2 = TransactionDb::from_transactions((0..20).map(triple));
         let fup = Fup::with_config(config(CountingBackend::Auto));
         let next = fup.update_with_index(&whole, &auto.large, &inc2, minsup, &mut slot);

@@ -12,20 +12,24 @@
 //! ## The persistent-index contract
 //!
 //! A [`VerticalIndex`] identifies transactions positionally (tid = scan
-//! order), so an index stored in a slot is only reusable for a later
-//! update if the update's base source replays **exactly** the transactions
-//! the index covers, in the same order, and the index covers every item
-//! the round needs. The [`Maintainer`](crate::Maintainer) upholds the
-//! order half by clearing the slot whenever the store mutates in a way
-//! the slot did not track (deletions reorder the live set); the size
-//! half is checked on every use. Every index a slot builds indexes every
-//! item, so it covers whatever the round asks about, newly large items
-//! included; only an index adopted from a mine, which is filtered to that
-//! mine's `L₁` for its pair matrix, can miss — and at its first miss
-//! ([`VerticalIndex::covers`]) it is replaced by an unfiltered build.
-//! An unfiltered index is still bounded by the rows it holds: a sparse
-//! list costs 4 B per occurrence, and a dense one is chosen only when it
-//! is smaller.
+//! order), so a held index is only reusable if it covers **exactly** the
+//! rows its part holds, in scan order. A round touches a slot through
+//! three calls: `engage` (the round's index over base ∪ delta: the held
+//! index extended when it covers the base, else a build), `count_split`,
+//! and `settle` at the round's decision, the one place the rule lives. A
+//! commit keeps the index the round counted through; a commit that did
+//! not count through it extends the held index by the delta; an abort
+//! that did neither keeps it; every other case drops it — an aborted
+//! round's index covers rows the part does not hold, and deletions
+//! reorder the live set (staging `swap_remove`s, an abort re-appends).
+//! Every index a slot builds indexes every item, so it covers
+//! whatever the round asks about, newly large items included; only an
+//! index adopted from a mine, which is filtered to that mine's `L₁` for
+//! its pair matrix, can miss — and at its first miss
+//! ([`VerticalIndex::covers`]) it is replaced by an unfiltered build. An
+//! unfiltered index is still bounded by the rows it holds: a sparse list
+//! costs 4 B per occurrence, and a dense one is chosen only when it is
+//! smaller.
 //!
 //! A round whose every part holds an aligned index is *warm*
 //! (`SlotProvider::warm`): it counts `C₁` and every `k ≥ 2` pass
@@ -33,7 +37,8 @@
 //! the small delta, no scan of the base), so an insert-only round reads
 //! no base row.
 
-use crate::supports::{ScanSupports, Sides, Supports};
+use crate::supports::{pick_items, sum_splits, ScanSupports, Sides, Splits, Supports};
+use fup_mining::engine::count_items_and_pairs;
 use fup_mining::vertical::item_bitmap;
 use fup_mining::{EngineConfig, ItemsetTable, VerticalIndex};
 use fup_tidb::{ItemId, ShardedDb, ShardedStaged, TransactionSource};
@@ -44,17 +49,19 @@ use fup_tidb::{ItemId, ShardedDb, ShardedStaged, TransactionSource};
 /// base does not match what the index covers (deletions). The slot's own
 /// builds index every item, so dictionary growth (a newly large item, or
 /// an item the dictionary never saw) extends like any other round; only
-/// an [`adopt`](IndexSlot::adopt)ed `L₁`-filtered index rebuilds, once,
-/// at the first item it lacks.
+/// an adopted `L₁`-filtered index rebuilds, once, at the first item it
+/// lacks.
 ///
 /// The default slot is empty; the first round that engages the vertical
 /// backend builds into it.
 #[derive(Debug, Default)]
 pub struct IndexSlot {
     index: Option<VerticalIndex>,
+    /// `|base|` while a round is engaged: the index then covers the
+    /// round's base ∪ delta, split at this tid.
+    boundary: Option<u64>,
     builds: u64,
     extends: u64,
-    touched: bool,
 }
 
 impl IndexSlot {
@@ -79,24 +86,6 @@ impl IndexSlot {
         self.extends
     }
 
-    /// Drops the held index (the next round that wants one rebuilds).
-    /// Called by the maintainer whenever the store mutates in a way the
-    /// slot did not track.
-    pub fn clear(&mut self) {
-        self.index = None;
-    }
-
-    /// Seeds the slot with a freshly built index over `base`, covering
-    /// every item. Used at bootstrap when the backend is pinned vertical,
-    /// so even the *first* commit extends.
-    pub fn seed<S>(&mut self, base: &S, engine: &EngineConfig)
-    where
-        S: TransactionSource + ?Sized,
-    {
-        self.builds += 1;
-        self.index = Some(VerticalIndex::build(base, None, engine));
-    }
-
     /// The held index, if it covers exactly `rows` transactions — the
     /// size half of the reuse contract; the caller guarantees the order.
     fn aligned(&self, rows: u64) -> Option<&VerticalIndex> {
@@ -107,30 +96,18 @@ impl IndexSlot {
 
     /// Adopts an index built elsewhere — typically the one a bootstrap or
     /// re-mine [`Apriori::run_with_index`](fup_mining::Apriori::run_with_index)
-    /// already paid for — counting it as a build. The caller guarantees
-    /// the index covers the store's live set in scan order.
-    pub fn adopt(&mut self, idx: VerticalIndex) {
+    /// already paid for, or a pinned-vertical bootstrap's build over each
+    /// shard — counting it as a build. The caller guarantees the index
+    /// covers the part's rows in scan order.
+    pub(crate) fn adopt(&mut self, idx: VerticalIndex) {
         self.builds += 1;
         self.index = Some(idx);
     }
 
-    /// Extends the held index (if any) with `delta` at the current tid
-    /// offset — the maintainer's way of keeping the slot aligned with an
-    /// insert-only commit whose counting ran on the hash-tree path.
-    pub fn extend_with<S>(&mut self, delta: &S, engine: &EngineConfig)
-    where
-        S: TransactionSource + ?Sized,
-    {
-        if let Some(idx) = &mut self.index {
-            idx.extend(delta, engine);
-            self.extends += 1;
-            self.touched = true;
-        }
-    }
-
-    /// Takes an index an updater can count this round against: the `base`
-    /// source's tid-lists extended by the `delta` source's scan (FUP: `DB`
-    /// then the increment; FUP2: `DB⁻` then `db⁺`).
+    /// Holds the round's index: the `base` source's tid-lists extended by
+    /// the `delta` source's scan (FUP: `DB` then the increment; FUP2:
+    /// `DB⁻` then `db⁺`), split at `|base|`. Once per round; later calls
+    /// keep the engaged index.
     ///
     /// `keep_items` is what the held index must cover: old `L₁ ∪ L'₁`,
     /// which holds every item of `W` and of every candidate (both
@@ -139,105 +116,135 @@ impl IndexSlot {
     /// covers `base` (same transaction count — the caller guarantees same
     /// order — and those items), only `delta` is scanned; otherwise the
     /// index is rebuilt over every item, so later rounds never miss.
-    ///
-    /// The updater must [`stash`](IndexSlot::stash) the index back after a
-    /// successful run so the next round can reuse it.
-    pub(crate) fn acquire(
+    pub(crate) fn engage(
         &mut self,
         keep_items: impl IntoIterator<Item = ItemId>,
         base: &dyn TransactionSource,
         delta: &dyn TransactionSource,
         engine: &EngineConfig,
-    ) -> VerticalIndex {
+    ) {
+        if self.boundary.is_some() {
+            return;
+        }
+        let boundary = base.num_transactions();
         let keep = item_bitmap(keep_items);
-        if let Some(mut idx) = self.index.take() {
-            if idx.num_transactions() == base.num_transactions() && idx.covers(&keep) {
-                idx.extend(delta, engine);
+        let mut idx = match self.index.take() {
+            Some(idx) if idx.num_transactions() == boundary && idx.covers(&keep) => {
                 self.extends += 1;
-                return idx;
+                idx
+            }
+            _ => {
+                self.builds += 1;
+                VerticalIndex::build(base, None, engine)
+            }
+        };
+        idx.extend(delta, engine);
+        self.index = Some(idx);
+        self.boundary = Some(boundary);
+    }
+
+    /// `(support in base, support in delta)` of every row of `table`
+    /// through the engaged index; `None` before [`engage`](Self::engage).
+    pub(crate) fn count_split(
+        &self,
+        table: &ItemsetTable,
+        engine: &EngineConfig,
+    ) -> Option<Vec<(u64, u64)>> {
+        let (idx, boundary) = (self.index.as_ref()?, self.boundary?);
+        Some(idx.count_rows_split(table, boundary, engine))
+    }
+
+    /// Settles the round at its decision (`committed`, else aborted),
+    /// where `inserted` is the round's delta and `had_deletes` says
+    /// whether it removed rows from this part: keeps, extends or drops
+    /// the held index as the [module docs](self) state, so it covers
+    /// exactly the part's rows afterwards.
+    pub(crate) fn settle(
+        &mut self,
+        committed: bool,
+        inserted: &dyn TransactionSource,
+        had_deletes: bool,
+        engine: &EngineConfig,
+    ) {
+        let engaged = self.boundary.take().is_some();
+        match (engaged, committed, had_deletes) {
+            (true, true, _) | (false, false, false) => {}
+            (false, true, false) => {
+                if let Some(idx) = &mut self.index {
+                    idx.extend(inserted, engine);
+                    self.extends += 1;
+                }
+            }
+            _ => self.index = None,
+        }
+    }
+
+    /// How the held index differs from a fresh build over `rows`, the
+    /// part's rows in scan order: its size, and every covered item's
+    /// split at a few boundaries, so positions are checked and not only
+    /// totals. Empty when nothing is held or nothing differs.
+    pub(crate) fn drift(&self, rows: &dyn TransactionSource, engine: &EngineConfig) -> Vec<String> {
+        let Some(held) = &self.index else {
+            return Vec::new();
+        };
+        let (fresh, mut out) = (VerticalIndex::build(rows, None, engine), Vec::new());
+        let (n, held_n) = (fresh.num_transactions(), held.num_transactions());
+        if held_n != n {
+            out.push(format!(
+                "the held index covers {held_n} rows, the part holds {n}"
+            ));
+        }
+        let universe = count_items_and_pairs(rows, 0, engine).0.len() as u32;
+        let items: Vec<ItemId> = (0..universe)
+            .map(ItemId)
+            .filter(|&item| held.covers(&item_bitmap([item])))
+            .collect();
+        let table = ItemsetTable::from_flat_rows(1, items.clone());
+        for boundary in [n / 4, n / 2, n - n / 4, n.saturating_sub(1)] {
+            let h = held.count_rows_split(&table, boundary, engine);
+            let f = fresh.count_rows_split(&table, boundary, engine);
+            for ((item, h), f) in items.iter().zip(h).zip(f).filter(|((_, h), f)| h != f) {
+                out.push(format!(
+                    "item {}: split at {boundary} held {h:?}, fresh {f:?}",
+                    item.raw()
+                ));
             }
         }
-        self.builds += 1;
-        let mut idx = VerticalIndex::build(base, None, engine);
-        idx.extend(delta, engine);
-        idx
-    }
-
-    /// Returns an index to the slot after a successful update round. The
-    /// index now covers the round's `base ∪ delta` — exactly the store
-    /// after the round commits.
-    pub(crate) fn stash(&mut self, idx: VerticalIndex) {
-        self.index = Some(idx);
-        self.touched = true;
-    }
-
-    /// Clears and returns the per-round "slot participated" flag — set by
-    /// [`stash`](IndexSlot::stash) / [`extend_with`](IndexSlot::extend_with),
-    /// read by the maintainer after each commit to decide whether the held
-    /// index still matches the store.
-    pub(crate) fn take_touched(&mut self) -> bool {
-        std::mem::take(&mut self.touched)
+        out
     }
 }
 
 /// One part of a [`SlotProvider`]: a persistent slot, the base rows its
 /// index covers (`DB` for FUP, `DB⁻` for FUP2 — after staging, a shard
-/// *is* its remainder), the delta rows extending it, and the boundary
-/// splitting the two.
-struct Part<'a> {
-    slot: &'a mut IndexSlot,
-    base: &'a dyn TransactionSource,
-    delta: &'a dyn TransactionSource,
-    /// Tid splitting the base's supports from the delta's (`|base|`).
-    boundary: u64,
-    index: Option<VerticalIndex>,
-}
+/// *is* its remainder), and the delta rows extending it.
+pub(crate) type Part<'a> = (
+    &'a mut IndexSlot,
+    &'a dyn TransactionSource,
+    &'a dyn TransactionSource,
+);
 
 /// The in-process index provider: one [`IndexSlot`] per disjoint
-/// tid-range part, local splits summed. The first
-/// [`delta`](Supports::delta) acquires each part's index from its slot
-/// (a shard no deletion touched extends its index), `finish` stashes
-/// them back. `delta` splits every row of `W ∪ C` and keeps `C`'s `DB⁻`
-/// halves for [`base`](Supports::base). `C₁`'s base supports are list
-/// lengths when the round is [`warm`](SlotProvider::warm), a scan else.
+/// tid-range part, local splits summed. The first `engage` engages each
+/// part's slot (a shard no deletion touched extends its index); the
+/// caller settles the slots at the round's decision. `C₁`'s base supports
+/// are list lengths when the round is [`warm`](SlotProvider::warm), a
+/// scan else.
 pub(crate) struct SlotProvider<'a> {
     base: &'a dyn TransactionSource,
     sides: Sides<'a>,
     parts: Vec<Part<'a>>,
-    /// The `DB⁻` supports of the last `delta`'s `C`, row order.
-    c_base: Vec<u64>,
 }
 
 impl<'a> SlotProvider<'a> {
     /// A provider over `base` (`DB⁻`) and `sides`, whose rows are the
-    /// `(slot, base, delta)` parts, in scan order.
+    /// parts', in scan order.
     pub(crate) fn new(
         base: &'a dyn TransactionSource,
         sides: Sides<'a>,
-        parts: impl IntoIterator<
-            Item = (
-                &'a mut IndexSlot,
-                &'a dyn TransactionSource,
-                &'a dyn TransactionSource,
-            ),
-        >,
+        parts: impl IntoIterator<Item = Part<'a>>,
     ) -> Self {
-        let parts = parts
-            .into_iter()
-            .map(|(slot, base, delta)| Part {
-                slot,
-                base,
-                delta,
-                boundary: base.num_transactions(),
-                index: None,
-            })
-            .collect();
-        SlotProvider {
-            base,
-            sides,
-            parts,
-            c_base: Vec::new(),
-        }
+        let parts = parts.into_iter().collect();
+        SlotProvider { base, sides, parts }
     }
 
     /// One part per shard of a staged `store`: shard `s`'s remainder and
@@ -257,13 +264,8 @@ impl<'a> SlotProvider<'a> {
         Self::new(
             store,
             sides,
-            slots.iter_mut().enumerate().map(|(s, slot)| {
-                (
-                    slot,
-                    store.shard(s) as &dyn TransactionSource,
-                    staged.shard_inserted(s) as &dyn TransactionSource,
-                )
-            }),
+            (slots.iter_mut().enumerate())
+                .map(|(s, slot)| -> Part<'a> { (slot, store.shard(s), staged.shard_inserted(s)) }),
         )
     }
 
@@ -275,57 +277,26 @@ impl<'a> SlotProvider<'a> {
     /// `true` if every part's slot holds an index aligned with its base,
     /// so counting through them extends and never scans a base row.
     pub(crate) fn warm(&self) -> bool {
-        self.parts
-            .iter()
-            .all(|p| p.slot.aligned(p.boundary).is_some())
-    }
-
-    /// Acquires every part's index, covering `l1`, once per round.
-    fn engage(&mut self, l1: &[ItemId]) {
-        let engine = self.sides.engine;
-        for part in self.parts.iter_mut().filter(|p| p.index.is_none()) {
-            let keep = l1.iter().copied();
-            part.index = Some(part.slot.acquire(keep, part.base, part.delta, engine));
-        }
-    }
-
-    /// `(support in base, support in delta)` for every row of `table`,
-    /// summed over the parts.
-    fn count_split(&self, table: &ItemsetTable) -> Vec<(u64, u64)> {
-        let mut splits = self.parts.iter().map(|part| {
-            part.index
-                .as_ref()
-                .expect("engage() before count_split()")
-                .count_rows_split(table, part.boundary, self.sides.engine)
-        });
-        let mut totals = splits.next().unwrap_or_else(|| vec![(0, 0); table.len()]);
-        for local in splits {
-            for (acc, (b, d)) in totals.iter_mut().zip(local) {
-                acc.0 += b;
-                acc.1 += d;
-            }
-        }
-        totals
+        (self.parts.iter()).all(|(slot, base, _)| slot.aligned(base.num_transactions()).is_some())
     }
 }
 
-impl Supports for SlotProvider<'_> {
+impl Splits for SlotProvider<'_> {
     fn sides(&self) -> &Sides<'_> {
         &self.sides
     }
 
     fn base_items(&mut self, items: &[ItemId]) -> Vec<u64> {
         let needed = item_bitmap(items.iter().copied());
-        let held: Option<Vec<&VerticalIndex>> = self
-            .parts
-            .iter()
-            .map(|p| p.slot.aligned(p.boundary).filter(|idx| idx.covers(&needed)))
+        let held: Option<Vec<&VerticalIndex>> = (self.parts.iter())
+            .map(|(slot, base, _)| slot.aligned(base.num_transactions()))
+            .map(|idx| idx.filter(|idx| idx.covers(&needed)))
             .collect();
         match held {
             Some(held) => (items.iter())
                 .map(|&item| held.iter().map(|idx| idx.support(item)).sum())
                 .collect(),
-            None => self.scan(false).base_items(items),
+            None => pick_items(&self.base_dense(), items),
         }
     }
 
@@ -333,25 +304,20 @@ impl Supports for SlotProvider<'_> {
         self.scan(false).base_dense()
     }
 
-    fn delta(&mut self, l1: &[ItemId], w: &ItemsetTable, c: &ItemsetTable) -> Vec<(u64, u64)> {
-        self.engage(l1);
-        let minus = self.sides.minus(w, c);
-        let (w_splits, c_splits) = (self.count_split(w), self.count_split(c));
-        self.c_base = c_splits.iter().map(|s| s.0).collect();
-        let plus = w_splits.iter().chain(&c_splits).map(|s| s.1);
-        minus.into_iter().zip(plus).collect()
-    }
-
-    fn base(&mut self, _old: &ItemsetTable, _c: &ItemsetTable, survivors: &[usize]) -> Vec<u64> {
-        survivors.iter().map(|&i| self.c_base[i]).collect()
-    }
-
-    fn finish(&mut self) {
-        for part in &mut self.parts {
-            if let Some(idx) = part.index.take() {
-                part.slot.stash(idx);
-            }
+    fn engage(&mut self, l1: &[ItemId]) {
+        let engine = self.sides.engine;
+        for (slot, base, delta) in &mut self.parts {
+            slot.engage(l1.iter().copied(), *base, *delta, engine);
         }
+    }
+
+    fn count_split(&mut self, table: &ItemsetTable) -> Vec<(u64, u64)> {
+        let engine = self.sides.engine;
+        let splits = (self.parts.iter()).map(|(slot, _, _)| {
+            slot.count_split(table, engine)
+                .expect("engaged before counting")
+        });
+        sum_splits(table.len(), splits)
     }
 }
 
@@ -364,6 +330,20 @@ mod tests {
     /// The items of `large`'s level 1.
     fn l1(large: &LargeItemsets) -> Vec<ItemId> {
         large.level(1).map(|(x, _)| x.items()[0]).collect()
+    }
+
+    /// Settles every shard's slot at the staged round's decision, as a
+    /// session does.
+    fn settle_all(
+        slots: &mut [IndexSlot],
+        staged: &ShardedStaged,
+        committed: bool,
+        engine: &EngineConfig,
+    ) {
+        for (s, slot) in slots.iter_mut().enumerate() {
+            let deleted = !staged.shard_deleted(s).is_empty();
+            slot.settle(committed, staged.shard_inserted(s), deleted, engine);
+        }
     }
 
     fn rows(n: u64) -> Vec<Transaction> {
@@ -438,9 +418,13 @@ mod tests {
             // Empty tables stay empty through the summation.
             assert!(provider.count_split(&ItemsetTable::empty()).is_empty());
 
-            provider.finish();
+            drop(provider);
+            settle_all(&mut slots, &ss, true, &engine);
             for slot in &slots {
-                assert!(slot.has_index(), "finish must stash every part's index");
+                assert!(
+                    slot.has_index(),
+                    "a committed round keeps every part's index"
+                );
             }
         }
     }
@@ -462,8 +446,8 @@ mod tests {
         {
             let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots, &engine);
             provider.engage(&l1(&old));
-            provider.finish();
         }
+        settle_all(&mut slots, &ss, true, &engine);
         sharded.commit(ss);
         assert_eq!((slots[0].builds(), slots[1].builds()), (1, 1));
 
@@ -479,8 +463,8 @@ mod tests {
         {
             let mut provider = SlotProvider::per_shard(&sharded, &ss, &mut slots, &engine);
             provider.engage(&l1(&old2));
-            provider.finish();
         }
+        settle_all(&mut slots, &ss, true, &engine);
         sharded.commit(ss);
         assert_eq!((slots[0].builds(), slots[0].extends()), (2, 0));
         assert_eq!((slots[1].builds(), slots[1].extends()), (1, 1));
@@ -500,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn acquire_reuses_matching_index_and_rebuilds_on_mismatch() {
+    fn engage_reuses_matching_index_and_rebuilds_on_mismatch() {
         let base = db(&[&[1, 2], &[1, 2], &[2, 3], &[1, 3]]);
         let inc1 = db(&[&[1, 2], &[2, 3]]);
         let old = mine(&base);
@@ -508,51 +492,57 @@ mod tests {
 
         let mut slot = IndexSlot::new();
         assert!(!slot.has_index());
-        let idx = slot.acquire(l1(&old), &base, &inc1, &cfg);
+        assert!(slot.count_split(&ItemsetTable::empty(), &cfg).is_none());
+        slot.engage(l1(&old), &base, &inc1, &cfg);
         assert_eq!((slot.builds(), slot.extends()), (1, 0));
-        assert_eq!(idx.num_transactions(), 6);
-        slot.stash(idx);
-        assert!(slot.take_touched());
-        assert!(!slot.take_touched());
+        let pair = ItemsetTable::from_sorted_itemsets(&[Itemset::from_items([1u32, 2])]);
+        assert_eq!(slot.count_split(&pair, &cfg), Some(vec![(2, 1)]));
+        // A second engage in the same round keeps the engaged index.
+        slot.engage(l1(&old), &base, &inc1, &cfg);
+        assert_eq!((slot.builds(), slot.extends()), (1, 0));
+        slot.settle(true, &inc1, false, &cfg);
+        assert!(slot.count_split(&pair, &cfg).is_none(), "settled");
 
         // Next round: base is now base ∪ inc1 (6 transactions) — the held
         // index matches, so only the new delta is scanned.
         let merged = db(&[&[1, 2], &[1, 2], &[2, 3], &[1, 3], &[1, 2], &[2, 3]]);
         let old2 = mine(&merged);
         let inc2 = db(&[&[1, 3]]);
-        let idx = slot.acquire(l1(&old2), &merged, &inc2, &cfg);
+        slot.engage(l1(&old2), &merged, &inc2, &cfg);
         assert_eq!((slot.builds(), slot.extends()), (1, 1));
-        slot.stash(idx);
+        assert_eq!(slot.count_split(&pair, &cfg), Some(vec![(3, 0)]));
+        slot.settle(true, &inc2, false, &cfg);
 
-        // A cleared slot rebuilds.
-        slot.clear();
-        assert!(!slot.has_index());
-        let _ = slot.acquire(l1(&old2), &merged, &inc2, &cfg);
-        assert_eq!(slot.builds(), 2);
+        // A held index over other rows (here: the round's base without
+        // inc2) rebuilds.
+        slot.engage(l1(&old2), &merged, &inc2, &cfg);
+        assert_eq!((slot.builds(), slot.extends()), (2, 1));
     }
 
     /// Dictionary growth: a slot's own index covers every item, so a
     /// newly large item extends it; an adopted `L₁`-filtered mine index
     /// rebuilds once, at the first item it lacks.
     #[test]
-    fn acquire_extends_across_dictionary_growth() {
+    fn engage_extends_across_dictionary_growth() {
         // Item 9 is rare in the base (not large) and large after `inc`.
         let base = db(&[&[1, 2], &[1, 2], &[1, 2], &[1, 9]]);
         let inc = db(&[&[9], &[2, 9]]);
         let merged = db(&[&[1, 2], &[1, 2], &[1, 2], &[1, 9], &[9], &[2, 9]]);
         let empty = db(&[]);
         let old = mine(&base);
-        assert!(!old.contains(&Itemset::single(fup_tidb::ItemId(9))));
+        assert!(!old.contains(&Itemset::single(ItemId(9))));
         let cfg = EngineConfig::serial();
+        let nine = ItemsetTable::from_sorted_itemsets(&[Itemset::single(ItemId(9))]);
 
         let mut slot = IndexSlot::new();
-        let idx = slot.acquire(l1(&old), &base, &inc, &cfg);
-        slot.stash(idx);
+        slot.engage(l1(&old), &base, &inc, &cfg);
+        slot.settle(true, &inc, false, &cfg);
         let grown = mine(&merged);
-        assert!(grown.contains(&Itemset::single(fup_tidb::ItemId(9))));
-        let idx = slot.acquire(l1(&grown), &merged, &empty, &cfg);
+        assert!(grown.contains(&Itemset::single(ItemId(9))));
+        slot.engage(l1(&grown), &merged, &empty, &cfg);
         assert_eq!((slot.builds(), slot.extends()), (1, 1));
-        assert_eq!(idx.support(fup_tidb::ItemId(9)), 3, "exact, not filtered");
+        let exact = Some(vec![(3, 0)]);
+        assert_eq!(slot.count_split(&nine, &cfg), exact, "exact, not filtered");
 
         // The same growth against an index adopted from a mine of `base`
         // (filtered to its L₁ = {1, 2}): reuse would be unsound, so the
@@ -564,32 +554,74 @@ mod tests {
         .run_with_index(&base, MinSupport::percent(30));
         let mut adopted = IndexSlot::new();
         adopted.adopt(mined.expect("a pinned-vertical mine builds an index"));
-        let idx = adopted.acquire(l1(&old).into_iter().chain(l1(&grown)), &base, &inc, &cfg);
+        let keep = l1(&old).into_iter().chain(l1(&grown));
+        adopted.engage(keep, &base, &inc, &cfg);
         assert_eq!((adopted.builds(), adopted.extends()), (2, 0));
-        assert_eq!(idx.support(fup_tidb::ItemId(9)), 3);
-        adopted.stash(idx);
-        let _ = adopted.acquire(l1(&grown), &merged, &empty, &cfg);
+        assert_eq!(adopted.count_split(&nine, &cfg), Some(vec![(1, 2)]));
+        adopted.settle(true, &inc, false, &cfg);
+        adopted.engage(l1(&grown), &merged, &empty, &cfg);
         assert_eq!((adopted.builds(), adopted.extends()), (2, 1));
     }
 
+    /// `settle` keeps, extends or drops the held index exactly as the
+    /// module docs tabulate, and what it keeps matches a fresh build.
     #[test]
-    fn extend_with_keeps_slot_aligned() {
-        let base = db(&[&[1, 2], &[1, 2]]);
-        let old = mine(&base);
-        let cfg = EngineConfig::serial();
-        let mut slot = IndexSlot::new();
-        let empty = db(&[]);
-        let idx = slot.acquire(l1(&old), &base, &empty, &cfg);
-        slot.stash(idx);
-        let _ = slot.take_touched();
-
+    fn settle_keeps_extends_or_drops_as_tabulated() {
+        let base = db(&[&[1, 2], &[1, 2], &[2, 3]]);
         let delta = db(&[&[1, 2], &[2]]);
-        slot.extend_with(&delta, &cfg);
-        assert_eq!(slot.extends(), 1);
-        assert!(slot.take_touched());
-        // Empty slots ignore the call.
-        let mut empty_slot = IndexSlot::new();
-        empty_slot.extend_with(&delta, &cfg);
-        assert_eq!(empty_slot.extends(), 0);
+        let merged = db(&[&[1, 2], &[1, 2], &[2, 3], &[1, 2], &[2]]);
+        let cfg = EngineConfig::serial();
+        let seeded = || {
+            let mut slot = IndexSlot::new();
+            slot.adopt(VerticalIndex::build(&base, None, &cfg));
+            slot
+        };
+        let engaged = || {
+            let mut slot = seeded();
+            slot.engage([ItemId(1), ItemId(2)], &base, &delta, &cfg);
+            slot
+        };
+        // (slot, committed, had_deletes) → rows the slot then covers.
+        let cases: [(IndexSlot, bool, bool, Option<&TransactionDb>); 6] = [
+            (engaged(), true, false, Some(&merged)),
+            (engaged(), false, false, None),
+            (seeded(), true, false, Some(&merged)),
+            (seeded(), true, true, None),
+            (seeded(), false, false, Some(&base)),
+            (seeded(), false, true, None),
+        ];
+        for (i, (mut slot, committed, deletes, covers)) in cases.into_iter().enumerate() {
+            slot.settle(committed, &delta, deletes, &cfg);
+            assert_eq!(slot.has_index(), covers.is_some(), "case {i}");
+            if let Some(rows) = covers {
+                assert!(slot.drift(rows, &cfg).is_empty(), "case {i}");
+            }
+        }
+        // An engaged, committed round with deletions keeps its index too.
+        let mut slot = engaged();
+        slot.settle(true, &delta, true, &cfg);
+        assert!(slot.drift(&merged, &cfg).is_empty());
+
+        // An empty slot has nothing to extend, and nothing drifts.
+        let mut empty = IndexSlot::new();
+        empty.settle(true, &delta, false, &cfg);
+        assert_eq!((empty.has_index(), empty.extends()), (false, 0));
+        assert!(empty.drift(&merged, &cfg).is_empty());
+    }
+
+    /// `drift` sees a wrong size and rows out of place, not only wrong
+    /// totals.
+    #[test]
+    fn drift_reports_a_size_or_position_mismatch() {
+        let cfg = EngineConfig::serial();
+        let rows = db(&[&[1, 2], &[2], &[1, 2], &[3]]);
+        let mut slot = IndexSlot::new();
+        slot.adopt(VerticalIndex::build(&rows, None, &cfg));
+        assert!(slot.drift(&rows, &cfg).is_empty());
+        let shorter = db(&[&[1, 2], &[2], &[1, 2]]);
+        assert_eq!(slot.drift(&shorter, &cfg).len(), 1);
+        // Same rows, same totals, another order.
+        let moved = db(&[&[3], &[1, 2], &[2], &[1, 2]]);
+        assert!(!slot.drift(&moved, &cfg).is_empty());
     }
 }

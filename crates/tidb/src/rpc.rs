@@ -37,9 +37,8 @@ use crate::wal::{crc32, FRAME_HEADER};
 const TAG_STAGE_ROUND: u8 = 1;
 const TAG_ENGAGE: u8 = 2;
 const TAG_COUNT_SPLIT: u8 = 3;
-const TAG_COUNT_ITEMS: u8 = 4;
+// Tags 4 and 6 are unassigned; the others keep their numbers.
 const TAG_COUNT_DENSE: u8 = 5;
-const TAG_FINISH_ROUND: u8 = 6;
 const TAG_COMMIT_ROUND: u8 = 7;
 const TAG_ABORT_ROUND: u8 = 8;
 const TAG_CHECKPOINT: u8 = 9;
@@ -57,6 +56,13 @@ const TAG_ERR: u8 = 19;
 /// One protocol message. The first group travels coordinator → worker,
 /// the second worker → coordinator; both directions share the frame
 /// format.
+///
+/// A counted round is `StageRound`; `CountDense` if iteration 1 needs
+/// the base's item counts; `Engage` and one `CountSplit` per table for
+/// the passes `k ≥ 2` that count; then `CommitRound` or `AbortRound`.
+/// The worker settles its index when it applies that decision: it keeps
+/// the index a committed round counted through and drops one an aborted
+/// round did.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Phase 1 of a commit round: the rows this shard gains (with the
@@ -71,25 +77,23 @@ pub enum Message {
         /// Local tids deleted from this shard.
         deletes: Vec<Tid>,
     },
-    /// Build/extend the worker's vertical index for this round, filtered
-    /// to `keep` (the coordinator's `old L₁ ∪ result L₁` item union).
+    /// Engage the worker's vertical index for this round: its held index
+    /// extended by the staged inserts if it covers the shard's base rows
+    /// and `keep` (the coordinator's `old L₁ ∪ result L₁` item union),
+    /// else a build over every item. Answered [`Message::Ok`]; repeats
+    /// within a round keep the engaged index.
     Engage {
         /// Items the round's index must cover.
         keep: Vec<ItemId>,
     },
-    /// Count a candidate table: `items` is the flat row-major item array
-    /// of a `k`-itemset table (`items.len() % k == 0`). Answered with
-    /// [`Message::Splits`] — per-row `(base, delta)` support splits.
+    /// Count a candidate table through the engaged index: `items` is the
+    /// flat row-major item array of a `k`-itemset table
+    /// (`items.len() % k == 0`). Answered with [`Message::Splits`] —
+    /// per-row `(base, delta)` support splits.
     CountSplit {
         /// Itemset size of every row.
         k: u32,
         /// Flat row-major items, rows sorted lexicographically.
-        items: Vec<ItemId>,
-    },
-    /// Count single items in the shard's *base* rows only (pre-round
-    /// rows). Answered with [`Message::Counts`], one count per item.
-    CountItems {
-        /// Items to count, in reply order.
         items: Vec<ItemId>,
     },
     /// Dense item histogram of the shard's base rows: answered with
@@ -97,8 +101,6 @@ pub enum Message {
     /// vector may be shorter than the coordinator's dictionary (missing
     /// tail = zeros).
     CountDense,
-    /// Return the round's index to its slot (successful round).
-    FinishRound,
     /// Phase 2: make the staged round effective. WAL-logged, answered
     /// [`Message::Ok`].
     CommitRound {
@@ -131,7 +133,7 @@ pub enum Message {
         /// Removed rows, one per requested delete, request order.
         removed: Vec<(Tid, Transaction)>,
     },
-    /// Reply to [`Message::CountItems`] / [`Message::CountDense`].
+    /// Reply to [`Message::CountDense`].
     Counts(Vec<u64>),
     /// Reply to [`Message::CountSplit`]: per-row `(base, delta)` splits.
     Splits(Vec<(u64, u64)>),
@@ -223,12 +225,7 @@ impl Message {
                 codec::write_varint(&mut buf, *k);
                 write_items(&mut buf, items);
             }
-            Message::CountItems { items } => {
-                buf.push(TAG_COUNT_ITEMS);
-                write_items(&mut buf, items);
-            }
             Message::CountDense => buf.push(TAG_COUNT_DENSE),
-            Message::FinishRound => buf.push(TAG_FINISH_ROUND),
             Message::CommitRound { round } => {
                 buf.push(TAG_COMMIT_ROUND);
                 codec::write_varint64(&mut buf, *round);
@@ -323,11 +320,7 @@ impl Message {
                 }
                 Message::CountSplit { k, items }
             }
-            TAG_COUNT_ITEMS => Message::CountItems {
-                items: read_items(buf, pos)?,
-            },
             TAG_COUNT_DENSE => Message::CountDense,
-            TAG_FINISH_ROUND => Message::FinishRound,
             TAG_COMMIT_ROUND => Message::CommitRound {
                 round: codec::read_varint64(buf, pos)?,
             },
@@ -513,11 +506,7 @@ mod tests {
                 k: 2,
                 items: vec![ItemId(1), ItemId(2), ItemId(1), ItemId(3)],
             },
-            Message::CountItems {
-                items: vec![ItemId(5)],
-            },
             Message::CountDense,
-            Message::FinishRound,
             Message::CommitRound { round: 7 },
             Message::AbortRound { round: 8 },
             Message::Checkpoint,
