@@ -527,21 +527,9 @@ pub(crate) fn encode_store(
     large: &LargeItemsets,
     backlog: &[(u64, UpdateBatch)],
 ) -> Result<Vec<u8>> {
-    let (tombstones, live) = match base {
-        None => {
-            let mut live: Vec<(Tid, &Transaction)> = store.iter().collect();
-            live.sort_unstable_by_key(|&(tid, _)| tid);
-            (store.live_view().tombstones_sorted(), live)
-        }
-        Some(base) => {
-            let mut deleted = base.deleted.to_vec();
-            deleted.sort_unstable();
-            let inserted = (base.parent.watermark..store.watermark())
-                .map(Tid)
-                .filter_map(|tid| store.get(tid).map(|t| (tid, t)))
-                .collect();
-            (deleted, inserted)
-        }
+    let (tombstones, from) = match base {
+        None => (store.live_view().tombstones_sorted(), 0),
+        Some(base) => (base.deleted.to_vec(), base.parent.watermark),
     };
     let head = CheckpointHead {
         seq,
@@ -554,7 +542,26 @@ pub(crate) fn encode_store(
         large,
         backlog,
     };
-    encode_checkpoint(&head, &tombstones, &live).map_err(Error::Store)
+    encode_checkpoint(&head, &tombstones, &rows_from(store, from)).map_err(Error::Store)
+}
+
+/// The live rows at or above tid `from`, ascending. Each shard holds its
+/// rows in ascending tid order, so these are its tail: the shards' tails
+/// are merged from the back, which reads no row below `from`.
+fn rows_from(store: &ShardedDb, from: u64) -> Vec<(Tid, &Transaction)> {
+    let shards = (0..store.num_shards()).map(|s| store.shard(s).iter().rev());
+    let mut tails: Vec<_> = (shards.map(|tail| tail.take_while(move |r| r.0 .0 >= from)))
+        .map(Iterator::peekable)
+        .collect();
+    let mut rows = Vec::with_capacity(store.len().min((store.watermark() - from) as usize));
+    while let Some((_, s)) = (0..tails.len())
+        .filter_map(|s| Some((tails[s].peek()?.0, s)))
+        .max()
+    {
+        rows.push(tails[s].next().expect("peeked"));
+    }
+    rows.reverse();
+    rows
 }
 
 /// Decodes and fully validates one checkpoint file, full image or delta.
@@ -823,7 +830,7 @@ struct Tip {
 }
 
 /// What a delta checkpoint is encoded against: its parent, and the tids
-/// deleted by every round committed since it.
+/// deleted by every round committed since it, ascending.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DeltaBase<'a> {
     pub parent: Parent,
@@ -1203,11 +1210,14 @@ impl DurableLog {
         let healthy = self.state() == LogState::Healthy;
         let base = inner
             .tip
-            .as_ref()
+            .as_mut()
             .filter(|tip| healthy && tip.delta_bytes < tip.full_bytes)
-            .map(|tip| DeltaBase {
-                parent: tip.parent,
-                deleted: &tip.deleted,
+            .map(|tip| {
+                tip.deleted.sort_unstable();
+                DeltaBase {
+                    parent: tip.parent,
+                    deleted: &tip.deleted,
+                }
             });
         let full = base.is_none();
         let bytes = encode(seq, base)?;

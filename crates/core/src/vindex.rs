@@ -21,7 +21,8 @@
 //! not count through it extends the held index by the delta; an abort
 //! that did neither keeps it; every other case drops it — an aborted
 //! round's index covers rows the part does not hold, and deletions
-//! reorder the live set (staging `swap_remove`s, an abort re-appends).
+//! shift the positions of every later row (the part compacts them out;
+//! an abort restores them in place).
 //! Every index a slot builds indexes every item, so it covers
 //! whatever the round asks about, newly large items included; only an
 //! index adopted from a mine, which is filtered to that mine's `L₁` for
@@ -80,8 +81,8 @@ impl IndexSlot {
         self.builds
     }
 
-    /// Number of times the held index was extended with a delta instead
-    /// of being rebuilt.
+    /// Number of times the held index was extended with a non-empty delta
+    /// instead of being rebuilt.
     pub fn extends(&self) -> u64 {
         self.extends
     }
@@ -130,7 +131,7 @@ impl IndexSlot {
         let keep = item_bitmap(keep_items);
         let mut idx = match self.index.take() {
             Some(idx) if idx.num_transactions() == boundary && idx.covers(&keep) => {
-                self.extends += 1;
+                self.extends += u64::from(delta.num_transactions() > 0);
                 idx
             }
             _ => {
@@ -172,7 +173,7 @@ impl IndexSlot {
             (false, true, false) => {
                 if let Some(idx) = &mut self.index {
                     idx.extend(inserted, engine);
-                    self.extends += 1;
+                    self.extends += u64::from(inserted.num_transactions() > 0);
                 }
             }
             _ => self.index = None,
@@ -539,8 +540,9 @@ mod tests {
         slot.settle(true, &inc, false, &cfg);
         let grown = mine(&merged);
         assert!(grown.contains(&Itemset::single(ItemId(9))));
+        // Reused, not rebuilt; an empty delta is no extend.
         slot.engage(l1(&grown), &merged, &empty, &cfg);
-        assert_eq!((slot.builds(), slot.extends()), (1, 1));
+        assert_eq!((slot.builds(), slot.extends()), (1, 0));
         let exact = Some(vec![(3, 0)]);
         assert_eq!(slot.count_split(&nine, &cfg), exact, "exact, not filtered");
 
@@ -560,7 +562,7 @@ mod tests {
         assert_eq!(adopted.count_split(&nine, &cfg), Some(vec![(1, 2)]));
         adopted.settle(true, &inc, false, &cfg);
         adopted.engage(l1(&grown), &merged, &empty, &cfg);
-        assert_eq!((adopted.builds(), adopted.extends()), (2, 1));
+        assert_eq!((adopted.builds(), adopted.extends()), (2, 0));
     }
 
     /// `settle` keeps, extends or drops the held index exactly as the

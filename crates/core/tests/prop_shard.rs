@@ -142,6 +142,7 @@ proptest! {
             .collect();
         for m in &sharded {
             assert_bit_identical(&flat, m, "bootstrap");
+            m.verify_consistency().unwrap();
         }
         assert_one_shard_index_matches(&flat, &sharded, "bootstrap");
 
@@ -163,11 +164,11 @@ proptest! {
                     report.num_transactions, reference.num_transactions, "{}", &label
                 );
                 assert_bit_identical(&flat, m, &label);
+                // Every held index against a fresh build, every round: a
+                // fault a later rebuild would heal must show here.
+                m.verify_consistency().unwrap();
             }
             assert_one_shard_index_matches(&flat, &sharded, &format!("round {round}"));
-        }
-        for m in &sharded {
-            m.verify_consistency().unwrap();
         }
     }
 }

@@ -15,6 +15,10 @@
 //!    `(DB \ db⁻) ∪ db⁺`), or [`SegmentedDb::abort`] restores the deleted
 //!    transactions.
 //!
+//! Rows are held and scanned in ascending tid order: inserts append (fresh
+//! tids are the largest), deletes compact, an abort merges rows back in
+//! place, and a lookup by tid is a binary search.
+//!
 //! Batches accumulate before a round on the session's store, a
 //! [`ShardedDb`](crate::ShardedDb), whose one [`StagingArea`] validates
 //! them at arrival and hands them to `stage`+`commit` in global arrival
@@ -28,7 +32,6 @@ use crate::scan::ScanMetrics;
 use crate::source::TransactionSource;
 use crate::staging::{LiveTidView, StagingArea};
 use crate::transaction::Transaction;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -101,7 +104,8 @@ impl UpdateBatch {
 pub struct StagedUpdate {
     inserted: TransactionDb,
     deleted: TransactionDb,
-    deleted_with_tids: Vec<(Tid, Transaction)>,
+    /// The rows the deletes removed, in tid order, for abort's merge.
+    removed: Vec<(Tid, Transaction)>,
 }
 
 impl StagedUpdate {
@@ -110,7 +114,7 @@ impl StagedUpdate {
         &self.inserted
     }
 
-    /// The deletion side `db⁻` as a scannable source.
+    /// The deletion side `db⁻`, in batch order, as a scannable source.
     pub fn deleted(&self) -> &TransactionDb {
         &self.deleted
     }
@@ -126,16 +130,32 @@ impl StagedUpdate {
     }
 }
 
+/// Checks a batch's deletes before any is removed: every tid must be live
+/// and listed once, else [`Error::UnknownTransaction`] names the first.
+pub(crate) fn validate_deletes(deletes: &[Tid], live: impl Fn(Tid) -> bool) -> Result<()> {
+    let mut seen = std::collections::HashSet::new();
+    match deletes.iter().find(|&&tid| !live(tid) || !seen.insert(tid)) {
+        Some(&tid) => Err(Error::UnknownTransaction(tid)),
+        None => Ok(()),
+    }
+}
+
+/// The row of `tid` among `rows`, which ascend by tid.
+pub(crate) fn row_of(rows: &[(Tid, Transaction)], tid: Tid) -> Option<&Transaction> {
+    let at = rows.binary_search_by_key(&tid, |&(t, _)| t).ok()?;
+    Some(&rows[at].1)
+}
+
 /// Transaction store with staged insert/delete updates.
 ///
 /// Scanning the store (via [`TransactionSource`]) always delivers the
-/// current *live* transactions: `DB` before staging, `DB \ db⁻` while an
-/// update is staged, `(DB \ db⁻) ∪ db⁺` after commit.
+/// current *live* transactions, in ascending tid order: `DB` before
+/// staging, `DB \ db⁻` while an update is staged, `(DB \ db⁻) ∪ db⁺`
+/// after commit.
 #[derive(Debug, Default)]
 pub struct SegmentedDb {
+    /// The live rows in ascending tid order.
     live: Vec<(Tid, Transaction)>,
-    /// Index from tid to position in `live`; kept in sync on every mutation.
-    by_tid: HashMap<Tid, usize>,
     next_tid: u64,
     next_segment: u32,
     /// Scan accounting — shared with the other shards of a
@@ -171,53 +191,66 @@ impl SegmentedDb {
 
     /// Appends transactions directly (no staging), returning their tids.
     pub fn append_all<I: IntoIterator<Item = Transaction>>(&mut self, iter: I) -> Vec<Tid> {
-        let mut tids = Vec::new();
-        for t in iter {
-            let tid = Tid(self.next_tid);
-            self.next_tid += 1;
-            self.by_tid.insert(tid, self.live.len());
-            self.live.push((tid, t));
-            tids.push(tid);
-        }
+        let first = self.next_tid;
+        let rows: Vec<(Tid, Transaction)> = (first..).map(Tid).zip(iter).collect();
+        self.append_pairs(rows);
+        let tids: Vec<Tid> = (first..self.next_tid).map(Tid).collect();
         self.staging.live_insert(tids.iter().copied());
         tids
     }
 
-    /// Appends transactions under **caller-assigned** tids — the primitive
-    /// a tid-range shard router uses to keep one global tid sequence
-    /// across many partitions. The caller guarantees the tids are fresh
-    /// (never live in this store). The store's own allocator is advanced
-    /// past the highest appended tid, and the tid-order flag is cleared
-    /// only if an appended tid sorts below an existing live row.
+    /// Appends rows under **caller-assigned** tids — the primitive a
+    /// tid-range shard router uses to keep one global tid sequence across
+    /// many partitions. The tids ascend above every live row, so the rows
+    /// move in as they are; the allocator advances past the last.
     ///
     /// The internal staging live view is **not** updated: a sharded
     /// router maintains the single authoritative view on its own staging
     /// area (a per-shard view over a strided tid subset would misread
     /// the gaps as tombstones).
-    pub(crate) fn append_pairs(&mut self, pairs: Vec<(Tid, Transaction)>) {
-        self.live.reserve(pairs.len());
-        self.by_tid.reserve(pairs.len());
-        for (tid, t) in pairs {
-            debug_assert!(!self.by_tid.contains_key(&tid), "tid reused: {tid:?}");
-            self.by_tid.insert(tid, self.live.len());
-            self.live.push((tid, t));
-            self.next_tid = self.next_tid.max(tid.0 + 1);
+    pub(crate) fn append_pairs(&mut self, rows: Vec<(Tid, Transaction)>) {
+        let fresh = |r: &(Tid, _)| self.live.last().is_none_or(|l| l.0 < r.0);
+        debug_assert!(rows.first().is_none_or(fresh), "tids must be fresh");
+        if let Some(&(last, _)) = rows.last() {
+            self.next_tid = self.next_tid.max(last.0 + 1);
+        }
+        if self.live.is_empty() {
+            self.live = rows;
+        } else {
+            self.live.extend(rows);
         }
     }
 
-    /// Removes one live transaction by tid, returning it — the deletion
-    /// primitive of the shard router. Mirrors the `swap_remove` of
-    /// [`stage`](Self::stage) (including the tid-order bookkeeping) but
-    /// leaves the internal staging live view alone, as with
-    /// [`append_pairs`](Self::append_pairs).
-    pub(crate) fn remove_tid(&mut self, tid: Tid) -> Option<Transaction> {
-        let idx = self.by_tid.remove(&tid)?;
-        let (_, t) = self.live.swap_remove(idx);
-        if idx < self.live.len() {
-            let moved_tid = self.live[idx].0;
-            self.by_tid.insert(moved_tid, idx);
+    /// Removes the rows of `tids` (every one live) in one order-preserving
+    /// compaction and returns them in tid order — the deletion primitive
+    /// of [`stage`](Self::stage) and of the shard router. Leaves the
+    /// internal staging live view alone, as
+    /// [`append_pairs`](Self::append_pairs) does.
+    pub(crate) fn remove(&mut self, mut tids: Vec<Tid>) -> Vec<(Tid, Transaction)> {
+        tids.sort_unstable();
+        let start = match tids.first() {
+            Some(&first) => self.live.partition_point(|r| r.0 < first),
+            None => return Vec::new(),
+        };
+        let mut next = tids.iter().peekable();
+        let cut = |r: &mut (Tid, Transaction)| next.next_if_eq(&&r.0).is_some();
+        self.live.extract_if(start.., cut).collect()
+    }
+
+    /// Merges `rows` (ascending, none live) back at their tid positions in
+    /// one linear pass — the inverse of [`remove`](Self::remove).
+    pub(crate) fn restore(&mut self, rows: Vec<(Tid, Transaction)>) {
+        let at = match rows.first() {
+            Some(&(first, _)) => self.live.partition_point(|r| r.0 < first),
+            None => return,
+        };
+        let mut rows = rows.into_iter().peekable();
+        for kept in self.live.split_off(at) {
+            self.live
+                .extend(std::iter::from_fn(|| rows.next_if(|r| r.0 < kept.0)));
+            self.live.push(kept);
         }
-        Some(t)
+        self.live.extend(rows);
     }
 
     /// Number of live transactions.
@@ -232,17 +265,20 @@ impl SegmentedDb {
 
     /// Looks up a live transaction by id.
     pub fn get(&self, tid: Tid) -> Option<&Transaction> {
-        self.by_tid.get(&tid).map(|&i| &self.live[i].1)
+        row_of(&self.live, tid)
     }
 
     /// `true` if `tid` is live.
     pub fn contains(&self, tid: Tid) -> bool {
-        self.by_tid.contains_key(&tid)
+        self.get(tid).is_some()
     }
 
-    /// Iterates `(tid, transaction)` pairs without charging scan metrics.
-    /// For tests and administrative tasks; miners must use `for_each`.
-    pub fn iter(&self) -> impl Iterator<Item = (Tid, &Transaction)> + '_ {
+    /// Iterates `(tid, transaction)` pairs in ascending tid order (the
+    /// scan order) without charging scan metrics. For tests and
+    /// administrative tasks; miners must use `for_each`.
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (Tid, &Transaction)> + ExactSizeIterator + '_ {
         self.live.iter().map(|(tid, t)| (*tid, t))
     }
 
@@ -267,39 +303,19 @@ impl SegmentedDb {
     /// [`Error::UnknownTransaction`] (leaving the store untouched) if any
     /// deleted tid is not live or is listed twice.
     pub fn stage(&mut self, batch: UpdateBatch) -> Result<StagedUpdate> {
-        // Validate first so failure cannot leave a partial removal. No
-        // staging claims are touched on failure: a claim for one of
+        // No staging claims are touched on failure: a claim for one of
         // these tids may legitimately belong to a *different* batch
         // still pending in the staging area, and only the owner of a
         // drained batch knows its claims died with it (see
         // [`StagingArea::release_deletes`]).
-        {
-            let mut seen = std::collections::HashSet::new();
-            for &tid in &batch.deletes {
-                if !self.by_tid.contains_key(&tid) || !seen.insert(tid) {
-                    return Err(Error::UnknownTransaction(tid));
-                }
-            }
-        }
+        validate_deletes(&batch.deletes, |tid| self.contains(tid))?;
         self.staging.live_remove(batch.deletes.iter().copied());
-        let mut deleted_with_tids = Vec::with_capacity(batch.deletes.len());
-        for &tid in &batch.deletes {
-            let idx = self.by_tid.remove(&tid).expect("validated above");
-            let (_, t) = self.live.swap_remove(idx);
-            // swap_remove moved the former last element into `idx`.
-            if idx < self.live.len() {
-                let moved_tid = self.live[idx].0;
-                self.by_tid.insert(moved_tid, idx);
-            }
-            deleted_with_tids.push((tid, t));
-        }
-        let deleted =
-            TransactionDb::from_transactions(deleted_with_tids.iter().map(|(_, t)| t.clone()));
-        let inserted = TransactionDb::from_transactions(batch.inserts);
+        let removed = self.remove(batch.deletes.clone());
+        let row = |&tid: &Tid| row_of(&removed, tid).expect("removed above").clone();
         Ok(StagedUpdate {
-            inserted,
-            deleted,
-            deleted_with_tids,
+            inserted: TransactionDb::from_transactions(batch.inserts),
+            deleted: TransactionDb::from_transactions(batch.deletes.iter().map(row)),
+            removed,
         })
     }
 
@@ -309,22 +325,19 @@ impl SegmentedDb {
         let seg = SegmentId(self.next_segment);
         self.next_segment += 1;
         self.staging
-            .release_deletes(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
+            .release_deletes(staged.removed.iter().map(|&(tid, _)| tid));
         let tids = self.append_all(staged.inserted.into_transactions());
         (seg, tids)
     }
 
     /// Aborts a staged update, restoring the deleted transactions under
-    /// their original tids (live — and deletable — again).
+    /// their original tids, at their tid positions (live — and deletable
+    /// — again).
     pub fn abort(&mut self, staged: StagedUpdate) {
-        self.staging
-            .release_deletes(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
-        self.staging
-            .live_insert(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
-        for (tid, t) in staged.deleted_with_tids {
-            self.by_tid.insert(tid, self.live.len());
-            self.live.push((tid, t));
-        }
+        let tids = || staged.removed.iter().map(|&(tid, _)| tid);
+        self.staging.release_deletes(tids());
+        self.staging.live_insert(tids());
+        self.restore(staged.removed);
     }
 }
 
@@ -463,16 +476,32 @@ mod tests {
     }
 
     #[test]
-    fn swap_remove_keeps_index_consistent() {
+    fn deletes_compact_and_abort_merges_back_in_tid_order() {
         let mut db = SegmentedDb::new();
-        let tids = db.append_all(vec![tx(&[1]), tx(&[2]), tx(&[3]), tx(&[4])]);
-        // Delete the first; the last swaps into its slot.
-        let staged = db.stage(UpdateBatch::delete_only(vec![tids[0]])).unwrap();
-        db.commit(staged);
-        for &tid in &tids[1..] {
-            assert!(db.contains(tid), "{tid:?} lost after swap_remove");
-            assert!(db.get(tid).is_some());
+        let tids = db.append_all((1..=6).map(|i| tx(&[i])));
+        let order = |db: &SegmentedDb| db.iter().map(|(tid, _)| tid).collect::<Vec<_>>();
+        // Deletes in the middle and at both ends, listed out of tid order.
+        let staged = db
+            .stage(UpdateBatch::delete_only(vec![tids[3], tids[0], tids[5]]))
+            .unwrap();
+        assert_eq!(order(&db), vec![tids[1], tids[2], tids[4]]);
+        // db⁻ keeps batch order.
+        let deleted: Vec<_> = staged
+            .deleted()
+            .raw()
+            .iter()
+            .map(|t| t.items()[0].raw())
+            .collect();
+        assert_eq!(deleted, vec![4, 1, 6]);
+        db.abort(staged);
+        assert_eq!(order(&db), tids);
+        for (i, &tid) in tids.iter().enumerate() {
+            assert_eq!(db.get(tid).unwrap().items(), &[ItemId(i as u32 + 1)]);
         }
+        let staged = db.stage(UpdateBatch::delete_only(vec![tids[2]])).unwrap();
+        db.commit(staged);
+        assert!(!db.contains(tids[2]));
+        assert_eq!(order(&db), [&tids[..2], &tids[3..]].concat());
     }
 
     #[test]

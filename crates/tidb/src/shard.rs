@@ -6,7 +6,9 @@
 //! set into N [`SegmentedDb`] shards by a [`ShardSpec`] routing function
 //! while presenting *one* tid space, *one* staging area (tickets, delete
 //! claims, capacity gate, live-tid view), and *one* scan order (shard 0's
-//! rows, then shard 1's, …). Each shard is its own chunk partition
+//! rows, then shard 1's, …; each shard's in ascending tid order, since a
+//! shard appends inserts, compacts deletes and merges an abort back in
+//! place). Each shard is its own chunk partition
 //! ([`TransactionSource::chunk_partitions`]), so a partition-aware scan
 //! driver gives every shard its own chunk cursor; local counts merge by
 //! summation at pass end (count distribution). Mining results are
@@ -20,10 +22,10 @@
 
 use crate::chunk::{ChunkScratch, TxChunk};
 use crate::database::TransactionDb;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::item::ItemId;
 use crate::scan::ScanMetrics;
-use crate::segment::{SegmentId, SegmentedDb, Tid, UpdateBatch};
+use crate::segment::{row_of, validate_deletes, SegmentId, SegmentedDb, Tid, UpdateBatch};
 use crate::source::TransactionSource;
 use crate::staging::{LiveTidView, StagingArea};
 use crate::transaction::Transaction;
@@ -292,14 +294,14 @@ impl ShardSpec {
 pub struct ShardedStaged {
     inserted: TransactionDb,
     deleted: TransactionDb,
-    deleted_with_tids: Vec<(Tid, Transaction)>,
-    /// Per shard: the inserts routed to it, with their prospective tids.
-    routed_inserts: Vec<Vec<(Tid, Transaction)>>,
-    /// Per shard: the routed insert side as a scannable source.
+    /// Per shard: the inserts routed to it by their prospective tids, as
+    /// a scannable source in the order the shard will append them.
     shard_inserted: Vec<TransactionDb>,
-    /// Per shard: the deleted rows removed from it.
-    shard_deleted_pairs: Vec<Vec<(Tid, Transaction)>>,
-    /// Per shard: the routed delete side as a scannable source.
+    /// Per shard: the rows the deletes removed from it, in tid order,
+    /// for abort's merge.
+    removed: Vec<Vec<(Tid, Transaction)>>,
+    /// Per shard: the routed delete side, in tid order, as a scannable
+    /// source.
     shard_deleted: Vec<TransactionDb>,
     /// The global allocator value the routing was computed against.
     base_tid: u64,
@@ -334,11 +336,6 @@ impl ShardedStaged {
     /// Shard `s`'s slice of the deletion side, `db⁻ₛ`.
     pub fn shard_deleted(&self, s: usize) -> &TransactionDb {
         &self.shard_deleted[s]
-    }
-
-    /// Shard `s`'s routed inserts with their prospective tids.
-    pub fn shard_routed_inserts(&self, s: usize) -> &[(Tid, Transaction)] {
-        &self.routed_inserts[s]
     }
 }
 
@@ -409,14 +406,7 @@ impl ShardedDb {
         next_segment: u32,
     ) -> std::result::Result<Self, SpecError> {
         let mut db = ShardedDb::new(spec)?;
-        let mut routed: Vec<Vec<(Tid, Transaction)>> =
-            (0..db.shards.len()).map(|_| Vec::new()).collect();
-        for (tid, t) in live {
-            routed[db.spec.shard_of(tid)].push((tid, t));
-        }
-        for (shard, pairs) in db.shards.iter_mut().zip(routed) {
-            shard.append_pairs(pairs);
-        }
+        db.append_rows(live);
         db.next_tid = watermark;
         db.next_segment = next_segment;
         db.staging
@@ -428,20 +418,34 @@ impl ShardedDb {
     /// Tid assignment is global and sequential — bit-identical to
     /// [`SegmentedDb::append_all`] — with each row routed to its shard.
     pub fn append_all<I: IntoIterator<Item = Transaction>>(&mut self, iter: I) -> Vec<Tid> {
-        let mut routed: Vec<Vec<(Tid, Transaction)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut tids = Vec::new();
-        for t in iter {
-            let tid = Tid(self.next_tid);
-            self.next_tid += 1;
-            routed[self.spec.shard_of(tid)].push((tid, t));
-            tids.push(tid);
-        }
-        for (shard, pairs) in self.shards.iter_mut().zip(routed) {
-            shard.append_pairs(pairs);
-        }
+        let first = self.next_tid;
+        let rows: Vec<(Tid, Transaction)> = (first..).map(Tid).zip(iter).collect();
+        self.next_tid += rows.len() as u64;
+        self.append_rows(rows);
+        let tids: Vec<Tid> = (first..self.next_tid).map(Tid).collect();
         self.staging.live_insert(tids.iter().copied());
         tids
+    }
+
+    /// Appends `rows` (ascending, above every live tid) to their shards.
+    fn append_rows(&mut self, rows: Vec<(Tid, Transaction)>) {
+        let routed = self.route(rows);
+        for (shard, rows) in self.shards.iter_mut().zip(routed) {
+            shard.append_pairs(rows);
+        }
+    }
+
+    /// `rows` split by owning shard, each shard's in the given order: one
+    /// move for a lone shard, else one routing pass.
+    fn route(&self, rows: Vec<(Tid, Transaction)>) -> Vec<Vec<(Tid, Transaction)>> {
+        if self.shards.len() == 1 {
+            return vec![rows];
+        }
+        let mut routed = vec![Vec::new(); self.shards.len()];
+        for (tid, t) in rows {
+            routed[self.spec.shard_of(tid)].push((tid, t));
+        }
+        routed
     }
 
     /// The routing spec.
@@ -488,7 +492,8 @@ impl ShardedDb {
     }
 
     /// Iterates `(tid, transaction)` pairs in scan order (shard 0's rows,
-    /// then shard 1's, …) without charging scan metrics.
+    /// then shard 1's, …, each shard's in ascending tid order) without
+    /// charging scan metrics.
     pub fn iter(&self) -> impl Iterator<Item = (Tid, &Transaction)> + '_ {
         self.shards.iter().flat_map(|s| s.iter())
     }
@@ -498,7 +503,7 @@ impl ShardedDb {
     /// transactions until a `stage`+`commit` round applies it. Deletes
     /// are validated at arrival — every tid must be live and not already
     /// claimed by an earlier pending delete — and on
-    /// [`Error::UnknownTransaction`] nothing is queued.
+    /// [`Error::UnknownTransaction`](crate::Error::UnknownTransaction) nothing is queued.
     pub fn enqueue(&self, batch: UpdateBatch) -> Result<()> {
         self.staging.stage(batch)?;
         Ok(())
@@ -555,66 +560,48 @@ impl ShardedDb {
 
     /// Stages an update: removes `batch.deletes` from their owning shards
     /// and routes `batch.inserts` to prospective tids/shards. Fails with
-    /// [`Error::UnknownTransaction`] — leaving every shard untouched — if
-    /// any deleted tid is not live or is listed twice.
+    /// [`Error::UnknownTransaction`](crate::Error::UnknownTransaction) —
+    /// leaving every shard untouched — if any deleted tid is not live or
+    /// is listed twice.
     pub fn stage(&mut self, batch: UpdateBatch) -> Result<ShardedStaged> {
-        // Validate across all shards first so a failure cannot leave a
-        // partial removal (same contract as `SegmentedDb::stage`, and
-        // like it, staging claims are untouched on failure).
-        {
-            let mut seen = std::collections::HashSet::new();
-            for &tid in &batch.deletes {
-                if !self.contains(tid) || !seen.insert(tid) {
-                    return Err(Error::UnknownTransaction(tid));
-                }
-            }
-        }
+        // Validate across all shards first (same contract as
+        // `SegmentedDb::stage`: staging claims are untouched on failure).
+        validate_deletes(&batch.deletes, |tid| self.contains(tid))?;
         self.staging.live_remove(batch.deletes.iter().copied());
-        let n = self.shards.len();
-        let mut deleted_with_tids = Vec::with_capacity(batch.deletes.len());
-        let mut shard_deleted_pairs: Vec<Vec<(Tid, Transaction)>> =
-            (0..n).map(|_| Vec::new()).collect();
+        // One order-preserving compaction per shard; `db⁻` reads the rows
+        // back in batch order.
+        let mut shard_tids = vec![Vec::new(); self.shards.len()];
         for &tid in &batch.deletes {
-            let s = self.spec.shard_of(tid);
-            let t = self.shards[s].remove_tid(tid).expect("validated above");
-            shard_deleted_pairs[s].push((tid, t.clone()));
-            deleted_with_tids.push((tid, t));
+            shard_tids[self.spec.shard_of(tid)].push(tid);
         }
+        let removed: Vec<_> = (self.shards.iter_mut().zip(shard_tids))
+            .map(|(shard, tids)| shard.remove(tids))
+            .collect();
+        let rows_of = |tid| &removed[self.spec.shard_of(tid)];
+        let row = |&tid: &Tid| row_of(rows_of(tid), tid).expect("removed above").clone();
+        let shard_deleted = (removed.iter())
+            .map(|rows| TransactionDb::from_transactions(rows.iter().map(|(_, t)| t.clone())));
         // Prospective insert routing: the tids a commit will assign, in
         // batch order from the global allocator (not yet advanced, so an
         // abort burns nothing).
         let base_tid = self.next_tid;
-        let mut routed_inserts: Vec<Vec<(Tid, Transaction)>> = (0..n).map(|_| Vec::new()).collect();
-        for (k, t) in batch.inserts.iter().enumerate() {
-            let tid = Tid(base_tid + k as u64);
-            routed_inserts[self.spec.shard_of(tid)].push((tid, t.clone()));
-        }
-        let shard_inserted = routed_inserts
-            .iter()
-            .map(|p| TransactionDb::from_transactions(p.iter().map(|(_, t)| t.clone())))
+        let rows = (base_tid..).map(Tid).zip(batch.inserts.iter().cloned());
+        let shard_inserted = (self.route(rows.collect()).into_iter())
+            .map(|rows| TransactionDb::from_transactions(rows.into_iter().map(|(_, t)| t)))
             .collect();
-        let shard_deleted = shard_deleted_pairs
-            .iter()
-            .map(|p| TransactionDb::from_transactions(p.iter().map(|(_, t)| t.clone())))
-            .collect();
-        let deleted =
-            TransactionDb::from_transactions(deleted_with_tids.iter().map(|(_, t)| t.clone()));
-        let inserted = TransactionDb::from_transactions(batch.inserts);
         Ok(ShardedStaged {
-            inserted,
-            deleted,
-            deleted_with_tids,
-            routed_inserts,
+            inserted: TransactionDb::from_transactions(batch.inserts),
+            deleted: TransactionDb::from_transactions(batch.deletes.iter().map(row)),
             shard_inserted,
-            shard_deleted_pairs,
-            shard_deleted,
+            shard_deleted: shard_deleted.collect(),
+            removed,
             base_tid,
         })
     }
 
-    /// Commits a staged update: appends every shard's routed inserts
-    /// under their prospective tids, advances the global allocator, and
-    /// returns the new tids with the round's segment id.
+    /// Commits a staged update: appends the insertion side under its
+    /// prospective tids, routed as at stage time, advances the global
+    /// allocator, and returns the new tids with the round's segment id.
     pub fn commit(&mut self, staged: ShardedStaged) -> (SegmentId, Vec<Tid>) {
         debug_assert_eq!(
             staged.base_tid, self.next_tid,
@@ -623,30 +610,21 @@ impl ShardedDb {
         let seg = SegmentId(self.next_segment);
         self.next_segment += 1;
         self.staging
-            .release_deletes(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
-        let num_inserted = staged.inserted.len() as u64;
-        let mut tids: Vec<Tid> = (staged.base_tid..staged.base_tid + num_inserted)
-            .map(Tid)
-            .collect();
-        tids.sort_unstable();
-        for (shard, pairs) in self.shards.iter_mut().zip(staged.routed_inserts) {
-            shard.append_pairs(pairs);
-        }
-        self.next_tid += num_inserted;
-        self.staging.live_insert(tids.iter().copied());
+            .release_deletes(staged.removed.iter().flatten().map(|&(tid, _)| tid));
+        let tids = self.append_all(staged.inserted.into_transactions());
         (seg, tids)
     }
 
     /// Aborts a staged update, restoring the deleted transactions to
-    /// their shards under their original tids. Prospective insert tids
-    /// were never allocated, so the next round reuses them.
+    /// their shards under their original tids, at their tid positions.
+    /// Prospective insert tids were never allocated, so the next round
+    /// reuses them.
     pub fn abort(&mut self, staged: ShardedStaged) {
-        self.staging
-            .release_deletes(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
-        self.staging
-            .live_insert(staged.deleted_with_tids.iter().map(|&(tid, _)| tid));
-        for (shard, pairs) in self.shards.iter_mut().zip(staged.shard_deleted_pairs) {
-            shard.append_pairs(pairs);
+        let tids = || staged.removed.iter().flatten().map(|&(tid, _)| tid);
+        self.staging.release_deletes(tids());
+        self.staging.live_insert(tids());
+        for (shard, rows) in self.shards.iter_mut().zip(staged.removed) {
+            shard.restore(rows);
         }
     }
 
@@ -656,10 +634,17 @@ impl ShardedDb {
         &self.metrics
     }
 
-    /// Number of live transactions in shards before `s` — the positional
-    /// offset of shard `s`'s rows in the global scan order.
-    fn shard_row_offset(&self, s: usize) -> u64 {
-        self.shards[..s].iter().map(|d| d.len() as u64).sum()
+    /// The shard holding chunk `index` of the chunk plan, and the chunk's
+    /// index within that shard's own plan.
+    fn locate_chunk(&self, chunk_size: usize, mut index: u64) -> (usize, u64) {
+        for (s, shard) in self.shards.iter().enumerate() {
+            let chunks = shard.plan_chunks(chunk_size);
+            if index < chunks {
+                return (s, index);
+            }
+            index -= chunks;
+        }
+        panic!("chunk index out of range");
     }
 }
 
@@ -708,37 +693,25 @@ impl TransactionSource for ShardedDb {
         index: u64,
         scratch: &'s mut ChunkScratch,
     ) -> TxChunk<'s> {
-        let mut index = index;
-        for shard in &self.shards {
-            let chunks = shard.plan_chunks(chunk_size);
-            if index < chunks {
-                // The shard charges the shared metrics.
-                return shard.chunk(chunk_size, index, scratch);
-            }
-            index -= chunks;
-        }
-        panic!("chunk index out of range");
+        // The shard charges the shared metrics.
+        let (s, index) = self.locate_chunk(chunk_size, index);
+        self.shards[s].chunk(chunk_size, index, scratch)
     }
 
     /// N-way generalisation of the chain-source seam arithmetic: a chunk
     /// of shard `s` starts at the total row count of earlier shards plus
     /// the shard's own offset.
     fn chunk_tid_offset(&self, chunk_size: usize, index: u64) -> u64 {
-        let mut index = index;
-        for (s, shard) in self.shards.iter().enumerate() {
-            let chunks = shard.plan_chunks(chunk_size);
-            if index < chunks {
-                return self.shard_row_offset(s) + shard.chunk_tid_offset(chunk_size, index);
-            }
-            index -= chunks;
-        }
-        panic!("chunk index out of range");
+        let (s, index) = self.locate_chunk(chunk_size, index);
+        let before: u64 = self.shards[..s].iter().map(|d| d.len() as u64).sum();
+        before + self.shards[s].chunk_tid_offset(chunk_size, index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
 
     fn tx(items: &[u32]) -> Transaction {
         Transaction::from_items(items.iter().copied())

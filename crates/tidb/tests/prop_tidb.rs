@@ -1,12 +1,68 @@
 //! Property tests for the substrate: codec roundtrips, paging fidelity,
 //! segmented-store invariants, and text I/O.
 
+use fup_tidb::chunk::TxChunk;
 use fup_tidb::page::{decode_page, PagedStore};
-use fup_tidb::{codec, io, SegmentedDb, Transaction, TransactionSource, UpdateBatch};
+use fup_tidb::{
+    codec, io, SegmentedDb, ShardSpec, ShardedDb, Tid, Transaction, TransactionSource, UpdateBatch,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_transaction() -> impl Strategy<Value = Transaction> {
     proptest::collection::vec(0u32..5_000_000, 0..60).prop_map(Transaction::from_items)
+}
+
+/// The rows of `db` in every order it hands them out, checked against
+/// `reference`: each shard ascends by tid; a full pass and a chunked scan
+/// deliver the rows in `iter()` order; `get`, `contains` and `len` agree.
+fn check_store(db: &ShardedDb, reference: &BTreeMap<Tid, Transaction>) -> Result<(), String> {
+    for s in 0..db.num_shards() {
+        let tids: Vec<Tid> = db.shard(s).iter().map(|(tid, _)| tid).collect();
+        prop_assert!(
+            tids.is_sorted_by(|a, b| a < b),
+            "shard {} out of tid order: {:?}",
+            s,
+            tids
+        );
+    }
+    let rows: Vec<Vec<_>> = db.iter().map(|(_, t)| t.items().to_vec()).collect();
+    let mut pass = Vec::new();
+    db.for_each(&mut |t| pass.push(t.to_vec()));
+    prop_assert_eq!(&pass, &rows);
+    for chunk_size in [1, 3, 64] {
+        let mut chunked = Vec::new();
+        db.for_each_chunk(chunk_size, &mut |c: &TxChunk<'_>| {
+            chunked.extend(c.iter().map(|t| t.to_vec()));
+        });
+        prop_assert_eq!(&chunked, &rows, "chunk size {}", chunk_size);
+    }
+    prop_assert_eq!(db.len(), reference.len());
+    for tid in (0..=db.watermark()).map(Tid) {
+        prop_assert_eq!(db.get(tid), reference.get(&tid), "{:?}", tid);
+        prop_assert_eq!(db.contains(tid), reference.contains_key(&tid), "{:?}", tid);
+    }
+    Ok(())
+}
+
+/// [`check_store`], plus: the reference's rows recovered under `other`
+/// (another shard count) hold the same rows.
+fn check_against(
+    db: &ShardedDb,
+    reference: &BTreeMap<Tid, Transaction>,
+    other: &ShardSpec,
+) -> Result<(), String> {
+    check_store(db, reference)?;
+    let view = db.live_view();
+    let recovered = ShardedDb::from_recovered(
+        other.clone(),
+        reference.iter().map(|(&tid, t)| (tid, t.clone())).collect(),
+        view.watermark(),
+        view.tombstones_sorted(),
+        db.next_segment(),
+    )
+    .unwrap();
+    check_store(&recovered, reference)
 }
 
 proptest! {
@@ -105,6 +161,62 @@ proptest! {
         prop_assert_eq!(scanned, db.len() as u64);
     }
 
+    /// Random stage/commit/abort scripts keep every shard's rows in tid
+    /// order, at one shard and at four striped shards: deletes land
+    /// anywhere in a shard, listed in any order, and aborted deleting
+    /// batches merge their rows back.
+    #[test]
+    fn store_rows_stay_in_tid_order_through_any_script(
+        initial in proptest::collection::vec(arb_transaction(), 0..40),
+        steps in proptest::collection::vec(
+            (
+                proptest::collection::vec(arb_transaction(), 0..6),
+                proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
+                any::<bool>(),
+            ),
+            1..6,
+        ),
+    ) {
+        let four = ShardSpec::striped_with(4, 3);
+        let one = ShardSpec::striped(1);
+        for (spec, other) in [(one.clone(), four.clone()), (four, one)] {
+            let mut db = ShardedDb::from_transactions(spec, initial.clone()).unwrap();
+            let mut reference: BTreeMap<Tid, Transaction> =
+                db.iter().map(|(tid, t)| (tid, t.clone())).collect();
+            check_against(&db, &reference, &other)?;
+            for (inserts, picks, abort) in &steps {
+                let live: Vec<Tid> = reference.keys().copied().collect();
+                let mut deletes: Vec<Tid> = Vec::new();
+                for pick in picks.iter().filter(|_| !live.is_empty()) {
+                    let tid = live[pick.index(live.len())];
+                    if !deletes.contains(&tid) {
+                        deletes.push(tid);
+                    }
+                }
+                let staged = db
+                    .stage(UpdateBatch { inserts: inserts.clone(), deletes: deletes.clone() })
+                    .unwrap();
+                // db⁻ comes back in batch order; the store holds DB⁻.
+                let removed: Vec<Transaction> =
+                    deletes.iter().map(|tid| reference[tid].clone()).collect();
+                prop_assert_eq!(staged.deleted().raw(), &removed[..]);
+                let mut staged_ref = reference.clone();
+                for tid in &deletes {
+                    staged_ref.remove(tid);
+                }
+                check_store(&db, &staged_ref)?;
+                if *abort {
+                    db.abort(staged);
+                } else {
+                    let (_, tids) = db.commit(staged);
+                    reference = staged_ref;
+                    reference.extend(tids.into_iter().zip(inserts.iter().cloned()));
+                }
+                check_against(&db, &reference, &other)?;
+            }
+        }
+    }
+
     #[test]
     fn numeric_io_roundtrips(
         txs in proptest::collection::vec(
@@ -126,7 +238,6 @@ proptest! {
         ),
         chunk_size in 1usize..16,
     ) {
-        use fup_tidb::chunk::TxChunk;
         use fup_tidb::source::ChainSource;
         use fup_tidb::TransactionDb;
 
